@@ -9,7 +9,10 @@ reserved for usage and input errors.
 Search budgets default to depth=6, witnesses=32, siblings=16; the
 ``BRIESKORN_BUDGET`` environment variable (e.g. ``depth=8,siblings=24``)
 overrides the defaults and the ``--depth/--max-witnesses/--max-siblings``
-flags override both.
+flags override both.  The sibling budget bounds only the standalone
+``rule_transfer`` (``TRANSFER`` is not in the classification cascade), so
+here it only changes the ``siblings=`` line of ``summary.txt``; it is kept
+so that existing invocations and summaries stay valid.
 """
 
 from __future__ import annotations
@@ -226,7 +229,8 @@ def _add_budget_flags(parser) -> None:
     )
     parser.add_argument(
         "--max-siblings", type=int, default=None,
-        help="max transfer siblings per coordinate (default 16)",
+        help="max transfer siblings per coordinate (default 16); TRANSFER is not "
+        "in the cascade, so this only sets the siblings= line of summary.txt",
     )
 
 

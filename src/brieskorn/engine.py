@@ -2,13 +2,18 @@
 
 A fixed catalogue of arithmetic rules is tried in a fixed priority order;
 the cheap purely-arithmetic rules run first, then the recursive search
-rules (subtuple recursion, descending along the coordinate divisor order,
-and transfer across tuples sharing a strict lower bound).  The search is
-budgeted (recursion depth, divisor witnesses per coordinate, transfer
-siblings per coordinate) and memoized on the sorted tuple together with
-the remaining depth, which makes every answer a pure function of the
-tuple and the budget: warm and cold caches, any call order, and any
-number of census workers all produce identical results.
+rules (subtuple recursion and descending along the coordinate divisor
+order).  The search is budgeted (recursion depth and divisor witnesses per
+coordinate) and memoized on the sorted tuple together with the remaining
+depth, which makes every answer a pure function of the tuple and the
+budget: warm and cold caches, any call order, and any number of census
+workers all produce identical results.
+
+``TRANSFER`` (inheriting a status from a sibling tuple above a shared
+witness) is not part of the cascade: it decided no tuple in any census
+universe tried, while its unbounded sibling space dominated the search
+time.  It stays available standalone as :func:`rule_transfer`, bounded by
+``Budget.max_transfer_siblings``, and its certificates still replay.
 
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
@@ -42,14 +47,13 @@ RULE_PRIORITY = (
     RuleId.I_SUM,
     RuleId.RECURSIVE_SUBTUPLES,
     RuleId.DESCEND,
-    RuleId.TRANSFER,
 )
 
 _PERMS4 = tuple(itertools.permutations((1, 2, 3, 4)))
 
-# Safety cap on the scan for admissible transfer multipliers; admissible
-# values are unbounded (fresh primes always qualify), so the budget is
-# what actually stops the scan.
+# Safety cap on the scan for admissible transfer multipliers (standalone
+# rule_transfer only); admissible values are unbounded (fresh primes always
+# qualify), so the budget is what actually stops the scan.
 _SIBLING_SCAN_LIMIT = 100_000
 
 
@@ -71,8 +75,9 @@ class Classification:
     """Outcome of classifying one tuple.
 
     ``certificate`` is None exactly when the status is UNKNOWN.
-    ``budget_hit`` marks UNKNOWN answers whose search was truncated by
-    the budget (a larger budget might decide them).
+    ``budget_hit`` is set on an UNKNOWN answer exactly when the tuple has
+    an lcm-critical index, i.e. when the recursive rules had candidates
+    to try; it does not record whether a budget cap actually cut them.
     """
 
     status: Status
@@ -167,24 +172,21 @@ def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Classific
         if certificate is not None:
             _assert_sound(entries, certificate)
             return Classification(certificate.status, certificate)
-    if depth <= 0:
-        return Classification(Status.UNKNOWN, None, _recursion_available(entries))
-    truncated = False
-    for rule in (_recursive_subtuples, _descend, _transfer):
-        certificate, rule_truncated = rule(entries, depth, kb)
-        truncated |= rule_truncated
-        if certificate is not None:
-            _assert_sound(entries, certificate)
-            return Classification(certificate.status, certificate)
-    return Classification(Status.UNKNOWN, None, truncated)
+    if depth > 0:
+        for rule in (_recursive_subtuples, _descend):
+            certificate = rule(entries, depth, kb)
+            if certificate is not None:
+                _assert_sound(entries, certificate)
+                return Classification(certificate.status, certificate)
+    return Classification(Status.UNKNOWN, None, _recursion_available(entries))
 
 
 def _assert_sound(entries: Exponents, certificate: Certificate) -> None:
     # Mutual exclusion of the two status families: a non-rigid verdict can
-    # only come from the candidate-set test (or transfer thereof), and
-    # every rigid-family rule implies membership in the candidate set.
+    # only come from the candidate-set test, and every rigid-family rule
+    # implies membership in the candidate set.
     if certificate.status is Status.NON_RIGID:
-        if certificate.rule not in (RuleId.NOT_IN_TN, RuleId.TRANSFER):
+        if certificate.rule is not RuleId.NOT_IN_TN:
             raise SoundnessError(
                 f"rule {certificate.rule.value} may not derive NON_RIGID for {entries}"
             )
@@ -196,8 +198,8 @@ def _assert_sound(entries: Exponents, certificate: Certificate) -> None:
 
 
 def _recursion_available(entries: Exponents) -> bool:
-    # Descend and transfer both act on lcm-critical coordinates, so the
-    # recursive layer has candidates exactly when one exists.
+    # The recursive rules act on lcm-critical coordinates, so they have
+    # candidates exactly when one exists.
     return bool(tp.lcm_critical_indices(entries))
 
 
@@ -264,8 +266,8 @@ def _collection(entries: Exponents) -> Certificate | None:
         (RuleId.N4_THREE_THREES, _case_three_threes),
         (RuleId.N4_EVEN_GCD, _case_even_gcd),
     ):
-        for permutation in _PERMS4:
-            if case(tp.apply_permutation(entries, permutation)):
+        for permutation, permuted in zip(_PERMS4, itertools.permutations(entries)):
+            if case(permuted):
                 return Certificate(rule_id, entries, Status.RIGID, permutation)
     if tp.cotype(entries) >= 2:
         return Certificate(RuleId.COTYPE_GE_2_N4, entries, Status.RIGID, _identity(entries))
@@ -296,29 +298,25 @@ def _i_sum(entries: Exponents) -> Certificate | None:
 # --- recursive rules --------------------------------------------------------
 
 
-def _recursive_subtuples(
-    entries: Exponents, depth: int, kb: KnowledgeBase
-) -> tuple[Certificate | None, bool]:
+def _recursive_subtuples(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
     """Fires when every size-m removal inside the lcm-critical set leaves a
     rigid subtuple, m = min(#critical - 1, n - 3); degenerate m = 0 never
     fires."""
     n = len(entries)
     if n < 4:
-        return None, False
+        return None
     critical = sorted(tp.lcm_critical_indices(entries))
-    if not critical:
-        return None, False
     size = min(len(critical) - 1, n - 3)
     if size < 1:
-        return None, False
+        return None
     subsets = tuple(itertools.combinations(critical, size))
     children = []
     for subset in subsets:
         result = _decide(tp.subtuple(entries, subset), depth - 1, kb)
         if not result.status.implies_rigid:
-            return None, result.status is Status.UNKNOWN and result.budget_hit
+            return None
         children.append(result.certificate)
-    certificate = Certificate(
+    return Certificate(
         RuleId.RECURSIVE_SUBTUPLES,
         entries,
         Status.RIGID,
@@ -326,28 +324,21 @@ def _recursive_subtuples(
         Witness(subsets=subsets),
         tuple(children),
     )
-    return certificate, False
 
 
-def _descend(
-    entries: Exponents, depth: int, kb: KnowledgeBase
-) -> tuple[Certificate | None, bool]:
+def _descend(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
     """Replaces one critical coordinate by a smaller compatible divisor and
     inherits rigidity from below (one-directional, so only RIGID comes
     back up)."""
-    truncated = False
     for index in sorted(tp.lcm_critical_indices(entries)):
         value = entries[index - 1]
         floor = tp.coordinate_gcd(entries, index)
         candidates = [d for d in tp.divisors(value) if d != value and d % floor == 0]
-        if len(candidates) > kb.budget.max_divisor_witnesses:
-            candidates = candidates[: kb.budget.max_divisor_witnesses]
-            truncated = True
-        for smaller in candidates:
+        for smaller in candidates[: kb.budget.max_divisor_witnesses]:
             witness_tuple = _replace(entries, index, smaller)
             result = _decide(witness_tuple, depth - 1, kb)
             if result.status.implies_rigid:
-                certificate = Certificate(
+                return Certificate(
                     RuleId.DESCEND,
                     entries,
                     Status.RIGID,
@@ -355,9 +346,7 @@ def _descend(
                     Witness(index=index, exponents=witness_tuple),
                     (result.certificate,),
                 )
-                return certificate, False
-            truncated |= result.status is Status.UNKNOWN and result.budget_hit
-    return None, truncated
+    return None
 
 
 def _smallest_new_prime(value: int) -> int:
@@ -404,15 +393,11 @@ def _transfer_siblings(entries: Exponents, index: int, budget: Budget) -> list[i
     return siblings
 
 
-def _transfer(
-    entries: Exponents, depth: int, kb: KnowledgeBase
-) -> tuple[Certificate | None, bool]:
+def _transfer(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
     """Both tuples sit strictly above a common witness in the same
-    coordinate order, so rigidity (and non-rigidity) carries across."""
-    critical = sorted(tp.lcm_critical_indices(entries))
-    if not critical:
-        return None, False
-    for index in critical:
+    coordinate order, so rigidity (and non-rigidity) carries across.
+    Standalone only: :func:`_run_cascade` does not try it."""
+    for index in sorted(tp.lcm_critical_indices(entries)):
         floor = tp.coordinate_gcd(entries, index)
         shared = _replace(entries, index, floor)
         for value in _transfer_siblings(entries, index, kb.budget):
@@ -420,11 +405,8 @@ def _transfer(
             result = _decide(sibling, depth - 1, kb)
             if result.status is Status.UNKNOWN:
                 continue
-            if result.status.implies_rigid:
-                status = Status.RIGID
-            else:
-                status = Status.NON_RIGID
-            certificate = Certificate(
+            status = Status.RIGID if result.status.implies_rigid else Status.NON_RIGID
+            return Certificate(
                 RuleId.TRANSFER,
                 entries,
                 status,
@@ -432,10 +414,7 @@ def _transfer(
                 Witness(index=index, exponents=shared, sibling=sibling),
                 (result.certificate,),
             )
-            return certificate, False
-    # The admissible sibling space is unbounded, so an undecided transfer
-    # search is always budget-limited.
-    return None, True
+    return None
 
 
 # --- public standalone rule entry points ------------------------------------
@@ -472,19 +451,19 @@ def rule_cotype_high(exponents) -> Certificate | None:
 def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
-    return _recursive_subtuples(entries, kb.budget.max_depth, kb)[0]
+    return _recursive_subtuples(entries, kb.budget.max_depth, kb)
 
 
 def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
-    return _descend(entries, kb.budget.max_depth, kb)[0]
+    return _descend(entries, kb.budget.max_depth, kb)
 
 
 def rule_transfer(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
-    return _transfer(entries, kb.budget.max_depth, kb)[0]
+    return _transfer(entries, kb.budget.max_depth, kb)
 
 
 # --- derived reporting -------------------------------------------------------

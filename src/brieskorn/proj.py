@@ -180,13 +180,15 @@ def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:
     grouped: dict[Exponents, list[Exponents]] = {}
     for member in members:
         grouped.setdefault(sets.find(member), []).append(member)
+    # Both ends of an edge share a root, so one pass buckets every edge
+    # into its component while keeping the edge list's order.
+    grouped_edges: dict[Exponents, list[ProjEdge]] = {}
+    for edge in edges:
+        grouped_edges.setdefault(sets.find(edge.source), []).append(edge)
     classes = []
     for root in sorted(grouped):
         component = tuple(sorted(grouped[root]))
-        in_component = set(component)
-        component_edges = tuple(
-            edge for edge in edges if edge.source in in_component and edge.target in in_component
-        )
+        component_edges = tuple(grouped_edges.get(root, ()))
         statuses = tuple(
             (member, classify(member, kb).status) for member in component
         )

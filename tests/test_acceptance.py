@@ -148,9 +148,8 @@ def test_criterion_5_soundness_and_replay():
             assert canonical not in seen  # one row per permutation class
             seen[canonical] = row.status
             if row.status is Status.NON_RIGID:
-                assert row.certificate.rule in (RuleId.NOT_IN_TN, RuleId.TRANSFER)
-                if row.certificate.rule is RuleId.NOT_IN_TN:
-                    assert not row.in_tn
+                assert row.certificate.rule is RuleId.NOT_IN_TN
+                assert not row.in_tn
             if row.status.implies_rigid:
                 assert row.in_tn  # rigid verdicts stay inside the candidate set
         certified = [row for row in result.rows if row.certificate is not None]

@@ -1,9 +1,13 @@
 """Command-line interface: output shapes, exit codes, budget plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import brieskorn
 from brieskorn.cli import main
 
 
@@ -157,3 +161,21 @@ class TestBudgetPlumbing:
         with pytest.raises(SystemExit) as excinfo:
             main(["census", "--n", "3"])  # missing required --max
         assert excinfo.value.code == 2
+
+
+class TestLargeBudgets:
+    """Large budgets keep the exit-code contract and finish quickly: the
+    cascade's search steps shrink the tuple, so neither a deep --depth nor a
+    huge --max-siblings multiplies the work."""
+
+    @pytest.mark.parametrize("flags", [("--depth", "400"), ("--max-siblings", "100000")])
+    def test_exits_zero_quickly(self, flags):
+        package_root = os.path.dirname(os.path.dirname(brieskorn.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        completed = subprocess.run(
+            [sys.executable, "-m", "brieskorn", "classify", "2", "3", "3", "4", *flags],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert completed.returncode == 0
+        assert "Traceback" not in completed.stderr
+        assert "status: UNKNOWN" in completed.stdout

@@ -1,14 +1,16 @@
 """Rule catalogue and classifier behavior."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
+from brieskorn import engine
 from brieskorn import tuples as tp
+from brieskorn.census import CensusSpec
 from brieskorn.certificates import RuleId, Status
 from brieskorn.engine import RULE_PRIORITY
 from brieskorn.errors import InputError
@@ -86,6 +88,33 @@ class TestCollectionRule:
 
     def test_requires_candidate_set(self):
         assert bk.rule_collection((2, 3, 3, 2)) is None
+
+    def test_scan_matches_apply_permutation_oracle(self):
+        # The scan pairs each permutation with itertools.permutations of the
+        # entries; the oracle is the original scan that rebuilt every
+        # permuted tuple through tp.apply_permutation.
+        perms = tuple(permutations((1, 2, 3, 4)))
+        cases = (
+            (RuleId.N4_COPRIME, engine._case_coprime),
+            (RuleId.N4_THREE_THREES, engine._case_three_threes),
+            (RuleId.N4_EVEN_GCD, engine._case_even_gcd),
+        )
+
+        def oracle(entries):
+            if not tp.in_tn(entries):
+                return None
+            for rule_id, case in cases:
+                for permutation in perms:
+                    if case(tp.apply_permutation(entries, permutation)):
+                        return rule_id, permutation
+            if tp.cotype(entries) >= 2:
+                return RuleId.COTYPE_GE_2_N4, (1, 2, 3, 4)
+            return None
+
+        for entries in product(range(1, 10), repeat=4):
+            cert = bk.rule_collection(entries)
+            got = None if cert is None else (cert.rule, cert.permutation)
+            assert got == oracle(entries), entries
 
 
 class TestEqualExponentsRule:
@@ -186,6 +215,37 @@ class TestTransferRule:
         assert bk.rule_transfer((9, 9, 9, 9)) is None
 
 
+class TestTransferOutOfCascade:
+    def test_transfer_decides_no_unknown_census_row(self):
+        # Evidence that dropping TRANSFER from the cascade loses nothing:
+        # on these universes it decides no row the cascade leaves UNKNOWN,
+        # and budget_hit is exactly "has an lcm-critical index".
+        kb = bk.KnowledgeBase()
+        unknown = 0
+        for length, max_exponent in ((4, 16), (5, 5)):
+            result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent))
+            for row in result.rows:
+                if row.certificate is not None:
+                    assert RuleId.TRANSFER not in _rules_used(row.certificate)
+                    continue
+                unknown += 1
+                assert bk.rule_transfer(row.exponents, kb) is None, row.exponents
+                assert row.budget_hit == bool(tp.lcm_critical_indices(row.exponents))
+        assert unknown > 0
+
+    def test_standalone_transfer_still_fires_and_replays(self):
+        cert = bk.rule_transfer((4, 4, 4, 24))
+        assert cert is not None and cert.rule is RuleId.TRANSFER
+        assert bk.replay(cert)
+
+
+def _rules_used(certificate):
+    rules = {certificate.rule}
+    for child in certificate.children:
+        rules |= _rules_used(child)
+    return rules
+
+
 class TestClassify:
     def test_mixed_status_trio(self):
         assert bk.classify((2, 3, 3, 2)).status is Status.NON_RIGID
@@ -195,7 +255,7 @@ class TestClassify:
     def test_unknown_has_no_certificate(self):
         outcome = bk.classify((2, 3, 3, 4))
         assert outcome.certificate is None
-        assert outcome.budget_hit  # transfer search is budget-limited
+        assert outcome.budget_hit  # it has lcm-critical indices to search
 
     def test_priority_collection_before_descend(self):
         assert bk.classify((3, 6, 15, 21)).certificate.rule is RuleId.COTYPE_GE_2_N4
@@ -239,14 +299,15 @@ class TestClassify:
                 elif status is not Status.UNKNOWN:
                     decided[entries] = status
 
-    def test_non_rigid_only_from_candidate_test_or_transfer(self):
+    def test_non_rigid_only_from_candidate_test(self):
         for entries in ((1, 1, 1), (2, 2, 2), (1, 2, 3, 4), (2, 3, 3, 2)):
             cert = bk.classify(entries).certificate
             assert cert.status is Status.NON_RIGID
-            assert cert.rule in (RuleId.NOT_IN_TN, RuleId.TRANSFER)
+            assert cert.rule is RuleId.NOT_IN_TN
 
     def test_rule_priority_constant_is_complete(self):
-        assert set(RULE_PRIORITY) == set(RuleId)
+        # TRANSFER is standalone only; every other rule is in the cascade.
+        assert set(RULE_PRIORITY) == set(RuleId) - {RuleId.TRANSFER}
 
 
 class TestKernelDegreeBound:
