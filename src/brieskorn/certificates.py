@@ -6,6 +6,12 @@ used, and sub-certificates for recursive rules.  Replay re-verifies the
 arithmetic side condition of every node from scratch, independently of
 any memo the classifier used to find the proof.
 
+The side condition of every leaf (non-recursive) rule is declared once,
+in :data:`LEAF_RULES`, in integer form; the classifier's cascade walks
+that table and replay evaluates the same predicate, so search and replay
+cannot disagree about a leaf.  The recursive rules share
+:func:`recursive_subsets`.
+
 Wire format (lossless round trip, stable field names)::
 
     Certificate := {
@@ -31,9 +37,8 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from . import tuples as tp
 from .errors import CertificateError
@@ -180,6 +185,107 @@ def certificate_from_json(text: str) -> Certificate:
     return certificate_from_dict(raw)
 
 
+# --- leaf rules -----------------------------------------------------------
+#
+# Each non-recursive rule's side condition is declared once, here; the
+# classifier's cascade and replay both evaluate it.
+
+
+def _excess(entries: Exponents, factor: int, indices: Iterable[int] | None = None) -> int:
+    """factor * sum(L/a_i) - L over ``indices`` (all when omitted), with
+    L = lcm(entries): an integer with the sign of factor * sum(1/a_i) - 1.
+
+    L comes from math.lcm rather than the cached kernel bundle: a length-3
+    tuple needs no other invariant, and building and caching the bundle
+    for each one slowed cold classification and put garbage-collector
+    pauses on the same tuples of a stream in every run.
+    """
+    total = lcm(*entries)
+    chosen = range(len(entries)) if indices is None else (i - 1 for i in indices)
+    return factor * sum(total // entries[i] for i in chosen) - total
+
+
+def _n3(entries: Exponents) -> bool:
+    return len(entries) == 3 and tp.in_tn(entries)
+
+
+def _even_gcd(p: Exponents) -> bool:
+    a, b, c, d = p
+    return a == 2 and min(b, c, d) >= 3 and b % 2 == 0 and gcd(b, c) >= 3 and gcd(d, lcm(b, c)) == 2
+
+
+def permutable(entries: Exponents) -> bool:
+    """The gate of the permuted rules: length 4 and in T_n."""
+    return len(entries) == 4 and tp.in_tn(entries)
+
+
+@dataclass(frozen=True)
+class LeafRule:
+    """A non-recursive rule.
+
+    ``holds`` is its side condition.  A ``permuted`` rule applies only to
+    tuples that pass :func:`permutable`, and ``holds`` is evaluated on the
+    tuple reordered by the certificate's permutation; every other rule's
+    condition is symmetric and is evaluated on the tuple as classified.
+    ``condition`` states the side condition for replay error messages.
+    """
+
+    rule: RuleId
+    status: Status
+    permuted: bool
+    holds: Callable[[Exponents], bool]
+    condition: str
+
+
+#: The leaf rules in firing order (first match wins).
+LEAF_RULES = (
+    LeafRule(RuleId.NOT_IN_TN, Status.NON_RIGID, False,
+             lambda e: not tp.in_tn(e),
+             "not in T_n: some entry is 1, or two entries are 2"),
+    LeafRule(RuleId.N3_T3, Status.RIGID, False,
+             lambda e: _n3(e) and _excess(e, 1) > 0,
+             "length 3, in T_n, reciprocal sum > 1"),
+    LeafRule(RuleId.N3_STABLE, Status.STABLY_RIGID, False,
+             lambda e: _n3(e) and _excess(e, 1) <= 0,
+             "length 3, in T_n, reciprocal sum <= 1"),
+    LeafRule(RuleId.LOW_SUM, Status.STABLY_RIGID, False,
+             lambda e: _excess(e, len(e) - 2) <= 0,
+             "reciprocal sum <= 1/(n-2)"),
+    LeafRule(RuleId.N4_COPRIME, Status.RIGID, True,
+             lambda p: gcd(p[0] * p[1] * p[2], p[3]) == 1,
+             "gcd(a*b*c, d) = 1"),
+    LeafRule(RuleId.N4_THREE_THREES, Status.RIGID, True,
+             lambda p: p[0] == p[1] == p[2] == 3,
+             "a = b = c = 3"),
+    LeafRule(RuleId.N4_EVEN_GCD, Status.RIGID, True,
+             _even_gcd,
+             "a = 2, b, c, d >= 3, b even, gcd(b, c) >= 3, gcd(d, lcm(b, c)) = 2"),
+    LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, False,
+             lambda e: permutable(e) and tp.cotype(e) >= 2,
+             "length 4, in T_n, cotype >= 2"),
+    LeafRule(RuleId.EQUAL_EXPONENTS, Status.RIGID, False,
+             lambda e: len(e) >= 4 and len(set(e)) == 1 and e[0] >= len(e),
+             "length n >= 4, all entries equal and >= n"),
+    LeafRule(RuleId.COTYPE_GE_NMINUS2, Status.RIGID, False,
+             lambda e: len(e) >= 4 and tp.in_tn(e) and tp.cotype(e) >= len(e) - 2,
+             "length n >= 4, in T_n, cotype >= n-2"),
+    LeafRule(RuleId.I_SUM, Status.RIGID, False,
+             lambda e: _excess(e, len(e) - 2, tp.lcm_stable_indices(e)) < 0,
+             "reciprocal sum over the lcm-stable indices < 1/(n-2)"),
+)
+
+_LEAF_BY_ID = {leaf.rule: leaf for leaf in LEAF_RULES}
+
+
+def recursive_subsets(entries: Exponents) -> tuple[tuple[int, ...], ...]:
+    """Index sets ``RECURSIVE_SUBTUPLES`` removes, one per child: every
+    size-m subset of the lcm-critical indices, m = min(#critical - 1,
+    n - 3).  Empty when the rule cannot apply (m < 1)."""
+    critical = sorted(tp.lcm_critical_indices(entries))
+    size = min(len(critical) - 1, len(entries) - 3)
+    return tuple(itertools.combinations(critical, size)) if size >= 1 else ()
+
+
 # --- replay ---------------------------------------------------------------
 
 
@@ -202,76 +308,19 @@ def _replay_node(node: Certificate, path: str) -> None:
         _fail(f"entries must be positive integers: {entries!r}", path)
     if sorted(node.permutation) != list(range(1, n + 1)):
         _fail(f"invalid permutation {node.permutation!r}", path)
-    permuted = tp.apply_permutation(entries, node.permutation)
     rule = node.rule
+    leaf = _LEAF_BY_ID.get(rule)
     derived: Status
 
-    if rule is RuleId.NOT_IN_TN:
-        if tp.in_tn(entries):
-            _fail("tuple satisfies the candidate condition (every entry >= 2, at most one 2)", path)
-        derived = Status.NON_RIGID
-    elif rule in (RuleId.N3_T3, RuleId.N3_STABLE):
-        if n != 3:
-            _fail("three-entry rule on a tuple of different length", path)
-        if not tp.in_tn(entries):
-            _fail("tuple fails the candidate condition", path)
-        total = tp.reciprocal_sum(entries)
-        if rule is RuleId.N3_STABLE:
-            if total > 1:
-                _fail(f"reciprocal sum {total} exceeds 1", path)
-            derived = Status.STABLY_RIGID
-        else:
-            if total <= 1:
-                _fail(f"reciprocal sum {total} is <= 1; the stable rule applies instead", path)
-            derived = Status.RIGID
-    elif rule is RuleId.LOW_SUM:
-        if tp.reciprocal_sum(entries) > Fraction(1, n - 2):
-            _fail(f"reciprocal sum exceeds 1/{n - 2}", path)
-        derived = Status.STABLY_RIGID
-    elif rule is RuleId.N4_COPRIME:
-        a, b, c, d = _permuted4(node, permuted, path)
-        if gcd(a * b * c, d) != 1:
-            _fail("fourth entry shares a factor with the product of the others", path)
-        derived = Status.RIGID
-    elif rule is RuleId.N4_THREE_THREES:
-        a, b, c, _ = _permuted4(node, permuted, path)
-        if (a, b, c) != (3, 3, 3):
-            _fail("first three permuted entries are not all 3", path)
-        derived = Status.RIGID
-    elif rule is RuleId.N4_EVEN_GCD:
-        a, b, c, d = _permuted4(node, permuted, path)
-        if a != 2 or min(b, c, d) < 3 or b % 2 or gcd(b, c) < 3 or gcd(d, lcm(b, c)) != 2:
-            _fail("even-gcd side conditions fail for the recorded permutation", path)
-        derived = Status.RIGID
-    elif rule is RuleId.COTYPE_GE_2_N4:
-        if n != 4:
-            _fail("rule applies to length-4 tuples only", path)
-        if not tp.in_tn(entries):
-            _fail("tuple fails the candidate condition", path)
-        if tp.cotype(entries) < 2:
-            _fail(f"cotype {tp.cotype(entries)} < 2", path)
-        derived = Status.RIGID
-    elif rule is RuleId.EQUAL_EXPONENTS:
-        if n < 4:
-            _fail("rule applies to tuples of length >= 4", path)
-        if len(set(entries)) != 1:
-            _fail("entries are not all equal", path)
-        if entries[0] < n:
-            _fail(f"common exponent {entries[0]} is below the length {n}", path)
-        derived = Status.RIGID
-    elif rule is RuleId.I_SUM:
-        stable = tp.lcm_stable_indices(entries)
-        if tp.reciprocal_sum(entries, stable) >= Fraction(1, n - 2):
-            _fail(f"lcm-stable reciprocal sum is not below 1/{n - 2}", path)
-        derived = Status.RIGID
-    elif rule is RuleId.COTYPE_GE_NMINUS2:
-        if n < 4:
-            _fail("rule applies to tuples of length >= 4", path)
-        if not tp.in_tn(entries):
-            _fail("tuple fails the candidate condition", path)
-        if tp.cotype(entries) < n - 2:
-            _fail(f"cotype {tp.cotype(entries)} < {n - 2}", path)
-        derived = Status.RIGID
+    if leaf is not None:
+        if leaf.permuted and not permutable(entries):
+            _fail("rule applies to length-4 tuples in T_n only", path)
+        permuted = tp.apply_permutation(entries, node.permutation)
+        if not leaf.holds(permuted):
+            _fail(f"{rule.value} side condition fails for {permuted}: needs {leaf.condition}", path)
+        if node.children:
+            _fail(f"{rule.value} must not have children", path)
+        derived = leaf.status
     elif rule is RuleId.RECURSIVE_SUBTUPLES:
         derived = _replay_recursive(node, path)
     elif rule is RuleId.DESCEND:
@@ -283,39 +332,16 @@ def _replay_node(node: Certificate, path: str) -> None:
 
     if node.status is not derived:
         _fail(f"recorded status {node.status.value} but side conditions derive {derived.value}", path)
-    # Recursive rules replay their children themselves; everything else
-    # must be a leaf.
-    if rule not in (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND, RuleId.TRANSFER) and node.children:
-        _fail(f"{rule.value} must not have children", path)
-
-
-def _permuted4(node: Certificate, permuted: Exponents, path: str) -> Exponents:
-    if len(node.exponents) != 4:
-        _fail("rule applies to length-4 tuples only", path)
-    if not tp.in_tn(node.exponents):
-        _fail("tuple fails the candidate condition", path)
-    return permuted
 
 
 def _replay_recursive(node: Certificate, path: str) -> Status:
     entries = node.exponents
-    n = len(entries)
-    if n < 4:
-        _fail("recursive rule applies to tuples of length >= 4", path)
-    critical = sorted(tp.lcm_critical_indices(entries))
-    if not critical:
-        _fail("no lcm-critical indices: recursive rule cannot apply", path)
-    size = min(len(critical) - 1, n - 3)
-    if size < 1:
-        _fail("degenerate subset size: recursive rule must not fire", path)
-    required = tuple(itertools.combinations(critical, size))
+    required = recursive_subsets(entries)
+    if not required:
+        _fail("recursive rule needs length >= 4 and at least two lcm-critical indices", path)
     witness = _need_witness(node, path)
     if witness.subsets != required:
-        _fail(
-            f"witness subsets {witness.subsets!r} differ from the required "
-            f"size-{size} subsets of {critical}",
-            path,
-        )
+        _fail(f"witness subsets {witness.subsets!r} differ from the required subsets {required!r}", path)
     if len(node.children) != len(required):
         _fail(f"expected {len(required)} children, found {len(node.children)}", path)
     for k, (subset, child) in enumerate(zip(required, node.children)):

@@ -42,7 +42,7 @@ def _budget_from_env() -> dict:
     for part in raw.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in _BUDGET_KEYS or not value.strip().isdigit():
+        if key not in _BUDGET_KEYS or not value.strip().isdecimal():
             raise InputError(
                 f"cannot parse {BUDGET_ENV}={raw!r}; expected e.g. depth=6,witnesses=32,siblings=16"
             )
@@ -125,7 +125,7 @@ def _cmd_classify(args) -> int:
     if cert is None:
         print("rule: none (no criterion in the catalogue decides this tuple)")
         if outcome.budget_hit:
-            print("note: the search was truncated by the budget")
+            print("note: the recursive rules had candidates, but none decided the tuple within the budget")
     else:
         print(f"rule: {cert.rule.value}")
         print("certificate:")

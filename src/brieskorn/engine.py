@@ -1,9 +1,11 @@
 """Rigidity classifier for exponent tuples.
 
-A fixed catalogue of arithmetic rules is tried in a fixed priority order;
-the cheap purely-arithmetic rules run first, then the recursive search
-rules (subtuple recursion and descending along the coordinate divisor
-order).  The search is budgeted (recursion depth and divisor witnesses per
+A fixed catalogue of arithmetic rules is tried in a fixed priority order.
+The cheap purely-arithmetic rules run first: the cascade walks the
+leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
+predicates replay also evaluates.  Then come the recursive search rules
+(subtuple recursion and descending along the coordinate divisor order).
+The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and memoized on the sorted tuple together with the remaining
 depth, which makes every answer a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
@@ -24,30 +26,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import tuples as tp
-from .certificates import Certificate, RuleId, Status, Witness
+from .certificates import (
+    LEAF_RULES,
+    Certificate,
+    LeafRule,
+    RuleId,
+    Status,
+    Witness,
+    permutable,
+    recursive_subsets,
+)
 from .errors import InputError, SoundnessError
 from .tuples import Exponents
 
 #: Firing order of the rule catalogue (first match wins).
-RULE_PRIORITY = (
-    RuleId.NOT_IN_TN,
-    RuleId.N3_T3,
-    RuleId.N3_STABLE,
-    RuleId.LOW_SUM,
-    RuleId.N4_COPRIME,
-    RuleId.N4_THREE_THREES,
-    RuleId.N4_EVEN_GCD,
-    RuleId.COTYPE_GE_2_N4,
-    RuleId.EQUAL_EXPONENTS,
-    RuleId.COTYPE_GE_NMINUS2,
-    RuleId.I_SUM,
-    RuleId.RECURSIVE_SUBTUPLES,
-    RuleId.DESCEND,
-)
+RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND)
 
 _PERMS4 = tuple(itertools.permutations((1, 2, 3, 4)))
 
@@ -159,26 +155,13 @@ def _decide(entries: Exponents, depth: int, kb: KnowledgeBase) -> Classification
 
 
 def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Classification:
-    for rule in (
-        _not_in_tn,
-        _n3,
-        _low_sum,
-        _collection,
-        _equal_exponents,
-        _cotype_high,
-        _i_sum,
-    ):
-        certificate = rule(entries)
-        if certificate is not None:
-            _assert_sound(entries, certificate)
-            return Classification(certificate.status, certificate)
-    if depth > 0:
-        for rule in (_recursive_subtuples, _descend):
-            certificate = rule(entries, depth, kb)
-            if certificate is not None:
-                _assert_sound(entries, certificate)
-                return Classification(certificate.status, certificate)
-    return Classification(Status.UNKNOWN, None, _recursion_available(entries))
+    certificate = _first_leaf(entries, LEAF_RULES)
+    if certificate is None and depth > 0:
+        certificate = _recursive_subtuples(entries, depth, kb) or _descend(entries, depth, kb)
+    if certificate is None:
+        return Classification(Status.UNKNOWN, None, _recursion_available(entries))
+    _assert_sound(entries, certificate)
+    return Classification(certificate.status, certificate)
 
 
 def _assert_sound(entries: Exponents, certificate: Certificate) -> None:
@@ -214,102 +197,31 @@ def _replace(entries: Exponents, index: int, value: int) -> Exponents:
 # --- non-recursive rules ----------------------------------------------------
 
 
-def _not_in_tn(entries: Exponents) -> Certificate | None:
-    if tp.in_tn(entries):
-        return None
-    return Certificate(RuleId.NOT_IN_TN, entries, Status.NON_RIGID, _identity(entries))
-
-
-def _n3(entries: Exponents) -> Certificate | None:
-    if len(entries) != 3:
-        return None
-    if not tp.in_tn(entries):
-        # Unreachable after _not_in_tn in the cascade; kept for standalone use.
-        return Certificate(RuleId.NOT_IN_TN, entries, Status.NON_RIGID, _identity(entries))
-    if tp.reciprocal_sum(entries) <= 1:
-        return Certificate(RuleId.N3_STABLE, entries, Status.STABLY_RIGID, _identity(entries))
-    return Certificate(RuleId.N3_T3, entries, Status.RIGID, _identity(entries))
-
-
-def _low_sum(entries: Exponents) -> Certificate | None:
-    if tp.reciprocal_sum(entries) > Fraction(1, len(entries) - 2):
-        return None
-    return Certificate(RuleId.LOW_SUM, entries, Status.STABLY_RIGID, _identity(entries))
-
-
-def _case_coprime(p: Exponents) -> bool:
-    return gcd(p[0] * p[1] * p[2], p[3]) == 1
-
-
-def _case_three_threes(p: Exponents) -> bool:
-    return p[0] == p[1] == p[2] == 3
-
-
-def _case_even_gcd(p: Exponents) -> bool:
-    a, b, c, d = p
-    return (
-        a == 2
-        and min(b, c, d) >= 3
-        and b % 2 == 0
-        and gcd(b, c) >= 3
-        and gcd(d, b * c // gcd(b, c)) == 2
-    )
-
-
-def _collection(entries: Exponents) -> Certificate | None:
-    """Length-4 catalogue; each case is tried over all coordinate
-    permutations and the firing permutation is recorded."""
-    if len(entries) != 4 or not tp.in_tn(entries):
-        return None
-    for rule_id, case in (
-        (RuleId.N4_COPRIME, _case_coprime),
-        (RuleId.N4_THREE_THREES, _case_three_threes),
-        (RuleId.N4_EVEN_GCD, _case_even_gcd),
-    ):
-        for permutation, permuted in zip(_PERMS4, itertools.permutations(entries)):
-            if case(permuted):
-                return Certificate(rule_id, entries, Status.RIGID, permutation)
-    if tp.cotype(entries) >= 2:
-        return Certificate(RuleId.COTYPE_GE_2_N4, entries, Status.RIGID, _identity(entries))
+def _first_leaf(entries: Exponents, rules: tuple[LeafRule, ...]) -> Certificate | None:
+    """First rule in ``rules`` whose side condition holds.  A permuted rule
+    is tried, after the :func:`permutable` gate, under every coordinate
+    permutation in ``_PERMS4`` order, and the firing one is recorded."""
+    gate = permutable(entries)
+    for leaf in rules:
+        if not leaf.permuted:
+            if leaf.holds(entries):
+                return Certificate(leaf.rule, entries, leaf.status, _identity(entries))
+        elif gate:
+            for permutation, permuted in zip(_PERMS4, itertools.permutations(entries)):
+                if leaf.holds(permuted):
+                    return Certificate(leaf.rule, entries, leaf.status, permutation)
     return None
-
-
-def _equal_exponents(entries: Exponents) -> Certificate | None:
-    n = len(entries)
-    if n < 4 or len(set(entries)) != 1 or entries[0] < n:
-        return None
-    return Certificate(RuleId.EQUAL_EXPONENTS, entries, Status.RIGID, _identity(entries))
-
-
-def _cotype_high(entries: Exponents) -> Certificate | None:
-    n = len(entries)
-    if n < 4 or not tp.in_tn(entries) or tp.cotype(entries) < n - 2:
-        return None
-    return Certificate(RuleId.COTYPE_GE_NMINUS2, entries, Status.RIGID, _identity(entries))
-
-
-def _i_sum(entries: Exponents) -> Certificate | None:
-    stable = tp.lcm_stable_indices(entries)
-    if tp.reciprocal_sum(entries, stable) >= Fraction(1, len(entries) - 2):
-        return None
-    return Certificate(RuleId.I_SUM, entries, Status.RIGID, _identity(entries))
 
 
 # --- recursive rules --------------------------------------------------------
 
 
 def _recursive_subtuples(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
-    """Fires when every size-m removal inside the lcm-critical set leaves a
-    rigid subtuple, m = min(#critical - 1, n - 3); degenerate m = 0 never
-    fires."""
-    n = len(entries)
-    if n < 4:
+    """Fires when every removal in :func:`recursive_subsets` leaves a rigid
+    subtuple."""
+    subsets = recursive_subsets(entries)
+    if not subsets:
         return None
-    critical = sorted(tp.lcm_critical_indices(entries))
-    size = min(len(critical) - 1, n - 3)
-    if size < 1:
-        return None
-    subsets = tuple(itertools.combinations(critical, size))
     children = []
     for subset in subsets:
         result = _decide(tp.subtuple(entries, subset), depth - 1, kb)
@@ -420,32 +332,45 @@ def _transfer(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate 
 # --- public standalone rule entry points ------------------------------------
 
 
+def _leaf_rule(exponents, *rule_ids: RuleId) -> Certificate | None:
+    rules = tuple(leaf for leaf in LEAF_RULES if leaf.rule in rule_ids)
+    return _first_leaf(tp.as_exponents(exponents, minimum_length=3), rules)
+
+
 def rule_not_in_tn(exponents) -> Certificate | None:
-    return _not_in_tn(tp.as_exponents(exponents, minimum_length=3))
+    return _leaf_rule(exponents, RuleId.NOT_IN_TN)
 
 
 def rule_n3(exponents) -> Certificate | None:
-    return _n3(tp.as_exponents(exponents, minimum_length=3))
+    """N3_T3 or N3_STABLE, or NOT_IN_TN for a length-3 tuple outside T_n;
+    None for other lengths."""
+    entries = tp.as_exponents(exponents, minimum_length=3)
+    if len(entries) != 3:
+        return None
+    return _leaf_rule(entries, RuleId.NOT_IN_TN, RuleId.N3_T3, RuleId.N3_STABLE)
 
 
 def rule_low_sum(exponents) -> Certificate | None:
-    return _low_sum(tp.as_exponents(exponents, minimum_length=3))
+    return _leaf_rule(exponents, RuleId.LOW_SUM)
 
 
 def rule_collection(exponents) -> Certificate | None:
-    return _collection(tp.as_exponents(exponents, minimum_length=3))
+    """The length-4 catalogue: the three permuted cases, then COTYPE_GE_2_N4."""
+    return _leaf_rule(
+        exponents, RuleId.N4_COPRIME, RuleId.N4_THREE_THREES, RuleId.N4_EVEN_GCD, RuleId.COTYPE_GE_2_N4
+    )
 
 
 def rule_equal_exponents(exponents) -> Certificate | None:
-    return _equal_exponents(tp.as_exponents(exponents, minimum_length=3))
+    return _leaf_rule(exponents, RuleId.EQUAL_EXPONENTS)
 
 
 def rule_i_sum(exponents) -> Certificate | None:
-    return _i_sum(tp.as_exponents(exponents, minimum_length=3))
+    return _leaf_rule(exponents, RuleId.I_SUM)
 
 
 def rule_cotype_high(exponents) -> Certificate | None:
-    return _cotype_high(tp.as_exponents(exponents, minimum_length=3))
+    return _leaf_rule(exponents, RuleId.COTYPE_GE_NMINUS2)
 
 
 def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:

@@ -35,6 +35,14 @@ class TestClassify:
         assert code == 0
         assert "status: UNKNOWN" in out
 
+    def test_unknown_note_does_not_claim_truncation(self, capsys):
+        # depth 400 cuts nothing on (2,3,3,4): the note must not say it did
+        code, out, _ = run(capsys, "classify", "--depth", "400", "2", "3", "3", "4")
+        assert code == 0
+        assert "status: UNKNOWN" in out
+        assert "truncated" not in out
+        assert "note: the recursive rules had candidates" in out
+
     def test_structured_output_parses_and_replays(self, capsys):
         code, out, _ = run(capsys, "classify", "--format", "structured", "10", "3", "3", "4")
         assert code == 0
@@ -152,10 +160,12 @@ class TestBudgetPlumbing:
         assert "status: RIGID" in out
 
     def test_bad_env_budget_is_an_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_BUDGET", "depth=fast")
-        code, _, err = run(capsys, "classify", "2", "3", "3", "4")
-        assert code == 2
-        assert "BRIESKORN_BUDGET" in err
+        # "\u00b2" (superscript two) passes str.isdigit() but not int()
+        for raw in ("depth=fast", "depth=\u00b2"):
+            monkeypatch.setenv("BRIESKORN_BUDGET", raw)
+            code, _, err = run(capsys, "classify", "2", "3", "3", "4")
+            assert code == 2, raw
+            assert "BRIESKORN_BUDGET" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

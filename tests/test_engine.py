@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
-from brieskorn import engine
 from brieskorn import tuples as tp
 from brieskorn.census import CensusSpec
 from brieskorn.certificates import RuleId, Status
@@ -92,12 +91,31 @@ class TestCollectionRule:
     def test_scan_matches_apply_permutation_oracle(self):
         # The scan pairs each permutation with itertools.permutations of the
         # entries; the oracle is the original scan that rebuilt every
-        # permuted tuple through tp.apply_permutation.
+        # permuted tuple through tp.apply_permutation, with its own copy of
+        # the three length-4 side conditions as the reference.
+        from math import gcd
+
+        def coprime(p):
+            return gcd(p[0] * p[1] * p[2], p[3]) == 1
+
+        def three_threes(p):
+            return p[0] == p[1] == p[2] == 3
+
+        def even_gcd(p):
+            a, b, c, d = p
+            return (
+                a == 2
+                and min(b, c, d) >= 3
+                and b % 2 == 0
+                and gcd(b, c) >= 3
+                and gcd(d, b * c // gcd(b, c)) == 2
+            )
+
         perms = tuple(permutations((1, 2, 3, 4)))
         cases = (
-            (RuleId.N4_COPRIME, engine._case_coprime),
-            (RuleId.N4_THREE_THREES, engine._case_three_threes),
-            (RuleId.N4_EVEN_GCD, engine._case_even_gcd),
+            (RuleId.N4_COPRIME, coprime),
+            (RuleId.N4_THREE_THREES, three_threes),
+            (RuleId.N4_EVEN_GCD, even_gcd),
         )
 
         def oracle(entries):
@@ -306,8 +324,24 @@ class TestClassify:
             assert cert.rule is RuleId.NOT_IN_TN
 
     def test_rule_priority_constant_is_complete(self):
-        # TRANSFER is standalone only; every other rule is in the cascade.
+        # TRANSFER is standalone only; every other rule is in the cascade,
+        # in this firing order.
         assert set(RULE_PRIORITY) == set(RuleId) - {RuleId.TRANSFER}
+        assert RULE_PRIORITY == (
+            RuleId.NOT_IN_TN,
+            RuleId.N3_T3,
+            RuleId.N3_STABLE,
+            RuleId.LOW_SUM,
+            RuleId.N4_COPRIME,
+            RuleId.N4_THREE_THREES,
+            RuleId.N4_EVEN_GCD,
+            RuleId.COTYPE_GE_2_N4,
+            RuleId.EQUAL_EXPONENTS,
+            RuleId.COTYPE_GE_NMINUS2,
+            RuleId.I_SUM,
+            RuleId.RECURSIVE_SUBTUPLES,
+            RuleId.DESCEND,
+        )
 
 
 class TestKernelDegreeBound:
