@@ -5,7 +5,10 @@ range (one representative per permutation class), classifies each one,
 and aggregates counts per status and per deciding rule plus the frontier
 of UNKNOWN tuples.  Output is deterministic: rows come in lexicographic
 order of the sorted tuples and are independent of the worker count, so
-two runs produce byte-identical files.
+two runs produce byte-identical files.  Each row's reciprocal sum is one
+exact ``Fraction`` built from integers, and ``certificates.json`` is
+written by the certificate renderer (sorted keys, two-space indent),
+with no generic JSON encoder in between.
 
 File outputs::
 
@@ -16,7 +19,6 @@ File outputs::
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +26,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 from . import tuples as tp
-from .certificates import Certificate, RuleId, Status, certificate_id
+from .certificates import Certificate, RuleId, Status, _render, _wrap, certificate_id
 from .engine import Budget, Classification, KnowledgeBase, classify
 from .errors import InputError
 from .tuples import Exponents
@@ -114,11 +116,12 @@ class CensusResult:
 
     def certificates_json(self) -> str:
         sidecar = {
-            row.certificate_id: row.certificate.to_dict()
+            row.certificate_id: row.certificate
             for row in self.rows
             if row.certificate is not None
         }
-        return json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        items = [f'"{key}": {_render(sidecar[key], "  ", "  ")}' for key in sorted(sidecar)]
+        return _wrap(items, "{}", "", "  ") + "\n"
 
 
 def enumerate_universe(spec: CensusSpec):
@@ -159,10 +162,12 @@ def _classify_chunk(args: tuple[tuple[Exponents, ...], Budget]) -> list[CensusRo
 def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     """Classify the whole universe.
 
-    With ``workers`` > 1 the universe is split into contiguous chunks
-    handled by separate processes with private memo tables; because
-    classification is a pure function of tuple and budget, the merged
-    rows are identical to a serial run.
+    With ``workers`` > 1 the universe is split into contiguous chunks,
+    one per worker: this process classifies the first chunk while a fork
+    pool of ``workers - 1`` processes classifies the rest, each with a
+    private memo table.  Because classification is a pure function of
+    tuple and budget, the rows, concatenated in chunk order, are
+    identical to a serial run.
     """
     universe = list(enumerate_universe(spec))
     if workers <= 1 or len(universe) < 2:
@@ -174,9 +179,11 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
             (tuple(universe[i : i + step]), spec.budget)
             for i in range(0, len(universe), step)
         ]
-        with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-            parts = pool.map(_classify_chunk, chunks)
-        rows = [row for part in parts for row in part]
+        with multiprocessing.get_context("fork").Pool(len(chunks) - 1) as pool:
+            pending = pool.map_async(_classify_chunk, chunks[1:])
+            rows = _classify_chunk(chunks[0])
+            for part in pending.get():
+                rows.extend(part)
     return CensusResult(spec=spec, rows=tuple(rows), summary=_summarize(spec, rows))
 
 

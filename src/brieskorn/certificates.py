@@ -12,7 +12,10 @@ that table and replay evaluates the same predicate, so search and replay
 cannot disagree about a leaf.  The recursive rules share
 :func:`recursive_subsets`.
 
-Wire format (lossless round trip, stable field names)::
+Wire format (lossless round trip, stable field names).  The canonical
+text comes from one direct renderer, compact for :func:`certificate_id`
+and indented for the census sidecar, with keys in sorted order; tests
+pin it byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
 
     Certificate := {
       "rule":        <RuleId name>,
@@ -114,11 +117,62 @@ class Certificate:
         }
 
 
+def _wrap(items: list[str], brackets: str, pad: str, step: str | None) -> str:
+    """A JSON array or object of rendered ``items``, laid out as json.dumps does."""
+    if not items:
+        return brackets
+    if step is None:
+        return brackets[0] + ",".join(items) + brackets[1]
+    inner = "\n" + pad + step
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _render(node: Certificate, step: str | None, pad: str = "") -> str:
+    """The text json.dumps(node.to_dict(), sort_keys=True, ...) gives: compact
+    (``separators=(",", ":")``) when ``step`` is None, else indented by
+    ``step`` per level with the whole object nested at ``pad``.  Keys are
+    written in sorted order; entries are ints, so ``str`` is their JSON."""
+    colon = ":" if step is None else ": "
+    unit = step or ""
+    inner, deeper = pad + unit, pad + 2 * unit
+
+    def ints(values: Iterable[int], at: str) -> str:
+        return _wrap([str(v) for v in values], "[]", at, step)
+
+    witness = node.witness
+    if witness is None:
+        witness_text = "null"
+    else:
+        fields = []
+        if witness.index is not None:
+            fields.append(f'"index"{colon}{witness.index}')
+        if witness.sibling is not None:
+            fields.append(f'"sibling"{colon}' + ints(witness.sibling, deeper))
+        if witness.subsets is not None:
+            subsets = [ints(subset, deeper + unit) for subset in witness.subsets]
+            fields.append(f'"subsets"{colon}' + _wrap(subsets, "[]", deeper, step))
+        if witness.exponents is not None:
+            fields.append(f'"tuple"{colon}' + ints(witness.exponents, deeper))
+        witness_text = _wrap(fields, "{}", inner, step)
+    children = [_render(child, step, deeper) for child in node.children]
+    return _wrap(
+        [
+            f'"children"{colon}' + _wrap(children, "[]", inner, step),
+            f'"permutation"{colon}' + ints(node.permutation, inner),
+            f'"rule"{colon}"{node.rule.value}"',
+            f'"status"{colon}"{node.status.value}"',
+            f'"tuple"{colon}' + ints(node.exponents, inner),
+            f'"witness"{colon}' + witness_text,
+        ],
+        "{}",
+        pad,
+        step,
+    )
+
+
 def certificate_to_json(certificate: Certificate, *, indent: int | None = None) -> str:
     """Canonical text form; compact with sorted keys unless ``indent`` given."""
-    if indent is None:
-        return json.dumps(certificate.to_dict(), sort_keys=True, separators=(",", ":"))
-    return json.dumps(certificate.to_dict(), sort_keys=True, indent=indent)
+    return _render(certificate, None if indent is None else " " * indent)
 
 
 def certificate_id(certificate: Certificate) -> str:
@@ -160,7 +214,7 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
                 raise CertificateError("witness subsets must be a list of lists", path)
             subsets = tuple(_int_list(part, "witness subset", path) for part in w["subsets"])
         index = w.get("index")
-        if index is not None and not isinstance(index, int):
+        if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
             raise CertificateError("witness index must be an integer", path)
         witness = Witness(
             index=index,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from . import backend
@@ -238,12 +238,14 @@ def in_tn(entries: Exponents) -> bool:
 
 
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
-    """Exact sum of 1/a_i over ``indices`` (all indices when omitted)."""
+    """Exact sum of 1/a_i over ``indices`` (all indices when omitted), as
+    sum(L/a_i)/L with L the lcm of the chosen entries; 0 for the empty set."""
     if indices is None:
-        chosen: Iterable[int] = range(1, len(entries) + 1)
+        chosen: Sequence[int] = entries
     else:
-        chosen = _check_index_set(entries, indices)
-    return sum((Fraction(1, entries[i - 1]) for i in chosen), Fraction(0))
+        chosen = [entries[i - 1] for i in _check_index_set(entries, indices)]
+    total = lcm(*chosen)
+    return Fraction(sum(total // value for value in chosen), total)
 
 
 def divisors(value: int) -> tuple[int, ...]:

@@ -1,6 +1,9 @@
 """Census enumeration, aggregation, determinism, and file outputs."""
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +113,47 @@ class TestDeterminismAndFiles:
             assert bk.replay(certificate)
         ids_in_rows = {row.certificate_id for row in result.rows if row.certificate_id}
         assert ids_in_rows == set(sidecar)
+
+
+def old_sidecar(result):
+    """The sidecar as json.dumps wrote it, the reference for the renderer."""
+    sidecar = {
+        row.certificate_id: row.certificate.to_dict()
+        for row in result.rows
+        if row.certificate is not None
+    }
+    return json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+
+
+class TestSidecarRenderer:
+    @pytest.mark.parametrize("length,max_exponent", [(3, 12), (4, 8), (5, 6)])
+    def test_matches_json_dumps(self, length, max_exponent):
+        result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent))
+        assert result.certificates_json() == old_sidecar(result)
+
+    def test_no_certificates(self):
+        result = bk.run_census(CensusSpec(length=4, max_exponent=4))
+        empty = dataclasses.replace(
+            result, rows=tuple(row for row in result.rows if row.certificate is None)
+        )
+        assert empty.rows  # (2, 3, 3, 4) is UNKNOWN
+        assert empty.certificates_json() == old_sidecar(empty) == "{}\n"
+
+
+#: perfbench/digests.json keys and the universes they were recorded on.
+BENCHMARK_UNIVERSES = {"wide-n3": (3, 30), "deep-n5": (5, 5), "classify-cold": (4, 10)}
+
+
+class TestBenchmarkDigests:
+    """Census files stay byte-identical to the benchmark's recorded digests."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_UNIVERSES))
+    def test_census_files_match(self, workload, workers, tmp_path):
+        digests_path = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        expected = json.loads(digests_path.read_text(encoding="utf-8"))[workload]
+        length, max_exponent = BENCHMARK_UNIVERSES[workload]
+        result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent), workers=workers)
+        paths = bk.write_census_files(result, tmp_path)
+        for key in ("csv", "summary", "certificates"):
+            assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == expected[key], key

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import brieskorn as bk
+from brieskorn.census import CensusSpec
 from brieskorn.certificates import (
     Certificate,
     RuleId,
@@ -73,9 +74,58 @@ class TestSerialization:
             with pytest.raises(CertificateError):
                 certificate_from_dict(broken)
 
+    def test_parser_rejects_boolean_witness_index(self):
+        payload = classified((4, 4, 4, 12)).to_dict()
+        assert payload["witness"]["index"] == 4
+        payload["witness"]["index"] = True
+        with pytest.raises(CertificateError):
+            certificate_from_dict(payload)
+
     def test_parser_rejects_invalid_json(self):
         with pytest.raises(CertificateError):
             certificate_from_json("{not json")
+
+
+def oracle(certificate, **layout):
+    return json.dumps(certificate.to_dict(), sort_keys=True, **layout)
+
+
+def assert_renders_like_json_dumps(certificate):
+    assert certificate_to_json(certificate) == oracle(certificate, separators=(",", ":"))
+    for indent in (0, 2, 4):
+        assert certificate_to_json(certificate, indent=indent) == oracle(certificate, indent=indent)
+
+
+class TestRenderer:
+    """The direct renderer against json.dumps, the reference it replaces."""
+
+    @pytest.mark.parametrize("length,max_exponent", [(3, 30), (4, 16), (5, 8), (6, 6)])
+    def test_every_census_certificate(self, length, max_exponent):
+        result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent))
+        certificates = [row.certificate for row in result.rows if row.certificate is not None]
+        assert certificates
+        for certificate in certificates:
+            assert_renders_like_json_dumps(certificate)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            None,
+            Witness(),
+            Witness(subsets=()),
+            Witness(subsets=((1,), (2, 3))),
+            Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12)),
+            Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12), subsets=((1, 2),)),
+        ],
+    )
+    def test_hand_built_nodes(self, witness):
+        leaf = Certificate(RuleId.N3_T3, (2, 3, 4), Status.RIGID, (1, 2, 3))
+        node = Certificate(RuleId.TRANSFER, (4, 4, 4, 24), Status.RIGID, (4, 3, 2, 1), witness)
+        nested = dataclasses.replace(node, children=(leaf, dataclasses.replace(node, children=(leaf,))))
+        for certificate in (node, nested):
+            assert_renders_like_json_dumps(certificate)
+        if witness == Witness():
+            assert '"witness":{}' in certificate_to_json(node)
 
 
 class TestReplay:

@@ -303,3 +303,14 @@ def test_order_transitive_and_gcd_stable(entries, k1, k2):
         assert tp.leq_at(entries, top, index)
     if tp.leq_at(entries, middle, index):
         assert tp.coordinate_gcd(entries, index) == tp.coordinate_gcd(middle, index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_tuples, st.data())
+def test_reciprocal_sum_matches_fraction_oracle(entries, data):
+    indices = data.draw(st.sets(st.integers(1, len(entries))))
+    assert tp.reciprocal_sum(entries) == sum(Fraction(1, a) for a in entries)
+    assert tp.reciprocal_sum(entries, indices) == sum(
+        (Fraction(1, entries[i - 1]) for i in indices), Fraction(0)
+    )
+    assert tp.reciprocal_sum(entries, set()) == 0
