@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Compare the compiled and pure-Python arithmetic kernels.
 
-Two measurements per backend:
+Two measurements per kernel:
 
 * raw kernel throughput on the omit-one invariant bundle over a census
-  universe (the hot loop of census runs and the identity suite);
+  universe (the hot loop of census runs and the identity suite), calling
+  each implementation directly;
 * an end-to-end census run, with the per-tuple cache cleared so each
-  backend does its own work.
+  kernel does its own work.  The pure-Python census patches
+  ``backend.invariant_core`` to the exact kernel for its duration.
+
+The compiled kernel is measured only when ``brieskorn._speedups`` is built.
 
 Usage: python benchmarks/bench_backends.py [--n 4] [--max 12] [--repeats 3]
 """
@@ -41,17 +45,22 @@ def main() -> int:
     universe = list(combinations_with_replacement(range(1, args.max + 1), args.n))
     spec = CensusSpec(length=args.n, max_exponent=args.max)
     print(f"universe: {len(universe)} tuples (n={args.n}, exponents 1..{args.max})")
-    print(f"backends available: {', '.join(backend.available_backends())}")
+    # name -> (raw kernel, what backend.invariant_core is during the census)
+    kernels = {"python": (backend.exact_invariant_core, backend.exact_invariant_core)}
+    if backend.active_backend() == "c":
+        from brieskorn import _speedups
+
+        kernels["c"] = (_speedups.invariant_core, backend.invariant_core)
+    print(f"kernels available: {', '.join(sorted(kernels))}")
     print()
 
+    dispatcher = backend.invariant_core
     results: dict[str, tuple[float, float]] = {}
-    for name in backend.available_backends():
-        backend.set_backend(name)
+    for name, (raw, in_census) in sorted(kernels.items()):
 
         def kernel_pass():
-            core = backend.invariant_core
             for entries in universe:
-                core(entries)
+                raw(entries)
 
         kernel_time = time_best(kernel_pass, args.repeats)
 
@@ -59,7 +68,11 @@ def main() -> int:
             tp._core.cache_clear()
             run_census(spec)
 
-        census_time = time_best(census_pass, args.repeats)
+        backend.invariant_core = in_census
+        try:
+            census_time = time_best(census_pass, args.repeats)
+        finally:
+            backend.invariant_core = dispatcher
         results[name] = (kernel_time, census_time)
         rate = len(universe) / kernel_time
         print(
@@ -67,7 +80,6 @@ def main() -> int:
             f"({rate:10.0f} tuples/s)   census {census_time * 1e3:8.2f} ms"
         )
 
-    backend.set_backend("auto")
     tp._core.cache_clear()
     if {"c", "python"} <= results.keys():
         k_speedup = results["python"][0] / results["c"][0]

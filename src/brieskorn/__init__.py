@@ -7,7 +7,7 @@ when no implemented criterion applies.  Every decision comes with a
 certificate tree whose side conditions can be re-verified independently.
 """
 
-from .backend import active_backend, available_backends, set_backend
+from .backend import active_backend
 from .census import (
     CensusResult,
     CensusRow,

@@ -20,6 +20,7 @@ File outputs::
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -165,15 +166,16 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     With ``workers`` > 1 the universe is split into contiguous chunks,
     one per worker: this process classifies the first chunk while a fork
     pool of ``workers - 1`` processes classifies the rest, each with a
-    private memo table.  Because classification is a pure function of
+    private memo table.  ``workers`` is capped at the universe size and
+    at ``os.cpu_count()``.  Because classification is a pure function of
     tuple and budget, the rows, concatenated in chunk order, are
     identical to a serial run.
     """
     universe = list(enumerate_universe(spec))
-    if workers <= 1 or len(universe) < 2:
+    workers = min(workers, len(universe), os.cpu_count() or 1)
+    if workers <= 1:
         rows = _classify_chunk((tuple(universe), spec.budget))
     else:
-        workers = min(workers, len(universe))
         step = (len(universe) + workers - 1) // workers
         chunks = [
             (tuple(universe[i : i + step]), spec.budget)

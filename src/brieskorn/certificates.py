@@ -353,6 +353,16 @@ def _need_witness(node: Certificate, path: str) -> Witness:
     return node.witness
 
 
+def _check_witness_shape(node: Certificate, path: str, *tuples: Exponents) -> None:
+    """The witness index and tuples fit the node, so the order checks can run."""
+    n = len(node.exponents)
+    if not 1 <= node.witness.index <= n:
+        _fail(f"witness index {node.witness.index} out of range for a tuple of length {n}", path)
+    for other in tuples:
+        if len(other) != n:
+            _fail(f"witness tuple {other!r} does not have length {n}", path)
+
+
 def _replay_node(node: Certificate, path: str) -> None:
     entries = node.exponents
     n = len(entries)
@@ -413,6 +423,7 @@ def _replay_descend(node: Certificate, path: str) -> Status:
     witness = _need_witness(node, path)
     if witness.index is None or witness.exponents is None:
         _fail("descend witness needs an index and a witness tuple", path)
+    _check_witness_shape(node, path, witness.exponents)
     if len(node.children) != 1:
         _fail("descend carries exactly one child", path)
     child = node.children[0]
@@ -430,6 +441,7 @@ def _replay_transfer(node: Certificate, path: str) -> Status:
     witness = _need_witness(node, path)
     if witness.index is None or witness.exponents is None or witness.sibling is None:
         _fail("transfer witness needs an index, a shared lower tuple and a sibling", path)
+    _check_witness_shape(node, path, witness.exponents, witness.sibling)
     if len(node.children) != 1:
         _fail("transfer carries exactly one child", path)
     child = node.children[0]

@@ -6,8 +6,9 @@ the critical index sets and their sizes (type and cotype), the
 coordinate-wise divisor order, lcm drop factors, and exact reciprocal
 sums.  Index sets and ``index`` arguments are 1-based, matching reports
 and certificates.  All arithmetic is exact (ints and Fractions, never
-floats); the omit-one bundle is computed by a compiled kernel when one
-is available (see :mod:`brieskorn.backend`).
+floats); the omit-one bundle comes from
+:func:`brieskorn.backend.invariant_core`, which uses the compiled kernel
+whenever it is built and the exact pure-Python kernel otherwise.
 
 Terminology used throughout:
 

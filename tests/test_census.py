@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,35 @@ class TestDeterminismAndFiles:
         assert serial.csv_text() == parallel.csv_text()
         assert serial.certificates_json() == parallel.certificates_json()
         assert serial.summary.render() == parallel.summary.render()
+
+    @pytest.mark.parametrize("cpu_count, pool_sizes", [(4, [3]), (1, []), (None, [])])
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch, cpu_count, pool_sizes):
+        # the stub pool maps in this process, so no worker is ever started
+        from brieskorn import census
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map_async(self, fn, items):
+                results = [fn(item) for item in items]
+                return types.SimpleNamespace(get=lambda: results)
+
+        context = types.SimpleNamespace(Pool=InProcessPool)
+        monkeypatch.setattr(census.multiprocessing, "get_context", lambda method: context)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpu_count)
+        spec = CensusSpec(length=3, max_exponent=8)
+        capped = bk.run_census(spec, workers=5000)
+        assert started == pool_sizes
+        assert capped.csv_text() == bk.run_census(spec).csv_text()
 
     def test_files_written_and_sidecar_replays(self, tmp_path):
         result = bk.run_census(CensusSpec(length=4, max_exponent=4))

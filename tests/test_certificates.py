@@ -128,6 +128,32 @@ class TestRenderer:
             assert '"witness":{}' in certificate_to_json(node)
 
 
+def handcrafted_transfer():
+    """A TRANSFER node that replays: (4,4,4,24) from its sibling (4,4,4,12)."""
+    return Certificate(
+        RuleId.TRANSFER,
+        (4, 4, 4, 24),
+        Status.RIGID,
+        (1, 2, 3, 4),
+        Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12)),
+        (classified((4, 4, 4, 12)),),
+    )
+
+
+# (node, changed witness fields, child tuple): the child must equal the
+# DESCEND witness tuple or the TRANSFER sibling, so where it is given the
+# child is forged to match and replay reaches the order check
+FORGED_ORDER_WITNESSES = [
+    pytest.param("descend", {"index": 0}, None, id="descend-index-0"),
+    pytest.param("descend", {"index": 9}, None, id="descend-index-9"),
+    pytest.param("descend", {"exponents": (4, 4, 4)}, None, id="descend-short-witness"),
+    pytest.param("descend", {"exponents": (4, 4, 4)}, (4, 4, 4), id="descend-short-witness-and-child"),
+    pytest.param("transfer", {"index": 5}, None, id="transfer-index-5"),
+    pytest.param("transfer", {"exponents": (4, 4, 4)}, None, id="transfer-short-shared"),
+    pytest.param("transfer", {"sibling": (4, 4, 12)}, (4, 4, 12), id="transfer-short-sibling-and-child"),
+]
+
+
 class TestReplay:
     @pytest.mark.parametrize("entries", SAMPLES)
     def test_classifier_output_replays(self, entries):
@@ -138,22 +164,25 @@ class TestReplay:
         assert bk.replay(certificate_from_json(certificate_to_json(cert)))
 
     def test_handcrafted_transfer_replays(self):
-        sibling = classified((4, 4, 4, 12))
-        cert = Certificate(
-            RuleId.TRANSFER,
-            (4, 4, 4, 24),
-            Status.RIGID,
-            (1, 2, 3, 4),
-            Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12)),
-            (sibling,),
-        )
-        assert bk.replay(cert)
+        assert bk.replay(handcrafted_transfer())
 
     def test_tampered_witness_index_fails(self):
         cert = classified((4, 4, 4, 12))
         assert cert.rule is RuleId.DESCEND
         bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, index=2))
         assert not bk.replay(bad)
+
+    @pytest.mark.parametrize("rule, witness, child", FORGED_ORDER_WITNESSES)
+    def test_forged_order_witness_fails_at_the_node(self, rule, witness, child):
+        node = classified((4, 4, 4, 12)) if rule == "descend" else handcrafted_transfer()
+        bad = dataclasses.replace(node, witness=dataclasses.replace(node.witness, **witness))
+        if child is not None:
+            forged_child = dataclasses.replace(node.children[0], exponents=child)
+            bad = dataclasses.replace(bad, children=(forged_child,))
+        assert not bk.replay(bad)
+        with pytest.raises(CertificateError) as excinfo:
+            bk.verify_certificate(bad)
+        assert excinfo.value.path == "root"
 
     def test_tampered_status_fails(self):
         cert = classified((10, 3, 3, 4))

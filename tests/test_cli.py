@@ -17,6 +17,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, **env):
+    """Run ``python -m brieskorn`` in a fresh interpreter with extra env vars."""
+    package_root = os.path.dirname(os.path.dirname(brieskorn.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "brieskorn", *argv],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=package_root, **env),
+    )
+
+
 class TestClassify:
     def test_rigid_with_certificate(self, capsys):
         code, out, _ = run(capsys, "classify", "2", "5", "7", "3", "3", "3")
@@ -180,12 +190,20 @@ class TestLargeBudgets:
 
     @pytest.mark.parametrize("flags", [("--depth", "400"), ("--max-siblings", "100000")])
     def test_exits_zero_quickly(self, flags):
-        package_root = os.path.dirname(os.path.dirname(brieskorn.__file__))
-        env = dict(os.environ, PYTHONPATH=package_root)
-        completed = subprocess.run(
-            [sys.executable, "-m", "brieskorn", "classify", "2", "3", "3", "4", *flags],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
+        completed = run_module("classify", "2", "3", "3", "4", *flags)
+        assert completed.returncode == 0
+        assert "Traceback" not in completed.stderr
+        assert "status: UNKNOWN" in completed.stdout
+
+
+class TestKernelNotSelectable:
+    """Whether the compiled kernel is built is all that picks it: the
+    kernel-selection variable of older releases is ignored, whatever its
+    value, and cannot break the exit-code contract."""
+
+    @pytest.mark.parametrize("value", ["c", "python", "fortran"])
+    def test_old_selection_variable_is_ignored(self, value):
+        completed = run_module("classify", "2", "3", "3", "4", BRIESKORN_KERNEL=value)
         assert completed.returncode == 0
         assert "Traceback" not in completed.stderr
         assert "status: UNKNOWN" in completed.stdout
