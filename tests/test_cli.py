@@ -133,6 +133,16 @@ class TestCensus:
         assert code == 2
         assert "error:" in err
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        code, _, err = run(
+            capsys, "census", "--n", "3", "--max", "3", "--out", str(blocker / "sub")
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestProjClasses:
     def test_reports_mixed_class(self, capsys):
@@ -183,12 +193,30 @@ class TestBudgetPlumbing:
         assert excinfo.value.code == 2
 
 
+class TestRemovedSiblingBudget:
+    """The sibling budget bounded only the retired TRANSFER rule: its flag
+    is a usage error and its environment key an input error."""
+
+    def test_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", "--max-siblings", "16", "2", "3", "3", "4"])
+        assert excinfo.value.code == 2
+        assert "--max-siblings" in capsys.readouterr().err
+
+    def test_env_key_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRIESKORN_BUDGET", "siblings=16")
+        code, _, err = run(capsys, "classify", "2", "3", "3", "4")
+        assert code == 2
+        assert "BRIESKORN_BUDGET" in err
+        assert err.rstrip().endswith("expected e.g. depth=6,witnesses=32")
+
+
 class TestLargeBudgets:
     """Large budgets keep the exit-code contract and finish quickly: the
-    cascade's search steps shrink the tuple, so neither a deep --depth nor a
-    huge --max-siblings multiplies the work."""
+    cascade's search steps shrink the tuple, so a deep --depth does not
+    multiply the work."""
 
-    @pytest.mark.parametrize("flags", [("--depth", "400"), ("--max-siblings", "100000")])
+    @pytest.mark.parametrize("flags", [("--depth", "400")])
     def test_exits_zero_quickly(self, flags):
         completed = run_module("classify", "2", "3", "3", "4", *flags)
         assert completed.returncode == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import brieskorn as bk
 from brieskorn import tuples as tp
-from brieskorn.census import CensusSpec
 from brieskorn.certificates import RuleId, Status
 from brieskorn.engine import RULE_PRIORITY
 from brieskorn.errors import InputError
@@ -218,52 +217,6 @@ class TestDescendRule:
         assert bk.rule_descend((4, 4, 4, 4)) is None
 
 
-class TestTransferRule:
-    def test_open_family_has_no_transfer(self):
-        assert bk.rule_transfer((2, 3, 3, 8)) is None
-
-    def test_transfers_rigidity_from_sibling(self):
-        cert = bk.rule_transfer((4, 4, 4, 24))
-        assert cert is not None and cert.status is Status.RIGID
-        assert cert.witness.exponents == (4, 4, 4, 4)
-        assert tp.lt_at(cert.witness.exponents, (4, 4, 4, 24), cert.witness.index)
-        assert tp.lt_at(cert.witness.exponents, cert.witness.sibling, cert.witness.index)
-
-    def test_silent_without_critical_indices(self):
-        assert bk.rule_transfer((9, 9, 9, 9)) is None
-
-
-class TestTransferOutOfCascade:
-    def test_transfer_decides_no_unknown_census_row(self):
-        # Evidence that dropping TRANSFER from the cascade loses nothing:
-        # on these universes it decides no row the cascade leaves UNKNOWN,
-        # and budget_hit is exactly "has an lcm-critical index".
-        kb = bk.KnowledgeBase()
-        unknown = 0
-        for length, max_exponent in ((4, 16), (5, 5)):
-            result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent))
-            for row in result.rows:
-                if row.certificate is not None:
-                    assert RuleId.TRANSFER not in _rules_used(row.certificate)
-                    continue
-                unknown += 1
-                assert bk.rule_transfer(row.exponents, kb) is None, row.exponents
-                assert row.budget_hit == bool(tp.lcm_critical_indices(row.exponents))
-        assert unknown > 0
-
-    def test_standalone_transfer_still_fires_and_replays(self):
-        cert = bk.rule_transfer((4, 4, 4, 24))
-        assert cert is not None and cert.rule is RuleId.TRANSFER
-        assert bk.replay(cert)
-
-
-def _rules_used(certificate):
-    rules = {certificate.rule}
-    for child in certificate.children:
-        rules |= _rules_used(child)
-    return rules
-
-
 class TestClassify:
     def test_mixed_status_trio(self):
         assert bk.classify((2, 3, 3, 2)).status is Status.NON_RIGID
@@ -324,9 +277,8 @@ class TestClassify:
             assert cert.rule is RuleId.NOT_IN_TN
 
     def test_rule_priority_constant_is_complete(self):
-        # TRANSFER is standalone only; every other rule is in the cascade,
-        # in this firing order.
-        assert set(RULE_PRIORITY) == set(RuleId) - {RuleId.TRANSFER}
+        # every rule is in the cascade, in this firing order
+        assert set(RULE_PRIORITY) == set(RuleId)
         assert RULE_PRIORITY == (
             RuleId.NOT_IN_TN,
             RuleId.N3_T3,

@@ -6,7 +6,7 @@ every sorted tuple of length 3-5 with entries 1..10 and every ordered
 length-4 tuple over 1..9:
 
 * ``classify``: status, rule and certificate id;
-* every standalone ``rule_*`` entry point except ``rule_transfer``;
+* every standalone ``rule_*`` entry point;
 * replay acceptance of a forged leaf certificate for every leaf rule with
   the status it derives, under the identity permutation and, for the
   three permuted length-4 rules, under all 24 permutations.
