@@ -33,7 +33,8 @@ pin it byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
 
 The parser takes exactly these keys, so a parsed certificate renders back
 to the text it was read from: a node has all six, a witness a subset of
-its three, and any other key raises :class:`CertificateError`.
+its three with no null value, and any other key or a null witness value
+raises :class:`CertificateError`.
 """
 
 from __future__ import annotations
@@ -215,17 +216,19 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
         if not w.keys() <= _WITNESS_KEYS:
             unknown = sorted(w.keys() - _WITNESS_KEYS, key=str)
             raise CertificateError(f"unknown witness fields: {unknown}", path)
+        # An unused field is absent; a present one must hold a value, since
+        # a null would parse as absent and not render back.
         subsets = None
-        if w.get("subsets") is not None:
+        if "subsets" in w:
             if not isinstance(w["subsets"], list):
                 raise CertificateError("witness subsets must be a list of lists", path)
             subsets = tuple(_int_list(part, "witness subset", path) for part in w["subsets"])
         index = w.get("index")
-        if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
+        if "index" in w and (not isinstance(index, int) or isinstance(index, bool)):
             raise CertificateError("witness index must be an integer", path)
         witness = Witness(
             index=index,
-            exponents=None if w.get("tuple") is None else _int_list(w["tuple"], "witness tuple", path),
+            exponents=_int_list(w["tuple"], "witness tuple", path) if "tuple" in w else None,
             subsets=subsets,
         )
     if not isinstance(raw["children"], list):
@@ -279,57 +282,83 @@ def permutable(entries: Exponents) -> bool:
     return len(entries) == 4 and tp.in_tn(entries)
 
 
+#: The permutations of four slots in lexicographic order, the order in
+#: which the classifier tries a permuted rule: it records the first under
+#: which the rule holds.
+PERMS4 = tuple(itertools.permutations((1, 2, 3, 4)))
+
+# For each entry, the first permutation that puts it in slot 4.
+_LAST_SLOT = tuple(sorted(next(p for p in PERMS4 if p[3] == k) for k in range(1, 5)))
+# For each entry, the six permutations that put it in slot 1.
+_FIRST_SLOT = {k: tuple(p for p in PERMS4 if p[0] == k) for k in range(1, 5)}
+
+
+def _by_last_slot(entries: Exponents) -> tuple[tuple[int, ...], ...]:
+    """Candidates of a condition that depends only on the entry in slot 4."""
+    return _LAST_SLOT
+
+
+def _two_first(entries: Exponents) -> tuple[tuple[int, ...], ...]:
+    """Candidates of a condition that needs the single 2 in slot 1."""
+    return _FIRST_SLOT[entries.index(2) + 1] if 2 in entries else ()
+
+
 @dataclass(frozen=True)
 class LeafRule:
     """A non-recursive rule.
 
-    ``holds`` is its side condition.  A ``permuted`` rule applies only to
-    tuples that pass :func:`permutable`, and ``holds`` is evaluated on the
-    tuple reordered by the certificate's permutation; every other rule's
-    condition is symmetric and is evaluated on the tuple as classified.
-    ``condition`` states the side condition for replay error messages.
+    ``holds`` is its side condition.  A permuted rule (one with
+    ``candidates``) applies only to tuples that pass :func:`permutable`,
+    and ``holds`` is evaluated on the tuple reordered by the certificate's
+    permutation; every other rule's condition is symmetric and is
+    evaluated on the tuple as classified.  ``candidates(entries)`` lists,
+    in :data:`PERMS4` order, the permutations that can satisfy ``holds``,
+    so the first of them that does is the first in :data:`PERMS4` that
+    does; the search tries only these, while replay evaluates ``holds``
+    under whatever permutation a certificate records.  ``condition``
+    states the side condition for replay error messages.
     """
 
     rule: RuleId
     status: Status
-    permuted: bool
+    candidates: Callable[[Exponents], tuple[tuple[int, ...], ...]] | None
     holds: Callable[[Exponents], bool]
     condition: str
 
 
 #: The leaf rules in firing order (first match wins).
 LEAF_RULES = (
-    LeafRule(RuleId.NOT_IN_TN, Status.NON_RIGID, False,
+    LeafRule(RuleId.NOT_IN_TN, Status.NON_RIGID, None,
              lambda e: not tp.in_tn(e),
              "not in T_n: some entry is 1, or two entries are 2"),
-    LeafRule(RuleId.N3_T3, Status.RIGID, False,
+    LeafRule(RuleId.N3_T3, Status.RIGID, None,
              lambda e: _n3(e) and _excess(e, 1) > 0,
              "length 3, in T_n, reciprocal sum > 1"),
-    LeafRule(RuleId.N3_STABLE, Status.STABLY_RIGID, False,
+    LeafRule(RuleId.N3_STABLE, Status.STABLY_RIGID, None,
              lambda e: _n3(e) and _excess(e, 1) <= 0,
              "length 3, in T_n, reciprocal sum <= 1"),
-    LeafRule(RuleId.LOW_SUM, Status.STABLY_RIGID, False,
+    LeafRule(RuleId.LOW_SUM, Status.STABLY_RIGID, None,
              lambda e: _excess(e, len(e) - 2) <= 0,
              "reciprocal sum <= 1/(n-2)"),
-    LeafRule(RuleId.N4_COPRIME, Status.RIGID, True,
+    LeafRule(RuleId.N4_COPRIME, Status.RIGID, _by_last_slot,
              lambda p: gcd(p[0] * p[1] * p[2], p[3]) == 1,
              "gcd(a*b*c, d) = 1"),
-    LeafRule(RuleId.N4_THREE_THREES, Status.RIGID, True,
+    LeafRule(RuleId.N4_THREE_THREES, Status.RIGID, _by_last_slot,
              lambda p: p[0] == p[1] == p[2] == 3,
              "a = b = c = 3"),
-    LeafRule(RuleId.N4_EVEN_GCD, Status.RIGID, True,
+    LeafRule(RuleId.N4_EVEN_GCD, Status.RIGID, _two_first,
              _even_gcd,
              "a = 2, b, c, d >= 3, b even, gcd(b, c) >= 3, gcd(d, lcm(b, c)) = 2"),
-    LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, False,
+    LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, None,
              lambda e: permutable(e) and tp.cotype(e) >= 2,
              "length 4, in T_n, cotype >= 2"),
-    LeafRule(RuleId.EQUAL_EXPONENTS, Status.RIGID, False,
+    LeafRule(RuleId.EQUAL_EXPONENTS, Status.RIGID, None,
              lambda e: len(e) >= 4 and len(set(e)) == 1 and e[0] >= len(e),
              "length n >= 4, all entries equal and >= n"),
-    LeafRule(RuleId.COTYPE_GE_NMINUS2, Status.RIGID, False,
+    LeafRule(RuleId.COTYPE_GE_NMINUS2, Status.RIGID, None,
              lambda e: len(e) >= 4 and tp.in_tn(e) and tp.cotype(e) >= len(e) - 2,
              "length n >= 4, in T_n, cotype >= n-2"),
-    LeafRule(RuleId.I_SUM, Status.RIGID, False,
+    LeafRule(RuleId.I_SUM, Status.RIGID, None,
              lambda e: _excess(e, len(e) - 2, tp.lcm_stable_indices(e)) < 0,
              "reciprocal sum over the lcm-stable indices < 1/(n-2)"),
 )
@@ -382,7 +411,7 @@ def _replay_node(node: Certificate, path: str) -> None:
     derived: Status
 
     if leaf is not None:
-        if leaf.permuted and not permutable(entries):
+        if leaf.candidates is not None and not permutable(entries):
             _fail("rule applies to length-4 tuples in T_n only", path)
         permuted = tp.apply_permutation(entries, node.permutation)
         if not leaf.holds(permuted):

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import tuples as tp
 from .census import CensusSpec, run_census, write_census_files
@@ -168,6 +169,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _unwritable(out: str, error: OSError) -> InputError:
+    return InputError(f"cannot write census files under {out!r}: {error}")
+
+
 def _cmd_census(args) -> int:
     spec = CensusSpec(
         length=args.n,
@@ -175,11 +180,16 @@ def _cmd_census(args) -> int:
         max_exponent=args.max,
         budget=_build_budget(args),
     )
+    try:
+        # Fail on an unusable --out before the classification work.
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise _unwritable(args.out, error) from None
     result = run_census(spec, workers=args.workers)
     try:
         paths = write_census_files(result, args.out)
     except OSError as error:
-        raise InputError(f"cannot write census files under {args.out!r}: {error}") from None
+        raise _unwritable(args.out, error) from None
     print(result.summary.render(), end="")
     print(f"csv: {paths['csv']}")
     print(f"summary: {paths['summary']}")

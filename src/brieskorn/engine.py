@@ -6,10 +6,22 @@ leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
 The search is budgeted (recursion depth and divisor witnesses per
-coordinate) and memoized on the sorted tuple together with the remaining
-depth, which makes every answer a pure function of the tuple and the
+coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
 workers all produce identical results.
+
+The memo has two tables, both keyed on the sorted tuple.  A search is
+*cut* when some node it explored (itself or through a memo hit) sat at
+depth 0 with no leaf rule firing while it still had lcm-critical
+indices, i.e. the depth limit stopped the recursive rules.  An uncut
+search of height h (the height of its explored tree, 0 when a leaf rule
+decided it) explores the same tree at every depth >= h, so its answer
+and certificate are stored once with h and serve every such depth.  A
+cut search is stored under (sorted tuple, remaining depth) and serves
+that depth only.  This is the transposition-table rule of recording the
+depth an entry was searched to (T. A. Marsland, "A Review of Game-Tree
+Pruning", ICCA Journal 9(1), 1986), applied to an exact search, so no
+answer depends on which table served it.
 
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
@@ -18,12 +30,13 @@ cases (such as (2,3,3,4)) must stay UNKNOWN.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import tuples as tp
 from .certificates import (
     LEAF_RULES,
+    PERMS4,
     Certificate,
     LeafRule,
     RuleId,
@@ -38,7 +51,8 @@ from .tuples import Exponents
 #: Firing order of the rule catalogue (first match wins).
 RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND)
 
-_PERMS4 = tuple(itertools.permutations((1, 2, 3, 4)))
+# Reorders a length-4 tuple by a permutation, as tp.apply_permutation does.
+_REORDER = {permutation: itemgetter(*(i - 1 for i in permutation)) for permutation in PERMS4}
 
 
 @dataclass(frozen=True)
@@ -68,34 +82,50 @@ class Classification:
     budget_hit: bool = False
 
 
+#: A memo entry: an answer and the height of the search that found it,
+#: None when that search was cut.
+Entry = tuple[Classification, "int | None"]
+
+
 class KnowledgeBase:
-    """Memo table keyed by (sorted tuple, remaining depth), plus budget.
+    """Memo tables keyed by the sorted tuple, plus budget.
 
     Sorting the key is valid because the defining polynomial is symmetric
     in the (variable, exponent) pairs, so every status is invariant under
-    permuting coordinates.  Keying by remaining depth keeps the memoized
-    answer equal to the cold-cache answer at the same depth, which is
-    what makes census output independent of worker count and call order.
-    Entries are never overwritten, so a stronger status is never
-    downgraded.  All writers compute identical values for a key, so
-    concurrent use is last-write-wins on identical data.
+    permuting coordinates.  An uncut search is stored once with its height
+    h and answers every remaining depth >= h; a cut search is stored under
+    (sorted tuple, remaining depth) and answers that depth only (see the
+    module docstring).  Either way the memoized answer equals the
+    cold-cache answer at the requested depth, which is what makes census
+    output independent of worker count and call order.  Entries are
+    never overwritten, so a stronger status is never downgraded.  All
+    writers compute identical values for a key, so concurrent use is
+    last-write-wins on identical data.
     """
 
     def __init__(self, budget: Budget | None = None):
         self.budget = budget or Budget()
-        self._memo: dict[tuple[Exponents, int], Classification] = {}
+        self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
+        self._cut: dict[tuple[Exponents, int], Entry] = {}  # (canonical, depth) -> (answer, None)
         self._decided: dict[Exponents, bool] = {}  # canonical -> implies_rigid
 
     def __len__(self) -> int:
-        return len(self._memo)
+        return len(self._saturated) + len(self._cut)
 
-    def lookup(self, key: tuple[Exponents, int]) -> Classification | None:
-        return self._memo.get(key)
+    def lookup(self, canonical: Exponents, depth: int) -> Entry | None:
+        entry = self._saturated.get(canonical)
+        if entry is not None and entry[1] <= depth:
+            return entry
+        return self._cut.get((canonical, depth))
 
-    def store(self, key: tuple[Exponents, int], result: Classification) -> None:
+    def store(self, canonical: Exponents, depth: int, entry: Entry) -> None:
+        result, height = entry
         if result.status is not Status.UNKNOWN:
-            self._register(key[0], result.status)
-        self._memo.setdefault(key, result)
+            self._register(canonical, result.status)
+        if height is None:
+            self._cut.setdefault((canonical, depth), entry)
+        else:
+            self._saturated.setdefault(canonical, entry)
 
     def _register(self, canonical: Exponents, status: Status) -> None:
         rigid = status.implies_rigid
@@ -117,38 +147,48 @@ def classify(exponents, kb: KnowledgeBase | None = None) -> Classification:
     entries = tp.as_exponents(exponents, minimum_length=3)
     if kb is None:
         kb = KnowledgeBase()
-    return _decide(entries, kb.budget.max_depth, kb)
+    return _decide(entries, kb.budget.max_depth, kb)[0]
 
 
-def _decide(entries: Exponents, depth: int, kb: KnowledgeBase) -> Classification:
-    key = (tuple(sorted(entries)), depth)
-    cached = kb.lookup(key)
-    if cached is not None:
-        if cached.certificate is None or cached.certificate.exponents == entries:
-            return cached
-        # Same canonical tuple, different coordinate order: rebuild the
-        # certificate for this order (children resolve via the memo) so
-        # that certificates always root at the tuple as classified.
-        result = _run_cascade(entries, depth, kb)
-        if result.status is not cached.status:  # pragma: no cover - permutation invariance
-            raise SoundnessError(
-                f"status for {entries} changed under reordering: "
-                f"{cached.status.value} vs {result.status.value}"
-            )
-        return result
-    result = _run_cascade(entries, depth, kb)
-    kb.store(key, result)
-    return result
+def _decide(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
+    canonical = tuple(sorted(entries))
+    entry = kb.lookup(canonical, depth)
+    if entry is None:
+        entry = _run_cascade(entries, depth, kb)
+        kb.store(canonical, depth, entry)
+        return entry
+    cached = entry[0]
+    if cached.certificate is None or cached.certificate.exponents == entries:
+        return entry
+    # Same canonical tuple, different coordinate order: rebuild the
+    # certificate for this order (children resolve via the memo) so
+    # that certificates always root at the tuple as classified.
+    rebuilt = _run_cascade(entries, depth, kb)
+    if rebuilt[0].status is not cached.status:  # pragma: no cover - permutation invariance
+        raise SoundnessError(
+            f"status for {entries} changed under reordering: "
+            f"{cached.status.value} vs {rebuilt[0].status.value}"
+        )
+    return rebuilt
 
 
-def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Classification:
+def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
     certificate = _first_leaf(entries, LEAF_RULES)
-    if certificate is None and depth > 0:
-        certificate = _recursive_subtuples(entries, depth, kb) or _descend(entries, depth, kb)
+    height: int | None = 0
     if certificate is None:
-        return Classification(Status.UNKNOWN, None, _recursion_available(entries))
+        if not _recursion_available(entries):
+            return Classification(Status.UNKNOWN, None, False), 0
+        if depth == 0:  # the depth limit cuts the search here
+            return Classification(Status.UNKNOWN, None, True), None
+        heights: list[int | None] = []
+        certificate = _recursive_subtuples(entries, depth, kb, heights) or _descend(
+            entries, depth, kb, heights
+        )
+        height = None if None in heights else max(heights, default=-1) + 1
+        if certificate is None:
+            return Classification(Status.UNKNOWN, None, True), height
     _assert_sound(entries, certificate)
-    return Classification(certificate.status, certificate)
+    return Classification(certificate.status, certificate), height
 
 
 def _assert_sound(entries: Exponents, certificate: Certificate) -> None:
@@ -186,16 +226,18 @@ def _replace(entries: Exponents, index: int, value: int) -> Exponents:
 
 def _first_leaf(entries: Exponents, rules: tuple[LeafRule, ...]) -> Certificate | None:
     """First rule in ``rules`` whose side condition holds.  A permuted rule
-    is tried, after the :func:`permutable` gate, under every coordinate
-    permutation in ``_PERMS4`` order, and the firing one is recorded."""
+    is tried, after the :func:`permutable` gate, under each of its
+    candidate permutations in turn, and the first that satisfies it is
+    recorded: the first in ``PERMS4`` order, as a scan of all 24 would
+    find."""
     gate = permutable(entries)
     for leaf in rules:
-        if not leaf.permuted:
+        if leaf.candidates is None:
             if leaf.holds(entries):
                 return Certificate(leaf.rule, entries, leaf.status, _identity(entries))
         elif gate:
-            for permutation, permuted in zip(_PERMS4, itertools.permutations(entries)):
-                if leaf.holds(permuted):
+            for permutation in leaf.candidates(entries):
+                if leaf.holds(_REORDER[permutation](entries)):
                     return Certificate(leaf.rule, entries, leaf.status, permutation)
     return None
 
@@ -203,15 +245,18 @@ def _first_leaf(entries: Exponents, rules: tuple[LeafRule, ...]) -> Certificate 
 # --- recursive rules --------------------------------------------------------
 
 
-def _recursive_subtuples(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
+def _recursive_subtuples(
+    entries: Exponents, depth: int, kb: KnowledgeBase, heights: list[int | None]
+) -> Certificate | None:
     """Fires when every removal in :func:`recursive_subsets` leaves a rigid
-    subtuple."""
+    subtuple.  The search height of each child visited goes to ``heights``."""
     subsets = recursive_subsets(entries)
     if not subsets:
         return None
     children = []
     for subset in subsets:
-        result = _decide(tp.subtuple(entries, subset), depth - 1, kb)
+        result, height = _decide(tp.subtuple(entries, subset), depth - 1, kb)
+        heights.append(height)
         if not result.status.implies_rigid:
             return None
         children.append(result.certificate)
@@ -225,17 +270,20 @@ def _recursive_subtuples(entries: Exponents, depth: int, kb: KnowledgeBase) -> C
     )
 
 
-def _descend(entries: Exponents, depth: int, kb: KnowledgeBase) -> Certificate | None:
+def _descend(
+    entries: Exponents, depth: int, kb: KnowledgeBase, heights: list[int | None]
+) -> Certificate | None:
     """Replaces one critical coordinate by a smaller compatible divisor and
     inherits rigidity from below (one-directional, so only RIGID comes
-    back up)."""
+    back up).  The search height of each witness visited goes to ``heights``."""
     for index in sorted(tp.lcm_critical_indices(entries)):
         value = entries[index - 1]
         floor = tp.coordinate_gcd(entries, index)
         candidates = [d for d in tp.divisors(value) if d != value and d % floor == 0]
         for smaller in candidates[: kb.budget.max_divisor_witnesses]:
             witness_tuple = _replace(entries, index, smaller)
-            result = _decide(witness_tuple, depth - 1, kb)
+            result, height = _decide(witness_tuple, depth - 1, kb)
+            heights.append(height)
             if result.status.implies_rigid:
                 return Certificate(
                     RuleId.DESCEND,
@@ -295,13 +343,13 @@ def rule_cotype_high(exponents) -> Certificate | None:
 def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
-    return _recursive_subtuples(entries, kb.budget.max_depth, kb)
+    return _recursive_subtuples(entries, kb.budget.max_depth, kb, [])
 
 
 def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     entries = tp.as_exponents(exponents, minimum_length=3)
     kb = kb or KnowledgeBase()
-    return _descend(entries, kb.budget.max_depth, kb)
+    return _descend(entries, kb.budget.max_depth, kb, [])
 
 
 # --- derived reporting -------------------------------------------------------
@@ -334,7 +382,7 @@ def kernel_degree_bound(exponents, kb: KnowledgeBase | None = None) -> KernelBou
     rigid = set()
     undecided = set()
     for index in sorted(tp.lcm_critical_indices(entries)):
-        result = _decide(tp.omit(entries, index), kb.budget.max_depth, kb)
+        result = _decide(tp.omit(entries, index), kb.budget.max_depth, kb)[0]
         if result.status.implies_rigid:
             rigid.add(index)
         elif result.status is Status.UNKNOWN:

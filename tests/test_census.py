@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -179,17 +181,46 @@ class TestSidecarRenderer:
 #: perfbench/digests.json keys and the universes they were recorded on.
 BENCHMARK_UNIVERSES = {"wide-n3": (3, 30), "deep-n5": (5, 5), "classify-cold": (4, 10)}
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def recorded_digests(workload):
+    return json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))[workload]
+
 
 class TestBenchmarkDigests:
-    """Census files stay byte-identical to the benchmark's recorded digests."""
+    """Census files and the reference verdicts stay byte-identical to the
+    benchmark's recorded digests (perfbench/ is only read)."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("workload", sorted(BENCHMARK_UNIVERSES))
     def test_census_files_match(self, workload, workers, tmp_path):
-        digests_path = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-        expected = json.loads(digests_path.read_text(encoding="utf-8"))[workload]
+        expected = recorded_digests(workload)
         length, max_exponent = BENCHMARK_UNIVERSES[workload]
         result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent), workers=workers)
         paths = bk.write_census_files(result, tmp_path)
         for key in ("csv", "summary", "certificates"):
             assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == expected[key], key
+
+    def test_reference_verdicts_match(self, monkeypatch):
+        # The records perfbench/stage.verdicts digests, over the reference
+        # classify-cold stream (seed 0, 300 tuples), each tuple classified
+        # with a fresh memo.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        assert (workloads.REFERENCE_SEED, workloads.REFERENCE_COUNT) == (0, 300)
+        stream = workloads.classify_cold_stream(workloads.REFERENCE_SEED, workloads.REFERENCE_COUNT)
+        records = []
+        for entries in stream:
+            outcome = bk.classify(entries, bk.KnowledgeBase())
+            certificate = outcome.certificate
+            records.append([
+                list(entries),
+                outcome.status.value,
+                None if certificate is None else certificate.rule.value,
+                "" if certificate is None else bk.certificate_id(certificate),
+            ])
+        digest = hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
+        assert digest == recorded_digests("classify-cold")["verdicts"]

@@ -1,6 +1,7 @@
 """Certificate serialization round trips and independent replay."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,22 @@ class TestSerialization:
         assert payload["witness"]["index"] == 4
         payload["witness"]["index"] = True
         with pytest.raises(CertificateError):
+            certificate_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["index", "tuple", "subsets"])
+    def test_parser_rejects_null_witness_values(self, key):
+        # Parsed as an absent key, a null would give a certificate that
+        # renders to other text than it was read from: with "subsets": null
+        # added, the (4,4,4,12) DESCEND text hashes to 020e14f843d7, while
+        # the certificate without the key has id e2a2f5a22493.
+        payload = classified((4, 4, 4, 12)).to_dict()
+        assert payload["rule"] == "DESCEND"
+        assert certificate_id(certificate_from_dict(payload)) == "e2a2f5a22493"
+        payload["witness"][key] = None
+        if key == "subsets":
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:12] == "020e14f843d7"
+        with pytest.raises(CertificateError, match=key):
             certificate_from_dict(payload)
 
     def test_parser_rejects_invalid_json(self):

@@ -143,6 +143,21 @@ class TestCensus:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_out_fails_before_classifying(self, capsys, tmp_path, monkeypatch):
+        import brieskorn.cli
+
+        def no_census(*args, **kwargs):
+            raise AssertionError("run_census called although --out is unusable")
+
+        monkeypatch.setattr(brieskorn.cli, "run_census", no_census)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        code, _, err = run(
+            capsys, "census", "--n", "3", "--max", "3", "--out", str(blocker / "sub")
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write census files") and err.count("\n") == 1
+
 
 class TestProjClasses:
     def test_reports_mixed_class(self, capsys):

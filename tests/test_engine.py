@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import brieskorn as bk
 from brieskorn import tuples as tp
 from brieskorn.certificates import RuleId, Status
-from brieskorn.engine import RULE_PRIORITY
+from brieskorn.engine import RULE_PRIORITY, _decide
 from brieskorn.errors import InputError
 
 
@@ -352,3 +352,77 @@ def test_every_decided_certificate_replays(entries):
     outcome = bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_depth=3)))
     if outcome.certificate is not None:
         assert bk.replay(outcome.certificate)
+
+
+# --- the memo's two tables ----------------------------------------------------
+
+
+def verdict(outcome):
+    certificate = outcome.certificate
+    return outcome.status, outcome.budget_hit, None if certificate is None else bk.certificate_id(certificate)
+
+
+def cold(entries, depth):
+    return verdict(bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_depth=depth))))
+
+
+# Entries rich in shared divisors, so that the searches recurse, get cut,
+# and meet the same canonical tuples in other orders and at other depths.
+# Verdicts that change with the depth are rare among such tuples (20 of
+# the 3,003 sorted length-5 ones), so some are drawn directly: each of
+# these is UNKNOWN at depth 1 and RIGID from depth 2.
+DEPTH_SENSITIVE = ((3, 4, 4, 4, 8), (3, 5, 5, 5, 10), (4, 4, 4, 5, 8), (4, 4, 4, 9, 16))
+memo_tuples = st.one_of(
+    st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 36)), min_size=4, max_size=5).map(tuple),
+    st.sampled_from(DEPTH_SENSITIVE),
+)
+
+
+@st.composite
+def mixed_depth_queries(draw):
+    pool = draw(st.lists(memo_tuples, min_size=1, max_size=4))
+    query = st.tuples(st.sampled_from(pool).flatmap(st.permutations).map(tuple), st.integers(0, 6))
+    return draw(st.lists(query, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_depth_queries())
+def test_warm_memo_at_mixed_depths_answers_as_cold(queries):
+    kb = bk.KnowledgeBase()
+    for entries, depth in queries:
+        assert verdict(_decide(entries, depth, kb)[0]) == cold(entries, depth), (entries, depth)
+
+
+def test_uncut_verdicts_hold_at_every_greater_depth():
+    universe = list(bk.enumerate_universe(bk.CensusSpec(length=4, max_exponent=10)))
+    universe += list(bk.enumerate_universe(bk.CensusSpec(length=5, max_exponent=8)))
+    heights = set()
+    for depth in range(0, 4):
+        for entries in universe:
+            outcome, height = _decide(entries, depth, bk.KnowledgeBase(bk.Budget(max_depth=depth)))
+            heights.add(height)
+            if height is None:
+                continue
+            assert height <= depth
+            for deeper in range(depth + 1, 7):
+                assert cold(entries, deeper) == verdict(outcome), (entries, depth, deeper)
+    # both tables and recursive heights occur, so the check is not vacuous
+    assert {None, 0, 1, 2} <= heights
+
+
+def test_len_counts_entries_in_both_tables():
+    kb = bk.KnowledgeBase()
+    stored = []
+    store = kb.store
+
+    def recording(canonical, depth, entry):
+        stored.append((canonical, depth, entry[1]))
+        store(canonical, depth, entry)
+
+    kb.store = recording
+    # a search that the depth limit cuts, with uncut searches below it
+    assert bk.classify((6, 3, 10, 7647185), kb).status is Status.UNKNOWN
+    saturated = {canonical for canonical, _, height in stored if height is not None}
+    cut = {(canonical, depth) for canonical, depth, height in stored if height is None}
+    assert saturated and cut
+    assert len(kb) == len(saturated) + len(cut)
