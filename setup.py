@@ -1,26 +1,25 @@
-"""Builds the optional compiled arithmetic kernel.
+"""Builds the optional compiled arithmetic kernel ``brieskorn._speedups``.
 
-The package works without it (pure-Python kernel); set BRIESKORN_PURE=1
-to skip the extension when no C toolchain is available.
+The package works without it (pure-Python kernel): without Cython no
+extension is declared, and a C build that fails only warns.
 """
 
-import os
-
-from setuptools import setup
+from setuptools import Extension, setup
 
 
 def extensions():
-    if os.environ.get("BRIESKORN_PURE") == "1":
-        return []
     try:
         from Cython.Build import cythonize
-        from setuptools import Extension
     except ImportError:
         return []
-    return cythonize(
+    modules = cythonize(
         [Extension("brieskorn._speedups", ["src/brieskorn/_speedups.pyx"])],
         compiler_directives={"language_level": "3"},
     )
+    for module in modules:
+        # Set on cythonize's output, which need not carry its input's flags.
+        module.optional = True
+    return modules
 
 
 setup(ext_modules=extensions())

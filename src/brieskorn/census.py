@@ -173,8 +173,10 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     private memo table.  ``workers`` is capped at the universe size and
     at ``os.cpu_count()``.  Because classification is a pure function of
     tuple and budget, the rows, concatenated in chunk order, are
-    identical to a serial run.
+    identical to a serial run.  ``workers`` below 1 is an InputError.
     """
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     universe = list(enumerate_universe(spec))
     workers = min(workers, len(universe), os.cpu_count() or 1)
     if workers <= 1:

@@ -279,9 +279,11 @@ def _descend(
     for index in sorted(tp.lcm_critical_indices(entries)):
         value = entries[index - 1]
         floor = tp.coordinate_gcd(entries, index)
-        candidates = [d for d in tp.divisors(value) if d != value and d % floor == 0]
-        for smaller in candidates[: kb.budget.max_divisor_witnesses]:
-            witness_tuple = _replace(entries, index, smaller)
+        # The witnesses are the proper divisors of the entry that floor
+        # divides: floor times each divisor of value // floor but the last.
+        factors = tp.divisors(value // floor)[:-1]
+        for k in factors[: kb.budget.max_divisor_witnesses]:
+            witness_tuple = _replace(entries, index, floor * k)
             result, height = _decide(witness_tuple, depth - 1, kb)
             heights.append(height)
             if result.status.implies_rigid:

@@ -172,11 +172,11 @@ def type_set(entries: Exponents) -> tuple[IndexSet, int]:
 
 
 def cotype(entries: Exponents) -> int:
-    return len(lcm_critical_indices(entries))
+    return _core(entries)[5].bit_count()
 
 
 def type_size(entries: Exponents) -> int:
-    return len(gcd_critical_indices(entries))
+    return _core(entries)[6].bit_count()
 
 
 def coordinate_gcd(entries: Exponents, index: int) -> int:

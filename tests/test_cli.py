@@ -158,6 +158,24 @@ class TestCensus:
         assert code == 2
         assert err.startswith("error: cannot write census files") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_two_without_classifying(
+        self, capsys, tmp_path, monkeypatch, workers
+    ):
+        from brieskorn import census
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("a tuple was classified although --workers is invalid")
+
+        monkeypatch.setattr(census, "_classify_chunk", no_classify)
+        code, out, err = run(
+            capsys, "census", "--n", "3", "--max", "3", "--out", str(tmp_path / "census"),
+            "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+
 
 class TestProjClasses:
     def test_reports_mixed_class(self, capsys):
