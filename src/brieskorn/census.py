@@ -6,9 +6,11 @@ and aggregates counts per status and per deciding rule plus the frontier
 of UNKNOWN tuples.  Output is deterministic: rows come in lexicographic
 order of the sorted tuples and are independent of the worker count, so
 two runs produce byte-identical files.  Each row's reciprocal sum is one
-exact ``Fraction`` built from integers, and ``certificates.json`` is
-written by the certificate renderer (sorted keys, two-space indent),
-with no generic JSON encoder in between.
+exact ``Fraction`` built from integers.  Each decided row's certificate
+is rendered once, by the certificate renderer (sorted keys, two-space
+indent, no generic JSON encoder), into the row's ``certificates.json``
+entry; the row's id hashes that same text, and the sidecar is built from
+the entries without rendering anything again.
 
 File outputs::
 
@@ -70,6 +72,9 @@ class CensusRow:
     certificate_id: str
     budget_hit: bool
     certificate: Certificate | None
+    #: ``"<certificate_id>": <certificate>``, as certificates.json holds it;
+    #: empty for an UNKNOWN row.
+    sidecar_entry: str
 
     def csv_line(self) -> str:
         return ";".join(
@@ -120,13 +125,10 @@ class CensusResult:
         return "\n".join([CSV_HEADER, *(row.csv_line() for row in self.rows)]) + "\n"
 
     def certificates_json(self) -> str:
-        sidecar = {
-            row.certificate_id: row.certificate
-            for row in self.rows
-            if row.certificate is not None
-        }
-        items = [f'"{key}": {_render(sidecar[key], "  ", "  ")}' for key in sorted(sidecar)]
-        return _wrap(items, "{}", "", "  ") + "\n"
+        # Each entry starts with its quoted id, and equal ids carry equal
+        # text, so the sorted distinct entries are the sidecar in id order.
+        entries = sorted({row.sidecar_entry for row in self.rows if row.sidecar_entry})
+        return _wrap(entries, "{}", "", "  ") + "\n"
 
 
 def enumerate_universe(spec: CensusSpec):
@@ -145,6 +147,8 @@ def universe_size(spec: CensusSpec) -> int:
 
 def _build_row(entries: Exponents, outcome: Classification) -> CensusRow:
     certificate = outcome.certificate
+    text = "" if certificate is None else _render(certificate, "  ", "  ")
+    key = certificate_id(certificate, text) if text else ""
     return CensusRow(
         exponents=entries,
         status=outcome.status,
@@ -152,9 +156,10 @@ def _build_row(entries: Exponents, outcome: Classification) -> CensusRow:
         cotype=tp.cotype(entries),
         in_tn=tp.in_tn(entries),
         reciprocal_sum=tp.reciprocal_sum(entries),
-        certificate_id="" if certificate is None else certificate_id(certificate),
+        certificate_id=key,
         budget_hit=outcome.budget_hit,
         certificate=certificate,
+        sidecar_entry=f'"{key}": {text}' if text else "",
     )
 
 

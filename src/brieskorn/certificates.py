@@ -13,9 +13,11 @@ cannot disagree about a leaf.  The recursive rules share
 :func:`recursive_subsets`.
 
 Wire format (lossless round trip, stable field names).  The canonical
-text comes from one direct renderer, compact for :func:`certificate_id`
-and indented for the census sidecar, with keys in sorted order; tests
-pin it byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
+text comes from one direct renderer in one layout, indented as in the
+census sidecar, with keys in sorted order.  The compact text that
+:func:`certificate_id` hashes is that text with its whitespace removed,
+since no key, rule or status name holds whitespace.  Tests pin both
+byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
 
     Certificate := {
       "rule":        <RuleId name>,
@@ -117,24 +119,19 @@ class Certificate:
         }
 
 
-def _wrap(items: list[str], brackets: str, pad: str, step: str | None) -> str:
+def _wrap(items: list[str], brackets: str, pad: str, step: str) -> str:
     """A JSON array or object of rendered ``items``, laid out as json.dumps does."""
     if not items:
         return brackets
-    if step is None:
-        return brackets[0] + ",".join(items) + brackets[1]
     inner = "\n" + pad + step
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
-def _render(node: Certificate, step: str | None, pad: str = "") -> str:
-    """The text json.dumps(node.to_dict(), sort_keys=True, ...) gives: compact
-    (``separators=(",", ":")``) when ``step`` is None, else indented by
-    ``step`` per level with the whole object nested at ``pad``.  Keys are
-    written in sorted order; entries are ints, so ``str`` is their JSON."""
-    colon = ":" if step is None else ": "
-    unit = step or ""
-    inner, deeper = pad + unit, pad + 2 * unit
+def _render(node: Certificate, step: str, pad: str = "") -> str:
+    """The text json.dumps(node.to_dict(), sort_keys=True, indent=len(step))
+    gives, with the whole object nested at ``pad``.  Keys are written in
+    sorted order; entries are ints, so ``str`` is their JSON."""
+    inner, deeper = pad + step, pad + 2 * step
 
     def ints(values: Iterable[int], at: str) -> str:
         return _wrap([str(v) for v in values], "[]", at, step)
@@ -145,22 +142,22 @@ def _render(node: Certificate, step: str | None, pad: str = "") -> str:
     else:
         fields = []
         if witness.index is not None:
-            fields.append(f'"index"{colon}{witness.index}')
+            fields.append(f'"index": {witness.index}')
         if witness.subsets is not None:
-            subsets = [ints(subset, deeper + unit) for subset in witness.subsets]
-            fields.append(f'"subsets"{colon}' + _wrap(subsets, "[]", deeper, step))
+            subsets = [ints(subset, deeper + step) for subset in witness.subsets]
+            fields.append('"subsets": ' + _wrap(subsets, "[]", deeper, step))
         if witness.exponents is not None:
-            fields.append(f'"tuple"{colon}' + ints(witness.exponents, deeper))
+            fields.append('"tuple": ' + ints(witness.exponents, deeper))
         witness_text = _wrap(fields, "{}", inner, step)
     children = [_render(child, step, deeper) for child in node.children]
     return _wrap(
         [
-            f'"children"{colon}' + _wrap(children, "[]", inner, step),
-            f'"permutation"{colon}' + ints(node.permutation, inner),
-            f'"rule"{colon}"{node.rule.value}"',
-            f'"status"{colon}"{node.status.value}"',
-            f'"tuple"{colon}' + ints(node.exponents, inner),
-            f'"witness"{colon}' + witness_text,
+            '"children": ' + _wrap(children, "[]", inner, step),
+            '"permutation": ' + ints(node.permutation, inner),
+            f'"rule": "{node.rule.value}"',
+            f'"status": "{node.status.value}"',
+            '"tuple": ' + ints(node.exponents, inner),
+            '"witness": ' + witness_text,
         ],
         "{}",
         pad,
@@ -169,14 +166,20 @@ def _render(node: Certificate, step: str | None, pad: str = "") -> str:
 
 
 def certificate_to_json(certificate: Certificate, *, indent: int | None = None) -> str:
-    """Canonical text form; compact with sorted keys unless ``indent`` given."""
-    return _render(certificate, None if indent is None else " " * indent)
+    """Canonical text form; compact with sorted keys unless ``indent`` given.
+
+    The compact text is the indented text with its whitespace removed: no
+    key, rule or status name holds whitespace."""
+    text = _render(certificate, " " * (indent or 0))
+    return text if indent is not None else "".join(text.split())
 
 
-def certificate_id(certificate: Certificate) -> str:
-    """Stable content-derived identifier (used to key census sidecar files)."""
-    digest = hashlib.sha256(certificate_to_json(certificate).encode("utf-8"))
-    return digest.hexdigest()[:12]
+def certificate_id(certificate: Certificate, text: str | None = None) -> str:
+    """Stable content-derived identifier (used to key census sidecar files):
+    a hash of the compact text.  ``text``, when given, is an indented
+    rendering of ``certificate`` that the caller already holds."""
+    compact = certificate_to_json(certificate) if text is None else "".join(text.split())
+    return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
 
 
 def _int_list(raw: Any, what: str, path: str) -> tuple[int, ...]:

@@ -20,7 +20,9 @@ import sys
 from pathlib import Path
 
 from . import tuples as tp
-from .census import CensusSpec, run_census, write_census_files
+from .census import (
+    CSV_HEADER, CensusSpec, _build_row, enumerate_universe, run_census, write_census_files,
+)
 from .certificates import Certificate
 from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
 from .errors import BrieskornError, InputError
@@ -107,8 +109,6 @@ def _cmd_classify(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     if args.format == "csv":
-        from .census import CSV_HEADER, _build_row
-
         print(CSV_HEADER)
         print(_build_row(entries, outcome).csv_line())
         return 0
@@ -180,8 +180,11 @@ def _cmd_census(args) -> int:
         max_exponent=args.max,
         budget=_build_budget(args),
     )
+    # Reject a bad --workers or --out before the classification work, and
+    # the worker count before --out is created.
+    if args.workers < 1:
+        raise InputError(f"workers must be >= 1, got {args.workers}")
     try:
-        # Fail on an unusable --out before the classification work.
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as error:
         raise _unwritable(args.out, error) from None
@@ -199,8 +202,6 @@ def _cmd_census(args) -> int:
 
 def _cmd_proj_classes(args) -> int:
     spec = CensusSpec(length=args.n, min_exponent=args.min, max_exponent=args.max)
-    from .census import enumerate_universe
-
     universe = list(enumerate_universe(spec))
     kb = KnowledgeBase(_build_budget(args))
     classes = proj_classes(universe, kb)

@@ -329,7 +329,7 @@ def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
         total_gcd=total_gcd,
         normalization=tuple(v // total_gcd for v in entries),
         degrees=tuple(total_lcm // v for v in entries),
-        type=bin(gcd_mask).count("1"),
+        type=gcd_mask.bit_count(),
         cotype=len(lcm_critical),
         gcd_critical=_mask_to_indices(gcd_mask),
         lcm_critical=lcm_critical,

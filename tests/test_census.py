@@ -12,7 +12,7 @@ import pytest
 
 import brieskorn as bk
 from brieskorn.census import CSV_HEADER, CensusSpec
-from brieskorn.certificates import RuleId, Status, certificate_from_dict
+from brieskorn.certificates import RuleId, Status, certificate_from_dict, certificate_id
 from brieskorn.errors import InputError
 
 
@@ -224,3 +224,31 @@ class TestBenchmarkDigests:
             ])
         digest = hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
         assert digest == recorded_digests("classify-cold")["verdicts"]
+
+
+class TestRenderOnce:
+    """Each decided row's certificate is rendered once, into its sidecar
+    entry, and its id hashes that same text."""
+
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_UNIVERSES))
+    def test_row_id_is_the_certificate_id(self, workload):
+        length, max_exponent = BENCHMARK_UNIVERSES[workload]
+        result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent))
+        decided = [row for row in result.rows if row.certificate is not None]
+        assert decided
+        for row in decided:
+            assert row.certificate_id == certificate_id(row.certificate)
+
+    def test_files_render_no_certificate(self, monkeypatch, tmp_path):
+        from brieskorn import census, certificates
+
+        result = bk.run_census(CensusSpec(length=4, max_exponent=8))
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("a certificate was rendered after the census")
+
+        monkeypatch.setattr(certificates, "_render", no_render)
+        monkeypatch.setattr(census, "_render", no_render)
+        assert result.certificates_json() == old_sidecar(result)
+        paths = bk.write_census_files(result, tmp_path)
+        assert paths["certificates"].read_text(encoding="utf-8") == old_sidecar(result)

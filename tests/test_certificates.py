@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
 import brieskorn as bk
+from brieskorn import certificates
 from brieskorn.census import CensusSpec
 from brieskorn.certificates import (
     Certificate,
@@ -156,6 +158,18 @@ class TestRenderer:
             assert_renders_like_json_dumps(certificate)
         if witness == Witness():
             assert '"witness":{}' in certificate_to_json(node)
+
+    def test_wire_names_hold_no_whitespace(self):
+        # The compact text is the indented text with its whitespace removed,
+        # which is the same text only while no string in it holds whitespace.
+        names = [
+            *(rule.value for rule in RuleId),
+            *(status.value for status in Status),
+            *certificates._NODE_KEYS,
+            *certificates._WITNESS_KEYS,
+        ]
+        for name in names:
+            assert re.fullmatch(r"[A-Za-z0-9_]+", name), name
 
 
 # (changed witness fields, child tuple) of the (4,4,4,12) DESCEND node: the

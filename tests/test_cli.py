@@ -168,13 +168,15 @@ class TestCensus:
             raise AssertionError("a tuple was classified although --workers is invalid")
 
         monkeypatch.setattr(census, "_classify_chunk", no_classify)
+        out_dir = tmp_path / "census"
         code, out, err = run(
-            capsys, "census", "--n", "3", "--max", "3", "--out", str(tmp_path / "census"),
+            capsys, "census", "--n", "3", "--max", "3", "--out", str(out_dir),
             "--workers", workers,
         )
         assert code == 2
         assert out == ""
         assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert not out_dir.exists()
 
 
 class TestProjClasses:
