@@ -10,18 +10,29 @@ coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
 workers all produce identical results.
 
-The memo has two tables, both keyed on the sorted tuple.  A search is
-*cut* when some node it explored (itself or through a memo hit) sat at
-depth 0 with no leaf rule firing while it still had lcm-critical
-indices, i.e. the depth limit stopped the recursive rules.  An uncut
-search of height h (the height of its explored tree, 0 when a leaf rule
-decided it) explores the same tree at every depth >= h, so its answer
-and certificate are stored once with h and serve every such depth.  A
-cut search is stored under (sorted tuple, remaining depth) and serves
-that depth only.  This is the transposition-table rule of recording the
-depth an entry was searched to (T. A. Marsland, "A Review of Game-Tree
-Pruning", ICCA Journal 9(1), 1986), applied to an exact search, so no
-answer depends on which table served it.
+The memo is keyed on the sorted tuple.  A search is *cut* when some
+node it explored (itself or through a memo hit) sat at depth 0 with no
+leaf rule firing while it still had lcm-critical indices, i.e. the depth
+limit stopped the recursive rules.  Every candidate list is independent
+of the depth: the leaf rules, :func:`~brieskorn.certificates.recursive_subsets`
+and DESCEND's capped witnesses.  So a search at a greater depth tries the
+same candidates as one at a smaller depth, and a rigid verdict at some
+depth stays rigid at every greater one.  Two depth rules follow:
+
+* an uncut search of height h (the height of its explored tree, 0 when
+  a leaf rule decided it) explores the same tree at every depth >= h, so
+  its answer and certificate are stored once with h and serve every such
+  depth;
+* an UNKNOWN answer at depth d is UNKNOWN at every depth d' <= d, and
+  the search there is cut (were it uncut at d', it would be the same
+  uncut search at d).  So one UNKNOWN entry per sorted tuple, with the
+  greatest depth it is known at, answers every lower depth as cut.
+
+Only a cut search that decides is stored per (sorted tuple, remaining
+depth).  This is the transposition-table rule of recording the depth an
+entry was searched to (T. A. Marsland, "A Review of Game-Tree Pruning",
+ICCA Journal 9(1), 1986), applied to an exact search, so no answer
+depends on which table served it.
 
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
@@ -92,40 +103,54 @@ class KnowledgeBase:
 
     Sorting the key is valid because the defining polynomial is symmetric
     in the (variable, exponent) pairs, so every status is invariant under
-    permuting coordinates.  An uncut search is stored once with its height
-    h and answers every remaining depth >= h; a cut search is stored under
-    (sorted tuple, remaining depth) and answers that depth only (see the
-    module docstring).  Either way the memoized answer equals the
-    cold-cache answer at the requested depth, which is what makes census
-    output independent of worker count and call order.  Entries are
-    never overwritten, so a stronger status is never downgraded.  All
-    writers compute identical values for a key, so concurrent use is
-    last-write-wins on identical data.
+    permuting coordinates.  By the depth monotonicity in the module
+    docstring, an uncut search stored with its height h answers every
+    remaining depth >= h, and an UNKNOWN one also answers every depth
+    below h as cut; a cut UNKNOWN search answers every depth up to the
+    greatest it was found at; a cut search that decides is stored under
+    (sorted tuple, remaining depth) and answers that depth only.  Either
+    way the memoized answer equals the cold-cache answer at the requested
+    depth, which is what makes census output independent of worker count
+    and call order.  A decided entry is never overwritten, so a stronger
+    status is never downgraded.  All writers compute identical values for
+    a key, so concurrent use is last-write-wins on identical data.
     """
 
     def __init__(self, budget: Budget | None = None):
         self.budget = budget or Budget()
         self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
+        self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
         self._cut: dict[tuple[Exponents, int], Entry] = {}  # (canonical, depth) -> (answer, None)
         self._decided: dict[Exponents, bool] = {}  # canonical -> implies_rigid
 
     def __len__(self) -> int:
-        return len(self._saturated) + len(self._cut)
+        return len(self._saturated) + len(self._unknown) + len(self._cut)
 
     def lookup(self, canonical: Exponents, depth: int) -> Entry | None:
         entry = self._saturated.get(canonical)
-        if entry is not None and entry[1] <= depth:
-            return entry
-        return self._cut.get((canonical, depth))
+        if entry is not None:
+            if entry[1] <= depth:
+                return entry
+            if entry[0].status is Status.UNKNOWN:
+                return entry[0], None
+        unknown = self._unknown.get(canonical)
+        if unknown is not None and depth <= unknown[1]:
+            return unknown[0]
+        if self._cut:
+            return self._cut.get((canonical, depth))
+        return None
 
     def store(self, canonical: Exponents, depth: int, entry: Entry) -> None:
         result, height = entry
         if result.status is not Status.UNKNOWN:
             self._register(canonical, result.status)
-        if height is None:
-            self._cut.setdefault((canonical, depth), entry)
-        else:
+        if height is not None:
             self._saturated.setdefault(canonical, entry)
+        elif result.status is Status.UNKNOWN:
+            # stored after a lookup missed, so depth exceeds any depth held
+            self._unknown[canonical] = entry, depth
+        else:
+            self._cut.setdefault((canonical, depth), entry)
 
     def _register(self, canonical: Exponents, status: Status) -> None:
         rigid = status.implies_rigid
@@ -280,9 +305,10 @@ def _descend(
         value = entries[index - 1]
         floor = tp.coordinate_gcd(entries, index)
         # The witnesses are the proper divisors of the entry that floor
-        # divides: floor times each divisor of value // floor but the last.
-        factors = tp.divisors(value // floor)[:-1]
-        for k in factors[: kb.budget.max_divisor_witnesses]:
+        # divides, the smallest max_divisor_witnesses of them: floor times
+        # each divisor of value // floor but the last.
+        cap = kb.budget.max_divisor_witnesses
+        for k in tp.divisors(value // floor, cap + 1)[:-1]:
             witness_tuple = _replace(entries, index, floor * k)
             result, height = _decide(witness_tuple, depth - 1, kb)
             heights.append(height)

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from heapq import heappop, heappush
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from . import backend
@@ -249,18 +250,117 @@ def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> 
     return Fraction(sum(total // value for value in chosen), total)
 
 
-def divisors(value: int) -> tuple[int, ...]:
-    """All positive divisors of ``value``, ascending."""
+# Primes below 2**10, tried by trial division before Pollard-Brent rho.
+# A cofactor with no prime factor below 2**10 is prime when it is below
+# 2**20.
+_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10) if all(p % q for q in range(2, isqrt(p) + 1)))
+_TRIAL_LIMIT = 1 << 20
+
+# Miller-Rabin to these bases is exact below 3,317,044,064,679,887,385,961,981
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).  Above it a composite passing every base
+# would be kept as a prime factor, so some of its divisors would be
+# missed; every divisor returned would still divide the value.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an odd ``n`` with no prime factor below 2**10."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite ``n``: Pollard rho with Brent's
+    cycle detection and batched gcds (R. P. Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 20, 1980).  Deterministic: the
+    polynomials x^2 + c are tried for c = 1, 2, ... from x = 2."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _factorization(value: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of ``value``, by ascending prime."""
+    found: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > value:
+            break
+        while value % p == 0:
+            value //= p
+            found[p] = found.get(p, 0) + 1
+    pending = [value] if value > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < _TRIAL_LIMIT or _is_prime(n):
+            found[n] = found.get(n, 0) + 1
+        else:
+            factor = _rho(n)
+            pending += (factor, n // factor)
+    return tuple(sorted(found.items()))
+
+
+@lru_cache(maxsize=1 << 10)
+def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
+    """The positive divisors of ``value``, ascending; only the ``limit``
+    smallest when a positive ``limit`` is given, found without listing
+    the rest."""
     if value < 1:
         raise InputError(f"divisors are defined for positive integers, got {value}")
-    small = []
-    large = []
-    for d in range(1, isqrt(value) + 1):
-        if value % d == 0:
-            small.append(d)
-            if d != value // d:
-                large.append(value // d)
-    return tuple(small + large[::-1])
+    if limit is not None and limit < 1:
+        raise InputError(f"the divisor limit must be positive, got {limit}")
+    factors = _factorization(value)
+    if limit is None or prod(e + 1 for _, e in factors) <= limit:
+        found = [1]
+        for p, e in factors:
+            found = [d * p**k for d in found for k in range(e + 1)]
+        return tuple(sorted(found))
+    # Each divisor d > 1 is pushed once, from d / p with p its largest
+    # prime factor, and d / p < d, so the heap pops them in ascending order.
+    # An item is (divisor, index of its largest prime, that prime's exponent).
+    smallest = [1]
+    heap = [(p, i, 1) for i, (p, _) in enumerate(factors)]
+    while len(smallest) < limit:
+        d, i, k = heappop(heap)
+        smallest.append(d)
+        if k < factors[i][1]:
+            heappush(heap, (d * factors[i][0], i, k + 1))
+        for j in range(i + 1, len(factors)):
+            heappush(heap, (d * factors[j][0], j, 1))
+    return tuple(smallest)
 
 
 def apply_permutation(entries: Exponents, permutation: Sequence[int]) -> Exponents:

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import brieskorn
+from brieskorn import tuples as tp
 from brieskorn.cli import main
 
 
@@ -257,6 +259,21 @@ class TestLargeBudgets:
         assert completed.returncode == 0
         assert "Traceback" not in completed.stderr
         assert "status: UNKNOWN" in completed.stdout
+
+
+class TestHugeEntries:
+    """DESCEND lists the witnesses of an entry from its factorization, so an
+    entry near 2^60 finishes quickly: 4e17 is 4 times a prime, 2^60 a power
+    of 2."""
+
+    @pytest.mark.parametrize("extra", [("400000000000000012",), ("1152921504606846976", "--depth", "400")])
+    def test_exits_zero_within_five_seconds(self, capsys, extra):
+        tp.divisors.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "classify", "2", "3", "3", *extra)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "status: UNKNOWN" in out
 
 
 class TestKernelNotSelectable:

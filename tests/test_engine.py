@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
+from brieskorn import engine
 from brieskorn import tuples as tp
 from brieskorn.certificates import RuleId, Status
 from brieskorn.engine import RULE_PRIORITY, _decide
@@ -354,7 +355,7 @@ def test_every_decided_certificate_replays(entries):
         assert bk.replay(outcome.certificate)
 
 
-# --- the memo's two tables ----------------------------------------------------
+# --- the memo's tables ---------------------------------------------------------
 
 
 def verdict(outcome):
@@ -370,11 +371,15 @@ def cold(entries, depth):
 # and meet the same canonical tuples in other orders and at other depths.
 # Verdicts that change with the depth are rare among such tuples (20 of
 # the 3,003 sorted length-5 ones), so some are drawn directly: each of
-# these is UNKNOWN at depth 1 and RIGID from depth 2.
+# these is UNKNOWN at depth 1 and RIGID from depth 2.  Tuples with a
+# large smooth entry search deep and come back UNKNOWN, so their entries
+# answer lower depths too.
 DEPTH_SENSITIVE = ((3, 4, 4, 4, 8), (3, 5, 5, 5, 10), (4, 4, 4, 5, 8), (4, 4, 4, 9, 16))
+LARGE_SMOOTH = ((6, 3, 10, 7647185), (3, 12, 44957696, 2))
 memo_tuples = st.one_of(
     st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 36)), min_size=4, max_size=5).map(tuple),
     st.sampled_from(DEPTH_SENSITIVE),
+    st.sampled_from(LARGE_SMOOTH),
 )
 
 
@@ -410,19 +415,65 @@ def test_uncut_verdicts_hold_at_every_greater_depth():
     assert {None, 0, 1, 2} <= heights
 
 
-def test_len_counts_entries_in_both_tables():
+@pytest.mark.parametrize("top", [6, 7])
+def test_unknown_entry_answers_every_lower_depth_as_cut(monkeypatch, top):
+    # (6,3,10,7647185) is UNKNOWN, cut at depth 6 and uncut of height 7 at depth 7
+    entries = (6, 3, 10, 7647185)
+    expected = [cold(entries, depth) for depth in range(top)]
+    kb = bk.KnowledgeBase()
+    assert _decide(entries, top, kb)[1] == (None if top == 6 else 7)
+
+    def no_search(*args):
+        raise AssertionError("searched a tuple the memo holds")
+
+    monkeypatch.setattr(engine, "_run_cascade", no_search)
+    for depth in range(top):
+        outcome, height = _decide(entries, depth, kb)
+        assert height is None
+        assert verdict(outcome) == expected[depth]
+
+
+@pytest.mark.parametrize("entries", [(3, 12, 44957696, 2), (7, 11468800, 2, 8)])
+def test_each_sorted_tuple_is_searched_once_per_call(monkeypatch, entries):
+    searched = []
+    run_cascade = engine._run_cascade
+
+    def recording(entries, depth, kb):
+        searched.append(tuple(sorted(entries)))
+        return run_cascade(entries, depth, kb)
+
+    monkeypatch.setattr(engine, "_run_cascade", recording)
+    assert bk.classify(entries).status is Status.UNKNOWN
+    assert len(searched) == len(set(searched)) == 33
+
+
+def test_len_counts_entries_in_every_table():
     kb = bk.KnowledgeBase()
     stored = []
     store = kb.store
 
     def recording(canonical, depth, entry):
-        stored.append((canonical, depth, entry[1]))
+        stored.append((canonical, depth, entry[0].status, entry[1]))
         store(canonical, depth, entry)
 
     kb.store = recording
-    # a search that the depth limit cuts, with uncut searches below it
-    assert bk.classify((6, 3, 10, 7647185), kb).status is Status.UNKNOWN
-    saturated = {canonical for canonical, _, height in stored if height is not None}
-    cut = {(canonical, depth) for canonical, depth, height in stored if height is None}
-    assert saturated and cut
-    assert len(kb) == len(saturated) + len(cut)
+    # searches that the depth limit cuts, with uncut searches below them;
+    # searched again deeper, each cut UNKNOWN tuple is stored at a second
+    # depth but held once
+    entries = (6, 3, 10, 7647185)
+    assert _decide(entries, 3, kb)[0].status is Status.UNKNOWN
+    assert _decide(entries, 5, kb)[0].status is Status.UNKNOWN
+    # a cut search that decides is held per depth; none occurs in the
+    # census universes, so one is stored directly
+    rigid = bk.classify((2, 3, 4, 5))
+    kb.store((2, 3, 4, 5), 1, (rigid, None))
+    kb.store((2, 3, 4, 5), 2, (rigid, None))
+    assert kb.lookup((2, 3, 4, 5), 2) == (rigid, None)
+    assert kb.lookup((2, 3, 4, 5), 3) is None
+    saturated = {canonical for canonical, _, _, height in stored if height is not None}
+    cut_unknown = [canonical for canonical, _, status, height in stored
+                   if height is None and status is Status.UNKNOWN]
+    cut_decided = {(canonical, depth) for canonical, depth, status, height in stored
+                   if height is None and status is not Status.UNKNOWN}
+    assert saturated and len(set(cut_unknown)) < len(cut_unknown) and len(cut_decided) == 2
+    assert len(kb) == len(saturated) + len(set(cut_unknown)) + len(cut_decided)

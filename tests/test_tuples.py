@@ -5,7 +5,7 @@ factorization or the naive one-line definition) before being asserted.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -230,9 +230,55 @@ class TestDivisors:
         assert tp.divisors(12) == (1, 2, 3, 4, 6, 12)
         assert tp.divisors(49) == (1, 7, 49)
 
+    def test_smallest_divisors(self):
+        assert tp.divisors(12, 4) == (1, 2, 3, 4)
+        assert tp.divisors(12, 7) == (1, 2, 3, 4, 6, 12)
+        assert tp.divisors(2**60, 3) == (1, 2, 4)
+        assert tp.divisors(400000000000000012, 5) == (1, 2, 4, 100000000000000003, 200000000000000006)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             tp.divisors(0)
+        with pytest.raises(InputError):
+            tp.divisors(12, 0)
+
+
+def trial_divisors(value):
+    """Every divisor of ``value``, by trial division up to its square root."""
+    small = [d for d in range(1, isqrt(value) + 1) if value % d == 0]
+    return sorted({*small, *(value // d for d in small)})
+
+
+# Primes beyond trial division: the Mersenne primes 2^31 - 1 and 2^61 - 1
+# with their prime neighbours 2^31 - 99, 2^31 + 11, 2^61 - 31 and 2^61 + 15.
+PRIMES_NEAR_2_31 = (2**31 - 99, 2**31 - 1, 2**31 + 11)
+PRIMES_NEAR_2_61 = (2**61 - 31, 2**61 - 1, 2**61 + 15)
+
+
+@st.composite
+def factored_values(draw):
+    """(value, its divisors ascending): a value up to 10^6 whose divisors
+    trial division finds, times a power of 2 and up to three large primes
+    (at most one near 2^61, so that rho finds the others quickly).  Each
+    prime factor p multiplies the divisor set D into D | pD."""
+    small = draw(st.integers(1, 10**6))
+    twos = draw(st.integers(0, 70))
+    large = draw(st.lists(st.sampled_from(PRIMES_NEAR_2_31), max_size=2))
+    large += draw(st.lists(st.sampled_from(PRIMES_NEAR_2_61), max_size=1))
+    value = small
+    found = set(trial_divisors(small))
+    for p in [2] * twos + large:
+        value *= p
+        found |= {d * p for d in found}
+    return value, tuple(sorted(found))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_values(), st.integers(1, 40))
+def test_divisors_match_trial_division(case, limit):
+    value, expected = case
+    assert tp.divisors(value) == expected
+    assert tp.divisors(value, limit) == expected[:limit]
 
 
 class TestPermutations:
