@@ -9,6 +9,9 @@ reserved for usage and input errors.
 Search budgets default to depth=6, witnesses=32; the ``BRIESKORN_BUDGET``
 environment variable (e.g. ``depth=8,witnesses=16``) overrides the
 defaults and the ``--depth/--max-witnesses`` flags override both.
+
+``census`` and ``proj-classes`` refuse a universe of more than
+``MAX_UNIVERSE`` tuples with exit code 2, before enumerating it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from pathlib import Path
 
 from . import tuples as tp
 from .census import (
-    CSV_HEADER, CensusSpec, _build_row, enumerate_universe, run_census, write_census_files,
+    CSV_HEADER, CensusSpec, _build_row, enumerate_universe, run_census, universe_size,
+    write_census_files,
 )
 from .certificates import Certificate
 from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
@@ -30,6 +34,10 @@ from .proj import proj_classes
 
 BUDGET_ENV = "BRIESKORN_BUDGET"
 _BUDGET_KEYS = {"depth": "max_depth", "witnesses": "max_divisor_witnesses"}
+
+#: Largest universe ``census`` and ``proj-classes`` accept: about 1 GB of
+#: census rows at roughly 2 KB a row.
+MAX_UNIVERSE = 500_000
 
 
 def _budget_from_env() -> dict:
@@ -169,6 +177,18 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _check_universe(spec: CensusSpec) -> None:
+    # The count is C(c+n-1, k) with k = min(n, c-1) <= (c+n-1)/2, so it is
+    # at least 2**k: a k of the cap's bit length is over the cap without
+    # the closed form, whose cost grows with k.
+    k = min(spec.length, spec.max_exponent - spec.min_exponent)
+    if k >= MAX_UNIVERSE.bit_length() or universe_size(spec) > MAX_UNIVERSE:
+        raise InputError(
+            f"the universe (length {spec.length}, exponents {spec.min_exponent}.."
+            f"{spec.max_exponent}) has more than {MAX_UNIVERSE} tuples"
+        )
+
+
 def _unwritable(out: str, error: OSError) -> InputError:
     return InputError(f"cannot write census files under {out!r}: {error}")
 
@@ -180,10 +200,11 @@ def _cmd_census(args) -> int:
         max_exponent=args.max,
         budget=_build_budget(args),
     )
-    # Reject a bad --workers or --out before the classification work, and
-    # the worker count before --out is created.
+    # Reject a bad --workers, universe or --out before the classification
+    # work, and the first two before --out is created.
     if args.workers < 1:
         raise InputError(f"workers must be >= 1, got {args.workers}")
+    _check_universe(spec)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as error:
@@ -202,6 +223,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_proj_classes(args) -> int:
     spec = CensusSpec(length=args.n, min_exponent=args.min, max_exponent=args.max)
+    _check_universe(spec)
     universe = list(enumerate_universe(spec))
     kb = KnowledgeBase(_build_budget(args))
     classes = proj_classes(universe, kb)

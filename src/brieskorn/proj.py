@@ -8,12 +8,21 @@ aligning permutation recorded), takes connected components, and
 annotates every member with its classification status.  Classes are
 relative to the universe: no tuples outside it are searched for
 connecting chains.
+
+Edges are found by grouping (member, position) slots by the sorted
+remainder ``rest`` and then by entry value.  Every member of a group is
+``rest`` plus one value, so two slots of a group name the same multiset
+exactly when their values are equal, and the lcm of a target's other
+entries is ``lcm(*rest)`` throughout the group.  The cost is one pass
+per slot, plus the pairs of distinct values present in each group, plus
+one edge for each member pair of a value pair that passes the divisor
+test.  No step depends on the size of an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from . import tuples as tp
 from .certificates import Status
@@ -108,38 +117,46 @@ def proj_edges(universe) -> list[ProjEdge]:
     identity embedding), which keeps the edge relation antisymmetric.
     One edge is emitted per ordered pair, chosen at the lexicographically
     smallest removal positions.
+
+    Slots (member, position) are grouped by the sorted remainder ``rest``
+    and then by entry value.  Inside one group two slots name the same
+    multiset exactly when their values are equal, and the lcm of a
+    target's other entries is ``lcm(*rest)``.  So the search makes one
+    pass per slot, then tests each pair of distinct values present in a
+    group (``small < large``, ``large % small == 0`` and ``small %
+    gcd(large, lcm(*rest)) == 0``), and builds edges only for the
+    members of the value pairs that pass.
     """
-    members = _validate_universe(universe)
-    # Group (member, position) by the sorted remainder: two members can
-    # only be comparable when they agree, as multisets, off one position.
-    by_rest: dict[tuple[int, ...], list[tuple[Exponents, int]]] = {}
+    return _edges(_validate_universe(universe))
+
+
+def _edges(members: list[Exponents]) -> list[ProjEdge]:
+    # Two members are comparable only when they agree, as multisets, off
+    # one position, so an ordered pair lies in exactly one group and one
+    # pair of values.  A member's slots of equal value share their
+    # remainder, so each member enters a value bucket once.
+    groups: dict[tuple[int, ...], dict[int, list[Exponents]]] = {}
     for member in members:
-        for p in range(len(member)):
-            rest = tuple(sorted(member[:p] + member[p + 1 :]))
-            by_rest.setdefault(rest, []).append((member, p))
+        for p, value in enumerate(member):
+            if member.index(value) == p:
+                rest = tuple(sorted(member[:p] + member[p + 1 :]))
+                groups.setdefault(rest, {}).setdefault(value, []).append(member)
     found: dict[tuple[Exponents, Exponents], ProjEdge] = {}
-    for rest, slots in sorted(by_rest.items()):
-        for source, p in slots:
-            for target, q in slots:
-                small, large = source[p], target[q]
-                if sorted(source) == sorted(target):
+    for rest, buckets in groups.items():
+        rest_lcm = lcm(*rest)
+        values = sorted(buckets)
+        for i, small in enumerate(values):
+            for large in values[i + 1 :]:
+                if large % small or small % gcd(large, rest_lcm):
                     continue
-                if large % small or large == small:
-                    continue
-                rest_lcm = tp.omitted_lcms(target)[q]
-                if small % gcd(large, rest_lcm):
-                    continue
-                pair = (source, target)
-                edge = ProjEdge(
-                    source=source,
-                    target=target,
-                    index=p + 1,
-                    veronese_index=large // small,
-                    alignment=_alignment(source, target, p, q),
-                )
-                kept = found.get(pair)
-                if kept is None or (edge.index, edge.alignment) < (kept.index, kept.alignment):
-                    found[pair] = edge
+                # The test fails when ``large`` divides ``rest_lcm``, so a
+                # target holds ``large`` once; the smallest index wins.
+                step = large // small
+                for source in buckets[small]:
+                    p = source.index(small)
+                    for target in buckets[large]:
+                        alignment = _alignment(source, target, p, target.index(large))
+                        found[source, target] = ProjEdge(source, target, p + 1, step, alignment)
     return [found[pair] for pair in sorted(found)]
 
 
@@ -172,7 +189,7 @@ def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:
     """Connected components of the edge graph, each member annotated with
     its classification status and the class flagged when statuses mix."""
     members = _validate_universe(universe)
-    edges = proj_edges(members)
+    edges = _edges(members)
     kb = kb or KnowledgeBase()
     sets = _DisjointSets(members)
     for edge in edges:

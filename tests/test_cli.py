@@ -10,7 +10,7 @@ import pytest
 
 import brieskorn
 from brieskorn import tuples as tp
-from brieskorn.cli import main
+from brieskorn.cli import MAX_UNIVERSE, main
 
 
 def run(capsys, *argv):
@@ -196,6 +196,38 @@ class TestProjClasses:
         payload = json.loads(out)
         assert isinstance(payload, list) and payload
         assert {"members", "edges", "statuses", "mixed", "relative_to_universe"} == set(payload[0])
+
+
+class TestUniverseCap:
+    """Universes above ``MAX_UNIVERSE`` are refused before any is listed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--n", "10", "--max", "1000"),
+            ("proj-classes", "--n", "10", "--max", "1000"),
+            ("proj-classes", "--n", str(10**12), "--max", str(10**12)),
+        ],
+    )
+    def test_huge_universe_exits_two_at_once(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "huge"
+        extra = ("--out", str(out_dir)) if argv[0] == "census" else ()
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the universe") and err.count("\n") == 1
+        assert f"more than {MAX_UNIVERSE} tuples" in err
+        assert not out_dir.exists()
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        import brieskorn.cli
+
+        # n=3 over 1..3 has exactly 10 tuples.
+        monkeypatch.setattr(brieskorn.cli, "MAX_UNIVERSE", 10)
+        assert run(capsys, "proj-classes", "--n", "3", "--max", "3")[0] == 0
+        assert run(capsys, "proj-classes", "--n", "3", "--max", "4")[0] == 2
 
 
 class TestBudgetPlumbing:

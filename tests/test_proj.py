@@ -1,11 +1,20 @@
 """Projective-cone isomorphism classes over finite universes."""
 
+import hashlib
+import json
+import time
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brieskorn as bk
 from brieskorn import tuples as tp
 from brieskorn.certificates import Status
+from brieskorn.census import CensusSpec, enumerate_universe
 from brieskorn.errors import InputError
+from brieskorn.proj import ProjEdge, _alignment
 
 CHAIN_UNIVERSE = [(2, 3, 3, 2), (2, 3, 3, 4), (10, 3, 3, 4)]
 
@@ -40,8 +49,6 @@ class TestEdges:
         assert bk.proj_edges([(3, 3, 3, 3), (5, 5, 5, 5)]) == []
 
     def test_antisymmetric_over_a_block_universe(self):
-        from brieskorn.census import CensusSpec, enumerate_universe
-
         universe = list(enumerate_universe(CensusSpec(length=4, max_exponent=6)))
         pairs = {(e.source, e.target) for e in bk.proj_edges(universe)}
         assert all((t, s) not in pairs for s, t in pairs)
@@ -49,6 +56,85 @@ class TestEdges:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(InputError):
             bk.proj_edges([(2, 3, 4), (2, 3, 4, 5)])
+
+    def test_cost_does_not_grow_with_the_entries(self):
+        # Walking the multiples of 3 up to 6*10**12 would not return.
+        start = time.perf_counter()
+        edges = bk.proj_edges([(1, 2, 3 * 10**12), (1, 2, 6 * 10**12), (1, 2, 3)])
+        assert time.perf_counter() - start < 1.0
+        assert [edge.to_dict() for edge in edges] == [{
+            "from": [1, 2, 3 * 10**12],
+            "to": [1, 2, 6 * 10**12],
+            "index": 3,
+            "veronese_index": 2,
+            "alignment": [1, 2, 3],
+        }]
+
+
+def naive_edges(universe) -> list[ProjEdge]:
+    """Reference: try every ordered pair of (member, position) slots that
+    share a sorted remainder, keeping the smallest (index, alignment)."""
+    members = sorted({tuple(member) for member in universe})
+    by_rest = {}
+    for member in members:
+        for p in range(len(member)):
+            rest = tuple(sorted(member[:p] + member[p + 1 :]))
+            by_rest.setdefault(rest, []).append((member, p))
+    found = {}
+    for rest, slots in sorted(by_rest.items()):
+        for source, p in slots:
+            for target, q in slots:
+                small, large = source[p], target[q]
+                if sorted(source) == sorted(target):
+                    continue
+                if large % small or large == small:
+                    continue
+                rest_lcm = tp.omitted_lcms(target)[q]
+                if small % gcd(large, rest_lcm):
+                    continue
+                pair = (source, target)
+                edge = ProjEdge(
+                    source=source,
+                    target=target,
+                    index=p + 1,
+                    veronese_index=large // small,
+                    alignment=_alignment(source, target, p, q),
+                )
+                kept = found.get(pair)
+                if kept is None or (edge.index, edge.alignment) < (kept.index, kept.alignment):
+                    found[pair] = edge
+    return [found[pair] for pair in sorted(found)]
+
+
+# Few distinct values, so that remainders repeat and entries divide one
+# another; entry 1 and entries above 10**12 included.
+ENTRIES = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 3 * 10**12, 6 * 10**12, 12 * 10**12])
+
+
+@st.composite
+def universes(draw):
+    length = draw(st.integers(3, 5))
+    return draw(st.lists(st.lists(ENTRIES, min_size=length, max_size=length), max_size=24))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(universes())
+    def test_matches_the_slot_pair_search(self, universe):
+        expected = [edge.to_dict() for edge in naive_edges(universe)]
+        assert [edge.to_dict() for edge in bk.proj_edges(universe)] == expected
+
+    @pytest.mark.parametrize(
+        "length, top, digest",
+        [
+            (4, 16, "ab526396b48e166d0539890f36c484c272db8998f43c9a4e1785472ad3e54c1e"),
+            (5, 6, "360d787ce3366b267371ec67fa083ff42baa6ced0ad5cdc3e9aed435126aa517"),
+        ],
+    )
+    def test_classes_output_is_pinned(self, length, top, digest):
+        universe = list(enumerate_universe(CensusSpec(length=length, max_exponent=top)))
+        text = json.dumps([c.to_dict() for c in bk.proj_classes(universe)], sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestClasses:
