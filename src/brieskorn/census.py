@@ -40,6 +40,10 @@ CSV_HEADER = "tuple;status;rule;cotype;in_Tn;reciprocal_sum;certificate_id"
 #: census file format, not set by any budget.
 SUMMARY_SIBLINGS_FIELD = "siblings=16"
 
+#: Fewest rows a census process is given.  Below it, starting the pool
+#: and pickling the rows back cost more than the search they share out.
+MIN_ROWS_PER_PROCESS = 1_000
+
 
 @dataclass(frozen=True)
 class CensusSpec:
@@ -172,18 +176,22 @@ def _classify_chunk(args: tuple[tuple[Exponents, ...], Budget]) -> list[CensusRo
 def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     """Classify the whole universe.
 
-    With ``workers`` > 1 the universe is split into contiguous chunks,
-    one per worker: this process classifies the first chunk while a fork
-    pool of ``workers - 1`` processes classifies the rest, each with a
-    private memo table.  ``workers`` is capped at the universe size and
-    at ``os.cpu_count()``.  Because classification is a pure function of
-    tuple and budget, the rows, concatenated in chunk order, are
-    identical to a serial run.  ``workers`` below 1 is an InputError.
+    It runs in ``k`` processes, the least of ``workers``, the CPUs this
+    process may run on and ``len(universe) // MIN_ROWS_PER_PROCESS``.
+    With ``k`` > 1 this process classifies the first of ``k`` contiguous
+    chunks while a fork pool of ``k - 1`` processes classifies the rest,
+    each with a private memo table.  Classification is a pure function of
+    tuple and budget, so the rows, joined in chunk order, are those of a
+    serial run.  ``workers`` below 1 is an InputError.
     """
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
     universe = list(enumerate_universe(spec))
-    workers = min(workers, len(universe), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus, len(universe) // MIN_ROWS_PER_PROCESS)
     if workers <= 1:
         rows = _classify_chunk((tuple(universe), spec.budget))
     else:

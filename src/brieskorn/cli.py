@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--max", type=int, required=True, help="largest exponent")
     p_census.add_argument("--min", type=int, default=1, help="smallest exponent (default 1)")
     p_census.add_argument("--out", default="census-out", help="output directory")
-    p_census.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_census.add_argument(
+        "--workers", type=int, default=1, help="at most N processes (default 1)", metavar="N"
+    )
     _add_budget_flags(p_census)
     p_census.set_defaults(handler=_cmd_census)
 

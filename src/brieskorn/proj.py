@@ -66,10 +66,6 @@ class ProjClass:
     mixed: bool
     relative_to_universe: bool = True
 
-    def status_of(self, member) -> Status:
-        lookup = dict(self.statuses)
-        return lookup[tuple(member)]
-
     def to_dict(self) -> dict:
         return {
             "members": [list(member) for member in self.members],

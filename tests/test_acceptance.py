@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
 import brieskorn as bk
+from brieskorn import census
 from brieskorn import tuples as tp
 from brieskorn.census import CensusSpec
 from brieskorn.certificates import RuleId, Status, certificate_from_dict
@@ -212,7 +213,9 @@ def test_criterion_7_proj_classes():
         assert connecting[(2, 3, 3, 4), (3, 3, 4, 10)] == 5
 
 
-def test_criterion_8_census_determinism():
+def test_criterion_8_census_determinism(monkeypatch):
+    # 715 rows fall under the floor: lower it so that the pool runs
+    monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
     with criterion(8, "census output identical for different worker counts"):
         spec = CensusSpec(length=4, max_exponent=10)
         serial = bk.run_census(spec, workers=1)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import brieskorn as bk
+from brieskorn import census
 from brieskorn.census import CSV_HEADER, CensusSpec
 from brieskorn.certificates import RuleId, Status, certificate_from_dict, certificate_id
 from brieskorn.errors import InputError
@@ -101,7 +102,9 @@ class TestCsv:
 
 
 class TestDeterminismAndFiles:
-    def test_worker_counts_agree_byte_for_byte(self):
+    def test_worker_counts_agree_byte_for_byte(self, monkeypatch):
+        # 126 rows fall under the floor: lower it so that the pool runs
+        monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
         spec = CensusSpec(length=4, max_exponent=6)
         serial = bk.run_census(spec, workers=1)
         parallel = bk.run_census(spec, workers=3)
@@ -109,11 +112,27 @@ class TestDeterminismAndFiles:
         assert serial.certificates_json() == parallel.certificates_json()
         assert serial.summary.render() == parallel.summary.render()
 
-    @pytest.mark.parametrize("cpu_count, pool_sizes", [(4, [3]), (1, []), (None, [])])
-    def test_pool_is_capped_at_cpu_count(self, monkeypatch, cpu_count, pool_sizes):
-        # the stub pool maps in this process, so no worker is ever started
-        from brieskorn import census
+    FOUR_CPUS = {0, 1, 2, 3}
 
+    @pytest.mark.parametrize(
+        "max_exponent, floor, affinity, cpu_count, workers, pool_sizes",
+        [
+            # n=3 max 21 has 1,771 rows, max 22 has 2,024 and max 8 has 120
+            pytest.param(21, None, FOUR_CPUS, 4, 5000, [], id="below-twice-the-floor"),
+            pytest.param(22, None, FOUR_CPUS, 4, 5000, [1], id="twice-the-floor"),
+            pytest.param(22, None, {0}, 4, 5000, [], id="one-cpu-affinity"),
+            pytest.param(22, None, None, None, 5000, [], id="no-affinity-no-cpu-count"),
+            pytest.param(22, None, None, 4, 5000, [1], id="no-affinity-cpu-count"),
+            pytest.param(8, 60, FOUR_CPUS, 4, 5000, [1], id="each-process-at-the-floor"),
+            pytest.param(8, 61, FOUR_CPUS, 4, 5000, [], id="each-process-under-the-floor"),
+            pytest.param(8, 1, FOUR_CPUS, 8, 5000, [3], id="capped-at-affinity"),
+            pytest.param(8, 1, FOUR_CPUS, 4, 2, [1], id="capped-at-workers"),
+        ],
+    )
+    def test_pool_size_from_rows_and_cpus(
+        self, monkeypatch, max_exponent, floor, affinity, cpu_count, workers, pool_sizes
+    ):
+        # the stub pool maps in this process, so no worker is ever started
         started = []
 
         class InProcessPool:
@@ -133,10 +152,18 @@ class TestDeterminismAndFiles:
         context = types.SimpleNamespace(Pool=InProcessPool)
         monkeypatch.setattr(census.multiprocessing, "get_context", lambda method: context)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpu_count)
-        spec = CensusSpec(length=3, max_exponent=8)
-        capped = bk.run_census(spec, workers=5000)
+        if affinity is None:
+            monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                census.os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
+        if floor is not None:
+            monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", floor)
+        spec = CensusSpec(length=3, max_exponent=max_exponent)
+        sized = bk.run_census(spec, workers=workers)
         assert started == pool_sizes
-        assert capped.csv_text() == bk.run_census(spec).csv_text()
+        assert sized.csv_text() == bk.run_census(spec).csv_text()
 
     def test_files_written_and_sidecar_replays(self, tmp_path):
         result = bk.run_census(CensusSpec(length=4, max_exponent=4))
@@ -240,7 +267,7 @@ class TestRenderOnce:
             assert row.certificate_id == certificate_id(row.certificate)
 
     def test_files_render_no_certificate(self, monkeypatch, tmp_path):
-        from brieskorn import census, certificates
+        from brieskorn import certificates
 
         result = bk.run_census(CensusSpec(length=4, max_exponent=8))
 
