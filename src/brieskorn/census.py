@@ -28,11 +28,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from . import tuples as tp
 from .certificates import Certificate, RuleId, Status, _render, _wrap, certificate_id
 from .engine import Budget, Classification, KnowledgeBase, classify
 from .errors import InputError
-from .tuples import Exponents
+from .tuples import Exponents, Facts
 
 CSV_HEADER = "tuple;status;rule;cotype;in_Tn;reciprocal_sum;certificate_id"
 
@@ -153,13 +152,14 @@ def _build_row(entries: Exponents, outcome: Classification) -> CensusRow:
     certificate = outcome.certificate
     text = "" if certificate is None else _render(certificate, "  ", "  ")
     key = certificate_id(certificate, text) if text else ""
+    facts = Facts(entries)
     return CensusRow(
         exponents=entries,
         status=outcome.status,
         rule=None if certificate is None else certificate.rule,
-        cotype=tp.cotype(entries),
-        in_tn=tp.in_tn(entries),
-        reciprocal_sum=tp.reciprocal_sum(entries),
+        cotype=facts.mask.bit_count(),
+        in_tn=facts.in_tn,
+        reciprocal_sum=Fraction(facts.sigma, facts.lcm),
         certificate_id=key,
         budget_hit=outcome.budget_hit,
         certificate=certificate,

@@ -9,8 +9,11 @@ any memo the classifier used to find the proof.
 The side condition of every leaf (non-recursive) rule is declared once,
 in :data:`LEAF_RULES`, in integer form; the classifier's cascade walks
 that table and replay evaluates the same predicate, so search and replay
-cannot disagree about a leaf.  The recursive rules share
-:func:`recursive_subsets`.
+cannot disagree about a leaf.  A symmetric rule reads the tuple's
+:class:`~brieskorn.tuples.Facts` record, a permuted one the reordered
+tuple; the recursive rules share :func:`recursive_subsets`, which reads
+the record too.  Records are never written out: replay builds each
+node's record again from the tuple on the wire.
 
 Wire format (lossless round trip, stable field names).  The canonical
 text comes from one direct renderer in one layout, indented as in the
@@ -51,7 +54,7 @@ from typing import Any, Callable, Iterable
 
 from . import tuples as tp
 from .errors import CertificateError
-from .tuples import Exponents
+from .tuples import Exponents, Facts
 
 
 class Status(enum.Enum):
@@ -60,10 +63,9 @@ class Status(enum.Enum):
     STABLY_RIGID = "STABLY_RIGID"
     UNKNOWN = "UNKNOWN"
 
-    @property
-    def implies_rigid(self) -> bool:
-        """Stable rigidity counts as rigidity for all reporting purposes."""
-        return self in (Status.RIGID, Status.STABLY_RIGID)
+    def __init__(self, value: str):
+        #: Stable rigidity counts as rigidity (a plain attribute: read at every search node).
+        self.implies_rigid = value in ("RIGID", "STABLY_RIGID")
 
 
 class RuleId(enum.Enum):
@@ -254,25 +256,9 @@ def certificate_from_json(text: str) -> Certificate:
 # --- leaf rules -----------------------------------------------------------
 #
 # Each non-recursive rule's side condition is declared once, here; the
-# classifier's cascade and replay both evaluate it.
-
-
-def _excess(entries: Exponents, factor: int, indices: Iterable[int] | None = None) -> int:
-    """factor * sum(L/a_i) - L over ``indices`` (all when omitted), with
-    L = lcm(entries): an integer with the sign of factor * sum(1/a_i) - 1.
-
-    L comes from math.lcm rather than the cached kernel bundle: a length-3
-    tuple needs no other invariant, and building and caching the bundle
-    for each one slowed cold classification and put garbage-collector
-    pauses on the same tuples of a stream in every run.
-    """
-    total = lcm(*entries)
-    chosen = range(len(entries)) if indices is None else (i - 1 for i in indices)
-    return factor * sum(total // entries[i] for i in chosen) - total
-
-
-def _n3(entries: Exponents) -> bool:
-    return len(entries) == 3 and tp.in_tn(entries)
+# classifier's cascade and replay both evaluate it.  Reciprocal sums are
+# compared in integer form: with L = lcm(S), sum(1/a_i) <= 1/k becomes
+# k * sum(L/a_i) <= L.
 
 
 def _even_gcd(p: Exponents) -> bool:
@@ -280,9 +266,9 @@ def _even_gcd(p: Exponents) -> bool:
     return a == 2 and min(b, c, d) >= 3 and b % 2 == 0 and gcd(b, c) >= 3 and gcd(d, lcm(b, c)) == 2
 
 
-def permutable(entries: Exponents) -> bool:
+def permutable(facts: Facts) -> bool:
     """The gate of the permuted rules: length 4 and in T_n."""
-    return len(entries) == 4 and tp.in_tn(entries)
+    return facts.n == 4 and facts.in_tn
 
 
 #: The permutations of four slots in lexicographic order, the order in
@@ -312,9 +298,10 @@ class LeafRule:
 
     ``holds`` is its side condition.  A permuted rule (one with
     ``candidates``) applies only to tuples that pass :func:`permutable`,
-    and ``holds`` is evaluated on the tuple reordered by the certificate's
-    permutation; every other rule's condition is symmetric and is
-    evaluated on the tuple as classified.  ``candidates(entries)`` lists,
+    and ``holds`` reads the tuple reordered by the certificate's
+    permutation.  Every other rule's condition is symmetric, and ``holds``
+    reads the tuple's :class:`~brieskorn.tuples.Facts`, built once per
+    search node.  ``candidates(entries)`` lists,
     in :data:`PERMS4` order, the permutations that can satisfy ``holds``,
     so the first of them that does is the first in :data:`PERMS4` that
     does; the search tries only these, while replay evaluates ``holds``
@@ -325,23 +312,23 @@ class LeafRule:
     rule: RuleId
     status: Status
     candidates: Callable[[Exponents], tuple[tuple[int, ...], ...]] | None
-    holds: Callable[[Exponents], bool]
+    holds: Callable[[Any], bool]
     condition: str
 
 
 #: The leaf rules in firing order (first match wins).
 LEAF_RULES = (
     LeafRule(RuleId.NOT_IN_TN, Status.NON_RIGID, None,
-             lambda e: not tp.in_tn(e),
+             lambda f: not f.in_tn,
              "not in T_n: some entry is 1, or two entries are 2"),
     LeafRule(RuleId.N3_T3, Status.RIGID, None,
-             lambda e: _n3(e) and _excess(e, 1) > 0,
+             lambda f: f.n == 3 and f.in_tn and f.sigma > f.lcm,
              "length 3, in T_n, reciprocal sum > 1"),
     LeafRule(RuleId.N3_STABLE, Status.STABLY_RIGID, None,
-             lambda e: _n3(e) and _excess(e, 1) <= 0,
+             lambda f: f.n == 3 and f.in_tn and f.sigma <= f.lcm,
              "length 3, in T_n, reciprocal sum <= 1"),
     LeafRule(RuleId.LOW_SUM, Status.STABLY_RIGID, None,
-             lambda e: _excess(e, len(e) - 2) <= 0,
+             lambda f: (f.n - 2) * f.sigma <= f.lcm,
              "reciprocal sum <= 1/(n-2)"),
     LeafRule(RuleId.N4_COPRIME, Status.RIGID, _by_last_slot,
              lambda p: gcd(p[0] * p[1] * p[2], p[3]) == 1,
@@ -353,28 +340,28 @@ LEAF_RULES = (
              _even_gcd,
              "a = 2, b, c, d >= 3, b even, gcd(b, c) >= 3, gcd(d, lcm(b, c)) = 2"),
     LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, None,
-             lambda e: permutable(e) and tp.cotype(e) >= 2,
+             lambda f: permutable(f) and f.mask.bit_count() >= 2,
              "length 4, in T_n, cotype >= 2"),
     LeafRule(RuleId.EQUAL_EXPONENTS, Status.RIGID, None,
-             lambda e: len(e) >= 4 and len(set(e)) == 1 and e[0] >= len(e),
+             lambda f: f.n >= 4 and len(set(f.entries)) == 1 and f.entries[0] >= f.n,
              "length n >= 4, all entries equal and >= n"),
     LeafRule(RuleId.COTYPE_GE_NMINUS2, Status.RIGID, None,
-             lambda e: len(e) >= 4 and tp.in_tn(e) and tp.cotype(e) >= len(e) - 2,
+             lambda f: f.n >= 4 and f.in_tn and f.mask.bit_count() >= f.n - 2,
              "length n >= 4, in T_n, cotype >= n-2"),
     LeafRule(RuleId.I_SUM, Status.RIGID, None,
-             lambda e: _excess(e, len(e) - 2, tp.lcm_stable_indices(e)) < 0,
+             lambda f: (f.n - 2) * (f.sigma - sum([f.lcm // f.entries[i - 1] for i in f.critical])) < f.lcm,
              "reciprocal sum over the lcm-stable indices < 1/(n-2)"),
 )
 
 _LEAF_BY_ID = {leaf.rule: leaf for leaf in LEAF_RULES}
 
 
-def recursive_subsets(entries: Exponents) -> tuple[tuple[int, ...], ...]:
+def recursive_subsets(facts: Facts) -> tuple[tuple[int, ...], ...]:
     """Index sets ``RECURSIVE_SUBTUPLES`` removes, one per child: every
     size-m subset of the lcm-critical indices, m = min(#critical - 1,
     n - 3).  Empty when the rule cannot apply (m < 1)."""
-    critical = sorted(tp.lcm_critical_indices(entries))
-    size = min(len(critical) - 1, len(entries) - 3)
+    critical = facts.critical
+    size = min(len(critical) - 1, facts.n - 3)
     return tuple(itertools.combinations(critical, size)) if size >= 1 else ()
 
 
@@ -391,15 +378,6 @@ def _need_witness(node: Certificate, path: str) -> Witness:
     return node.witness
 
 
-def _check_witness_shape(node: Certificate, path: str, other: Exponents) -> None:
-    """The witness index and tuple fit the node, so the order check can run."""
-    n = len(node.exponents)
-    if not 1 <= node.witness.index <= n:
-        _fail(f"witness index {node.witness.index} out of range for a tuple of length {n}", path)
-    if len(other) != n:
-        _fail(f"witness tuple {other!r} does not have length {n}", path)
-
-
 def _replay_node(node: Certificate, path: str) -> None:
     entries = node.exponents
     n = len(entries)
@@ -407,17 +385,21 @@ def _replay_node(node: Certificate, path: str) -> None:
         _fail(f"classified tuples need length >= 3, got {n}", path)
     if any(not isinstance(v, int) or v < 1 for v in entries):
         _fail(f"entries must be positive integers: {entries!r}", path)
-    if sorted(node.permutation) != list(range(1, n + 1)):
+    identity = tuple(range(1, n + 1))
+    if node.permutation != identity and tuple(sorted(node.permutation)) != identity:
         _fail(f"invalid permutation {node.permutation!r}", path)
     rule = node.rule
     leaf = _LEAF_BY_ID.get(rule)
     derived: Status
 
     if leaf is not None:
-        if leaf.candidates is not None and not permutable(entries):
+        permuted = entries  # the permutation is valid, so it reorders them directly
+        if node.permutation != identity:
+            permuted = tuple([entries[p - 1] for p in node.permutation])
+        facts = Facts(permuted)
+        if leaf.candidates is not None and not permutable(facts):
             _fail("rule applies to length-4 tuples in T_n only", path)
-        permuted = tp.apply_permutation(entries, node.permutation)
-        if not leaf.holds(permuted):
+        if not leaf.holds(facts if leaf.candidates is None else permuted):
             _fail(f"{rule.value} side condition fails for {permuted}: needs {leaf.condition}", path)
         if node.children:
             _fail(f"{rule.value} must not have children", path)
@@ -435,7 +417,7 @@ def _replay_node(node: Certificate, path: str) -> None:
 
 def _replay_recursive(node: Certificate, path: str) -> Status:
     entries = node.exponents
-    required = recursive_subsets(entries)
+    required = recursive_subsets(Facts(entries))
     if not required:
         _fail("recursive rule needs length >= 4 and at least two lcm-critical indices", path)
     witness = _need_witness(node, path)
@@ -458,7 +440,11 @@ def _replay_descend(node: Certificate, path: str) -> Status:
     witness = _need_witness(node, path)
     if witness.index is None or witness.exponents is None:
         _fail("descend witness needs an index and a witness tuple", path)
-    _check_witness_shape(node, path, witness.exponents)
+    n = len(node.exponents)
+    if not 1 <= witness.index <= n:
+        _fail(f"witness index {witness.index} out of range for a tuple of length {n}", path)
+    if len(witness.exponents) != n:
+        _fail(f"witness tuple {witness.exponents!r} does not have length {n}", path)
     if len(node.children) != 1:
         _fail("descend carries exactly one child", path)
     child = node.children[0]

@@ -30,7 +30,7 @@ from .census import (
 from .certificates import Certificate
 from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
 from .errors import BrieskornError, InputError
-from .proj import proj_classes
+from .proj import classes_to_json, proj_classes
 
 BUDGET_ENV = "BRIESKORN_BUDGET"
 _BUDGET_KEYS = {"depth": "max_depth", "witnesses": "max_divisor_witnesses"}
@@ -228,7 +228,7 @@ def _cmd_proj_classes(args) -> int:
     kb = KnowledgeBase(_build_budget(args))
     classes = proj_classes(universe, kb)
     if args.format == "structured":
-        print(json.dumps([cls.to_dict() for cls in classes], sort_keys=True, indent=2))
+        print(classes_to_json(classes))
         return 0
     print(
         f"{len(classes)} classes over {len(universe)} tuples "

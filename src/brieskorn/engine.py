@@ -5,6 +5,8 @@ The cheap purely-arithmetic rules run first: the cascade walks the
 leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
+Each search node builds one :class:`~brieskorn.tuples.Facts` record that
+the leaf rules, the soundness check and both recursive rules share.
 The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
@@ -57,7 +59,7 @@ from .certificates import (
     recursive_subsets,
 )
 from .errors import InputError, SoundnessError
-from .tuples import Exponents
+from .tuples import Exponents, Facts
 
 #: Firing order of the rule catalogue (first match wins).
 RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND)
@@ -93,6 +95,9 @@ class Classification:
     budget_hit: bool = False
 
 
+#: The budget of every KnowledgeBase built without one (Budget is frozen).
+_DEFAULT_BUDGET = Budget()
+
 #: A memo entry: an answer and the height of the search that found it,
 #: None when that search was cut.
 Entry = tuple[Classification, "int | None"]
@@ -103,21 +108,15 @@ class KnowledgeBase:
 
     Sorting the key is valid because the defining polynomial is symmetric
     in the (variable, exponent) pairs, so every status is invariant under
-    permuting coordinates.  By the depth monotonicity in the module
-    docstring, an uncut search stored with its height h answers every
-    remaining depth >= h, and an UNKNOWN one also answers every depth
-    below h as cut; a cut UNKNOWN search answers every depth up to the
-    greatest it was found at; a cut search that decides is stored under
-    (sorted tuple, remaining depth) and answers that depth only.  Either
-    way the memoized answer equals the cold-cache answer at the requested
-    depth, which is what makes census output independent of worker count
-    and call order.  A decided entry is never overwritten, so a stronger
-    status is never downgraded.  All writers compute identical values for
-    a key, so concurrent use is last-write-wins on identical data.
+    permuting coordinates.  By the depth rules in the module docstring a
+    memoized answer equals the cold-cache answer at the requested depth,
+    which makes census output independent of worker count and call order.
+    A decided entry is never overwritten, and all writers compute
+    identical values for a key.
     """
 
     def __init__(self, budget: Budget | None = None):
-        self.budget = budget or Budget()
+        self.budget = budget or _DEFAULT_BUDGET
         self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
         self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
         self._cut: dict[tuple[Exponents, int], Entry] = {}  # (canonical, depth) -> (answer, None)
@@ -170,8 +169,7 @@ def classify(exponents, kb: KnowledgeBase | None = None) -> Classification:
     budget.
     """
     entries = tp.as_exponents(exponents, minimum_length=3)
-    if kb is None:
-        kb = KnowledgeBase()
+    kb = KnowledgeBase() if kb is None else kb
     return _decide(entries, kb.budget.max_depth, kb)[0]
 
 
@@ -198,68 +196,56 @@ def _decide(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
 
 
 def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
-    certificate = _first_leaf(entries, LEAF_RULES)
+    facts = Facts(entries)
+    certificate = _first_leaf(facts, LEAF_RULES)
     height: int | None = 0
     if certificate is None:
-        if not _recursion_available(entries):
+        if not facts.mask:  # the recursive rules act on lcm-critical indices
             return Classification(Status.UNKNOWN, None, False), 0
-        if depth == 0:  # the depth limit cuts the search here
+        if depth <= 0:  # the depth limit cuts the search here
             return Classification(Status.UNKNOWN, None, True), None
         heights: list[int | None] = []
-        certificate = _recursive_subtuples(entries, depth, kb, heights) or _descend(
-            entries, depth, kb, heights
+        certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
+            facts, depth, kb, heights
         )
         height = None if None in heights else max(heights, default=-1) + 1
         if certificate is None:
             return Classification(Status.UNKNOWN, None, True), height
-    _assert_sound(entries, certificate)
+    _assert_sound(facts, certificate)
     return Classification(certificate.status, certificate), height
 
 
-def _assert_sound(entries: Exponents, certificate: Certificate) -> None:
+def _assert_sound(facts: Facts, certificate: Certificate) -> None:
     # Mutual exclusion of the two status families: a non-rigid verdict can
     # only come from the candidate-set test, and every rigid-family rule
     # implies membership in the candidate set.
     if certificate.status is Status.NON_RIGID:
         if certificate.rule is not RuleId.NOT_IN_TN:
             raise SoundnessError(
-                f"rule {certificate.rule.value} may not derive NON_RIGID for {entries}"
+                f"rule {certificate.rule.value} may not derive NON_RIGID for {facts.entries}"
             )
-    elif not tp.in_tn(entries):
+    elif not facts.in_tn:
         raise SoundnessError(
-            f"rule {certificate.rule.value} derived a rigid status for {entries}, "
+            f"rule {certificate.rule.value} derived a rigid status for {facts.entries}, "
             "which fails the necessary candidate condition"
         )
-
-
-def _recursion_available(entries: Exponents) -> bool:
-    # The recursive rules act on lcm-critical coordinates, so they have
-    # candidates exactly when one exists.
-    return bool(tp.lcm_critical_indices(entries))
-
-
-def _identity(entries: Exponents) -> tuple[int, ...]:
-    return tp.identity_permutation(len(entries))
-
-
-def _replace(entries: Exponents, index: int, value: int) -> Exponents:
-    return entries[: index - 1] + (value,) + entries[index:]
 
 
 # --- non-recursive rules ----------------------------------------------------
 
 
-def _first_leaf(entries: Exponents, rules: tuple[LeafRule, ...]) -> Certificate | None:
+def _first_leaf(facts: Facts, rules: tuple[LeafRule, ...]) -> Certificate | None:
     """First rule in ``rules`` whose side condition holds.  A permuted rule
     is tried, after the :func:`permutable` gate, under each of its
     candidate permutations in turn, and the first that satisfies it is
     recorded: the first in ``PERMS4`` order, as a scan of all 24 would
     find."""
-    gate = permutable(entries)
+    entries = facts.entries
+    gate = permutable(facts)
     for leaf in rules:
         if leaf.candidates is None:
-            if leaf.holds(entries):
-                return Certificate(leaf.rule, entries, leaf.status, _identity(entries))
+            if leaf.holds(facts):
+                return Certificate(leaf.rule, entries, leaf.status, tp.identity_permutation(facts.n))
         elif gate:
             for permutation in leaf.candidates(entries):
                 if leaf.holds(_REORDER[permutation](entries)):
@@ -271,13 +257,14 @@ def _first_leaf(entries: Exponents, rules: tuple[LeafRule, ...]) -> Certificate 
 
 
 def _recursive_subtuples(
-    entries: Exponents, depth: int, kb: KnowledgeBase, heights: list[int | None]
+    facts: Facts, depth: int, kb: KnowledgeBase, heights: list[int | None]
 ) -> Certificate | None:
     """Fires when every removal in :func:`recursive_subsets` leaves a rigid
     subtuple.  The search height of each child visited goes to ``heights``."""
-    subsets = recursive_subsets(entries)
+    subsets = recursive_subsets(facts)
     if not subsets:
         return None
+    entries = facts.entries
     children = []
     for subset in subsets:
         result, height = _decide(tp.subtuple(entries, subset), depth - 1, kb)
@@ -289,27 +276,28 @@ def _recursive_subtuples(
         RuleId.RECURSIVE_SUBTUPLES,
         entries,
         Status.RIGID,
-        _identity(entries),
+        tp.identity_permutation(facts.n),
         Witness(subsets=subsets),
         tuple(children),
     )
 
 
 def _descend(
-    entries: Exponents, depth: int, kb: KnowledgeBase, heights: list[int | None]
+    facts: Facts, depth: int, kb: KnowledgeBase, heights: list[int | None]
 ) -> Certificate | None:
     """Replaces one critical coordinate by a smaller compatible divisor and
     inherits rigidity from below (one-directional, so only RIGID comes
     back up).  The search height of each witness visited goes to ``heights``."""
-    for index in sorted(tp.lcm_critical_indices(entries)):
+    entries, floors = facts.entries, facts.floors
+    for index in facts.critical:
         value = entries[index - 1]
-        floor = tp.coordinate_gcd(entries, index)
+        floor = floors[index - 1]
         # The witnesses are the proper divisors of the entry that floor
         # divides, the smallest max_divisor_witnesses of them: floor times
         # each divisor of value // floor but the last.
         cap = kb.budget.max_divisor_witnesses
         for k in tp.divisors(value // floor, cap + 1)[:-1]:
-            witness_tuple = _replace(entries, index, floor * k)
+            witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
             result, height = _decide(witness_tuple, depth - 1, kb)
             heights.append(height)
             if result.status.implies_rigid:
@@ -317,7 +305,7 @@ def _descend(
                     RuleId.DESCEND,
                     entries,
                     Status.RIGID,
-                    _identity(entries),
+                    tp.identity_permutation(facts.n),
                     Witness(index=index, exponents=witness_tuple),
                     (result.certificate,),
                 )
@@ -329,7 +317,7 @@ def _descend(
 
 def _leaf_rule(exponents, *rule_ids: RuleId) -> Certificate | None:
     rules = tuple(leaf for leaf in LEAF_RULES if leaf.rule in rule_ids)
-    return _first_leaf(tp.as_exponents(exponents, minimum_length=3), rules)
+    return _first_leaf(Facts(tp.as_exponents(exponents, minimum_length=3)), rules)
 
 
 def rule_not_in_tn(exponents) -> Certificate | None:
@@ -369,15 +357,15 @@ def rule_cotype_high(exponents) -> Certificate | None:
 
 
 def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
-    entries = tp.as_exponents(exponents, minimum_length=3)
-    kb = kb or KnowledgeBase()
-    return _recursive_subtuples(entries, kb.budget.max_depth, kb, [])
+    facts = Facts(tp.as_exponents(exponents, minimum_length=3))
+    kb = KnowledgeBase() if kb is None else kb
+    return _recursive_subtuples(facts, kb.budget.max_depth, kb, [])
 
 
 def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
-    entries = tp.as_exponents(exponents, minimum_length=3)
-    kb = kb or KnowledgeBase()
-    return _descend(entries, kb.budget.max_depth, kb, [])
+    facts = Facts(tp.as_exponents(exponents, minimum_length=3))
+    kb = KnowledgeBase() if kb is None else kb
+    return _descend(facts, kb.budget.max_depth, kb, [])
 
 
 # --- derived reporting -------------------------------------------------------
@@ -406,7 +394,7 @@ def kernel_degree_bound(exponents, kb: KnowledgeBase | None = None) -> KernelBou
     """Compute the bound for a tuple of length >= 4 by classifying every
     omit-one subtuple at a critical index."""
     entries = tp.as_exponents(exponents, minimum_length=4)
-    kb = kb or KnowledgeBase()
+    kb = KnowledgeBase() if kb is None else kb
     rigid = set()
     undecided = set()
     for index in sorted(tp.lcm_critical_indices(entries)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import tuples as tp
-from .certificates import Status
+from .certificates import Status, _wrap
 from .engine import KnowledgeBase, classify
 from .errors import InputError
 from .tuples import Exponents
@@ -77,6 +77,40 @@ class ProjClass:
             "mixed": self.mixed,
             "relative_to_universe": self.relative_to_universe,
         }
+
+
+def classes_to_json(classes) -> str:
+    """The text json.dumps([c.to_dict() for c in classes], sort_keys=True,
+    indent=2) gives, written directly in sorted key order: with an indent,
+    CPython's json falls back to its pure-Python encoder, which took twice
+    as long as finding the classes on n=3 max 60."""
+
+    def ints(values, pad: str) -> str:
+        return _wrap([str(v) for v in values], "[]", pad, "  ")
+
+    def edge(e: ProjEdge) -> str:
+        return _wrap([
+            '"alignment": ' + ints(e.alignment, "        "),
+            '"from": ' + ints(e.source, "        "),
+            f'"index": {e.index}',
+            '"to": ' + ints(e.target, "        "),
+            f'"veronese_index": {e.veronese_index}',
+        ], "{}", "      ", "  ")
+
+    def status(member: Exponents, value: Status) -> str:
+        fields = [f'"status": "{value.value}"', '"tuple": ' + ints(member, "        ")]
+        return _wrap(fields, "{}", "      ", "  ")
+
+    def one(cls: ProjClass) -> str:
+        return _wrap([
+            '"edges": ' + _wrap([edge(e) for e in cls.edges], "[]", "    ", "  "),
+            '"members": ' + _wrap([ints(m, "      ") for m in cls.members], "[]", "    ", "  "),
+            f'"mixed": {"true" if cls.mixed else "false"}',
+            f'"relative_to_universe": {"true" if cls.relative_to_universe else "false"}',
+            '"statuses": ' + _wrap([status(*pair) for pair in cls.statuses], "[]", "    ", "  "),
+        ], "{}", "  ", "  ")
+
+    return _wrap([one(cls) for cls in classes], "[]", "", "  ")
 
 
 def _validate_universe(universe) -> list[Exponents]:
@@ -186,7 +220,7 @@ def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:
     its classification status and the class flagged when statuses mix."""
     members = _validate_universe(universe)
     edges = _edges(members)
-    kb = kb or KnowledgeBase()
+    kb = KnowledgeBase() if kb is None else kb
     sets = _DisjointSets(members)
     for edge in edges:
         sets.union(edge.source, edge.target)

@@ -79,20 +79,12 @@ def _check_index_set(entries: Exponents, indices: Iterable[int]) -> tuple[int, .
 
 
 def _mask_to_indices(mask: int) -> IndexSet:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def lcm_gcd(entries: Exponents) -> tuple[int, int]:
     """(lcm, gcd) of the entries."""
-    core = _core(entries)
-    return core[0], core[1]
+    return _core(entries)[:2]
 
 
 def subtuple(entries: Exponents, removed: Iterable[int]) -> Exponents:
@@ -148,9 +140,7 @@ def lcm_critical_indices(entries: Exponents) -> IndexSet:
 def lcm_stable_indices(entries: Exponents) -> IndexSet:
     """Complement of :func:`lcm_critical_indices`: a_i divides the lcm of
     the others."""
-    mask = _core(entries)[5]
-    full = (1 << len(entries)) - 1
-    return _mask_to_indices(full & ~mask)
+    return _mask_to_indices(~_core(entries)[5] & ((1 << len(entries)) - 1))
 
 
 def gcd_critical_indices(entries: Exponents) -> IndexSet:
@@ -162,8 +152,7 @@ def gcd_critical_indices(entries: Exponents) -> IndexSet:
 def cotype_sets(entries: Exponents) -> tuple[IndexSet, IndexSet, int]:
     """(lcm-critical set, its complement, cotype)."""
     critical = lcm_critical_indices(entries)
-    stable = lcm_stable_indices(entries)
-    return critical, stable, len(critical)
+    return critical, lcm_stable_indices(entries), len(critical)
 
 
 def type_set(entries: Exponents) -> tuple[IndexSet, int]:
@@ -237,6 +226,40 @@ def in_tn(entries: Exponents) -> bool:
     """Every entry >= 2 with at most one entry equal to 2: the necessary
     condition for rigidity."""
     return min(entries) >= 2 and entries.count(2) <= 1
+
+
+class Facts:
+    """What the rules' side conditions read about one tuple, computed once
+    per search node.
+
+    ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
+    L/a_i) are set on construction.  The lcm-critical ``mask`` (bit i-1 for
+    index i), its ``critical`` indices in ascending order and the coordinate
+    gcds ``floors`` come from the kernel bundle on access, which no length-3
+    search node makes: classifying one never fills the kernel cache.
+    """
+
+    __slots__ = ("entries", "n", "in_tn", "lcm", "sigma")
+
+    def __init__(self, entries: Exponents):
+        self.entries = entries
+        self.n = len(entries)
+        self.in_tn = in_tn(entries)
+        self.lcm = total = lcm(*entries)
+        self.sigma = sum([total // value for value in entries])
+
+    @property
+    def mask(self) -> int:
+        return _core(self.entries)[5]
+
+    @property
+    def critical(self) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple(i + 1 for i in range(self.n) if mask >> i & 1)
+
+    @property
+    def floors(self) -> Exponents:
+        return _core(self.entries)[4]
 
 
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
@@ -422,7 +445,6 @@ def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
     entries = as_exponents(values, minimum_length=2)
     total_lcm, total_gcd, _, _, coord, lcm_mask, gcd_mask = _core(entries)
     lcm_critical = _mask_to_indices(lcm_mask)
-    full = (1 << len(entries)) - 1
     return InvariantReport(
         exponents=entries,
         total_lcm=total_lcm,
@@ -433,7 +455,7 @@ def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
         cotype=len(lcm_critical),
         gcd_critical=_mask_to_indices(gcd_mask),
         lcm_critical=lcm_critical,
-        lcm_stable=_mask_to_indices(full & ~lcm_mask),
+        lcm_stable=lcm_stable_indices(entries),
         coordinate_gcds=coord,
         in_tn=in_tn(entries),
         critical_lcm_drop=lcm_drop(entries, lcm_critical),

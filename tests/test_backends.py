@@ -1,8 +1,12 @@
-"""Parity between the compiled kernel and the exact pure-Python kernel."""
+"""The exact pure-Python kernel against its definition, and the compiled
+kernel against the exact one."""
 
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brieskorn import backend
 
@@ -76,3 +80,33 @@ def test_classifier_results_identical_across_backends(monkeypatch):
         assert statuses() == dispatched
     finally:
         tp._core.cache_clear()
+
+
+def omit_one_core(entries):
+    """The bundle straight from its definition: each omit-one lcm and gcd
+    computed over the other entries."""
+    others = [entries[:i] + entries[i + 1 :] for i in range(len(entries))]
+    omitted_lcms = tuple(lcm(*rest) for rest in others)
+    omitted_gcds = tuple(gcd(*rest) for rest in others)
+    return (
+        lcm(*entries),
+        gcd(*entries),
+        omitted_lcms,
+        omitted_gcds,
+        tuple(gcd(value, other) for value, other in zip(entries, omitted_lcms)),
+        sum(1 << i for i, (value, other) in enumerate(zip(entries, omitted_lcms)) if other % value),
+        sum(1 << i for i, (value, other) in enumerate(zip(entries, omitted_gcds)) if value % other),
+    )
+
+
+kernel_entries = st.one_of(
+    st.integers(1, 99),
+    st.builds(lambda k, e: k << e, st.integers(1, 99), st.integers(0, 70)),
+    st.integers(1, 10**12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(kernel_entries, min_size=2, max_size=9).map(tuple))
+def test_exact_kernel_matches_the_omit_one_definition(entries):
+    assert backend.exact_invariant_core(entries) == omit_one_core(entries)

@@ -308,6 +308,36 @@ class TestHugeEntries:
         assert "status: UNKNOWN" in out
 
 
+def odd_primes(count):
+    limit = 16 * count  # ample for the counts used here; callers check the count
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+    return [p for p in range(3, limit) if sieve[p]][:count]
+
+
+class TestLongCoprimeTuples:
+    """The kernel takes O(n) steps that each pair a running lcm with one
+    entry, so thousands of coprime entries, whose lcm has tens of
+    thousands of digits, classify in about a second; pairing prefix
+    and suffix lcms took about 24 s on the first 6,000 odd primes."""
+
+    def test_six_thousand_odd_primes_within_five_seconds(self, capsys):
+        primes = odd_primes(6000)
+        assert len(primes) == 6000 and primes[-1] > 59_000
+        start = time.perf_counter()
+        try:
+            code, out, _ = run(capsys, "classify", *map(str, primes))
+            elapsed = time.perf_counter() - start
+        finally:
+            tp._core.cache_clear()  # its bundle holds about 70 MB of omit-one lcms
+        assert code == 0
+        assert "status: RIGID" in out and "rule: COTYPE_GE_NMINUS2" in out
+        assert elapsed < 5
+
+
 class TestKernelNotSelectable:
     """Whether the compiled kernel is built is all that picks it: the
     kernel-selection variable of older releases is ignored, whatever its

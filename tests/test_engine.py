@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import brieskorn as bk
 from brieskorn import engine
 from brieskorn import tuples as tp
-from brieskorn.certificates import RuleId, Status
+from brieskorn.certificates import LEAF_RULES, RuleId, Status
 from brieskorn.engine import RULE_PRIORITY, _decide
 from brieskorn.errors import InputError
 
@@ -477,3 +478,115 @@ def test_len_counts_entries_in_every_table():
                    if height is None and status is not Status.UNKNOWN}
     assert saturated and len(set(cut_unknown)) < len(cut_unknown) and len(cut_decided) == 2
     assert len(kb) == len(saturated) + len(set(cut_unknown)) + len(cut_decided)
+
+
+# --- one Facts record per search node ------------------------------------------
+#
+# The leaf rules' side conditions as they were written on plain tuples,
+# before they read a Facts record: the cotype and the lcm-stable indices
+# come from the omit-one definition, and each permuted rule is scanned
+# over all 24 permutations in lexicographic order.
+
+
+def _excess(entries, factor, indices=None):
+    total = lcm(*entries)
+    chosen = range(len(entries)) if indices is None else (i - 1 for i in indices)
+    return factor * sum(total // entries[i] for i in chosen) - total
+
+
+def _in_tn(entries):
+    return min(entries) >= 2 and entries.count(2) <= 1
+
+
+def _critical(entries):
+    return [i for i in range(1, len(entries) + 1)
+            if lcm(*entries[: i - 1], *entries[i:]) % entries[i - 1]]
+
+
+def _stable(entries):
+    return [i for i in range(1, len(entries) + 1) if i not in _critical(entries)]
+
+
+def _even_gcd(p):
+    a, b, c, d = p
+    return a == 2 and min(b, c, d) >= 3 and b % 2 == 0 and gcd(b, c) >= 3 and gcd(d, lcm(b, c)) == 2
+
+
+REFERENCE_LEAVES = (
+    (RuleId.NOT_IN_TN, Status.NON_RIGID, False, lambda e: not _in_tn(e)),
+    (RuleId.N3_T3, Status.RIGID, False, lambda e: len(e) == 3 and _in_tn(e) and _excess(e, 1) > 0),
+    (RuleId.N3_STABLE, Status.STABLY_RIGID, False,
+     lambda e: len(e) == 3 and _in_tn(e) and _excess(e, 1) <= 0),
+    (RuleId.LOW_SUM, Status.STABLY_RIGID, False, lambda e: _excess(e, len(e) - 2) <= 0),
+    (RuleId.N4_COPRIME, Status.RIGID, True, lambda p: gcd(p[0] * p[1] * p[2], p[3]) == 1),
+    (RuleId.N4_THREE_THREES, Status.RIGID, True, lambda p: p[0] == p[1] == p[2] == 3),
+    (RuleId.N4_EVEN_GCD, Status.RIGID, True, _even_gcd),
+    (RuleId.COTYPE_GE_2_N4, Status.RIGID, False,
+     lambda e: len(e) == 4 and _in_tn(e) and len(_critical(e)) >= 2),
+    (RuleId.EQUAL_EXPONENTS, Status.RIGID, False,
+     lambda e: len(e) >= 4 and len(set(e)) == 1 and e[0] >= len(e)),
+    (RuleId.COTYPE_GE_NMINUS2, Status.RIGID, False,
+     lambda e: len(e) >= 4 and _in_tn(e) and len(_critical(e)) >= len(e) - 2),
+    (RuleId.I_SUM, Status.RIGID, False, lambda e: _excess(e, len(e) - 2, _stable(e)) < 0),
+)
+
+
+def reference_first_leaf(entries):
+    identity = tuple(range(1, len(entries) + 1))
+    for rule, status, permuted, holds in REFERENCE_LEAVES:
+        if not permuted:
+            if holds(entries):
+                return rule, status, identity
+        elif len(entries) == 4 and _in_tn(entries):
+            for permutation in permutations((1, 2, 3, 4)):
+                if holds(tuple(entries[i - 1] for i in permutation)):
+                    return rule, status, permutation
+    return None
+
+
+@st.composite
+def leaf_tuples(draw):
+    # a small pool of values, so that 1s, 2s and repeated entries are common
+    value = st.one_of(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 10**6))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(leaf_tuples())
+def test_first_leaf_matches_the_tuple_predicates(entries):
+    certificate = engine._first_leaf(tp.Facts(entries), LEAF_RULES)
+    found = None if certificate is None else (certificate.rule, certificate.status, certificate.permutation)
+    assert found == reference_first_leaf(entries)
+
+
+def test_classifying_a_length_3_tuple_leaves_the_kernel_cache_alone():
+    # Filling the kernel cache for every length-3 tuple once slowed cold
+    # classification in its tail; the length-3 rules need no kernel value.
+    for entries in ((1009, 1013, 1019), (2, 3, 1021), (1, 1031, 1033), (2, 2, 1039), (3, 3, 1049)):
+        before = tp._core.cache_info()
+        bk.classify(entries)
+        after = tp._core.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses), entries
+
+
+def test_implies_rigid_per_status():
+    assert {status: status.implies_rigid for status in Status} == {
+        Status.NON_RIGID: False,
+        Status.RIGID: True,
+        Status.STABLY_RIGID: True,
+        Status.UNKNOWN: False,
+    }
+
+
+def test_entry_points_search_the_memo_they_are_given():
+    # An empty KnowledgeBase has length 0, so it is falsy: each entry
+    # point must still use it, with its budget, not a default one.
+    kb = bk.KnowledgeBase(bk.Budget(max_depth=1))
+    assert bk.rule_recursive_subtuples((2, 5, 7, 3, 3, 3), kb) is not None and len(kb) > 0
+    kb = bk.KnowledgeBase(bk.Budget(max_depth=1))
+    assert bk.rule_descend((4, 4, 4, 12), kb) is not None and len(kb) > 0
+    kb = bk.KnowledgeBase(bk.Budget(max_depth=1))
+    bk.kernel_degree_bound((10, 3, 3, 4), kb)
+    assert len(kb) > 0
+    assert bk.KnowledgeBase().budget is bk.KnowledgeBase().budget == bk.Budget()

@@ -14,7 +14,7 @@ from brieskorn import tuples as tp
 from brieskorn.certificates import Status
 from brieskorn.census import CensusSpec, enumerate_universe
 from brieskorn.errors import InputError
-from brieskorn.proj import ProjEdge, _alignment
+from brieskorn.proj import ProjEdge, _alignment, classes_to_json
 
 CHAIN_UNIVERSE = [(2, 3, 3, 2), (2, 3, 3, 4), (10, 3, 3, 4)]
 
@@ -175,3 +175,23 @@ class TestClasses:
         assert set(payload) == {"members", "edges", "statuses", "mixed", "relative_to_universe"}
         assert payload["mixed"] is True
         assert {"from", "to", "index", "veronese_index", "alignment"} == set(payload["edges"][0])
+
+    def test_classes_search_the_memo_they_are_given(self):
+        # an empty KnowledgeBase is falsy, and its budget must still apply
+        kb = bk.KnowledgeBase(bk.Budget(max_depth=0))
+        statuses = dict(bk.proj_classes([(2, 5, 7, 3, 3, 3)], kb)[0].statuses)
+        assert statuses[(2, 5, 7, 3, 3, 3)] is Status.UNKNOWN and len(kb) > 0
+
+
+class TestStructuredText:
+    """``classes_to_json`` writes, without the json module's pure-Python
+    encoder, the text json.dumps gives with sorted keys and indent 2."""
+
+    @pytest.mark.parametrize("length, top", [(3, 12), (4, 8)])
+    def test_matches_json_dumps(self, length, top):
+        classes = bk.proj_classes(list(enumerate_universe(CensusSpec(length=length, max_exponent=top))))
+        expected = json.dumps([cls.to_dict() for cls in classes], sort_keys=True, indent=2)
+        assert classes_to_json(classes) == expected
+
+    def test_no_classes(self):
+        assert classes_to_json([]) == json.dumps([], sort_keys=True, indent=2) == "[]"
