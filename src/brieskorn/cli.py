@@ -6,12 +6,14 @@ floats).  Exit code 0 covers every successful run including UNKNOWN
 verdicts (an open case is an answer, not a failure); exit code 2 is
 reserved for usage and input errors.
 
-Search budgets default to depth=6, witnesses=32; the ``BRIESKORN_BUDGET``
-environment variable (e.g. ``depth=8,witnesses=16``) overrides the
-defaults and the ``--depth/--max-witnesses`` flags override both.
+Search budgets default to depth=6, witnesses=32 and come from the
+``--depth/--max-witnesses`` flags only.  A non-empty ``BRIESKORN_BUDGET``
+(an environment variable no longer read) is refused with exit code 2, so
+that no run silently takes a budget its command line does not show.
 
 ``census`` and ``proj-classes`` refuse a universe of more than
-``MAX_UNIVERSE`` tuples with exit code 2, before enumerating it.
+``MAX_UNIVERSE`` tuples or ``MAX_ENTRIES`` entries (tuples times length)
+with exit code 2, before enumerating it.
 """
 
 from __future__ import annotations
@@ -32,32 +34,18 @@ from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
 from .errors import BrieskornError, InputError
 from .proj import classes_to_json, proj_classes
 
-BUDGET_ENV = "BRIESKORN_BUDGET"
-_BUDGET_KEYS = {"depth": "max_depth", "witnesses": "max_divisor_witnesses"}
-
 #: Largest universe ``census`` and ``proj-classes`` accept: about 1 GB of
 #: census rows at roughly 2 KB a row.
 MAX_UNIVERSE = 500_000
-
-
-def _budget_from_env() -> dict:
-    raw = os.environ.get(BUDGET_ENV, "").strip()
-    if not raw:
-        return {}
-    overrides = {}
-    for part in raw.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in _BUDGET_KEYS or not value.strip().isdecimal():
-            raise InputError(
-                f"cannot parse {BUDGET_ENV}={raw!r}; expected e.g. depth=6,witnesses=32"
-            )
-        overrides[_BUDGET_KEYS[key]] = int(value)
-    return overrides
+#: Most entries (tuples times length) such a universe may hold, so that
+#: long tuples cannot fill memory under the tuple cap.
+MAX_ENTRIES = 10 * MAX_UNIVERSE
 
 
 def _build_budget(args) -> Budget:
-    overrides = _budget_from_env()
+    if os.environ.get("BRIESKORN_BUDGET"):
+        raise InputError("BRIESKORN_BUDGET is not read; set the budget with --depth and --max-witnesses")
+    overrides = {}
     if args.depth is not None:
         overrides["max_depth"] = args.depth
     if args.max_witnesses is not None:
@@ -178,15 +166,18 @@ def _cmd_invariants(args) -> int:
 
 
 def _check_universe(spec: CensusSpec) -> None:
+    where = (
+        f"the universe (length {spec.length}, exponents {spec.min_exponent}.."
+        f"{spec.max_exponent}) has more than"
+    )
     # The count is C(c+n-1, k) with k = min(n, c-1) <= (c+n-1)/2, so it is
     # at least 2**k: a k of the cap's bit length is over the cap without
     # the closed form, whose cost grows with k.
     k = min(spec.length, spec.max_exponent - spec.min_exponent)
-    if k >= MAX_UNIVERSE.bit_length() or universe_size(spec) > MAX_UNIVERSE:
-        raise InputError(
-            f"the universe (length {spec.length}, exponents {spec.min_exponent}.."
-            f"{spec.max_exponent}) has more than {MAX_UNIVERSE} tuples"
-        )
+    if k >= MAX_UNIVERSE.bit_length() or (size := universe_size(spec)) > MAX_UNIVERSE:
+        raise InputError(f"{where} {MAX_UNIVERSE} tuples")
+    if size * spec.length > MAX_ENTRIES:
+        raise InputError(f"{where} {MAX_ENTRIES} entries")
 
 
 def _unwritable(out: str, error: OSError) -> InputError:
@@ -222,10 +213,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_proj_classes(args) -> int:
+    kb = KnowledgeBase(_build_budget(args))
     spec = CensusSpec(length=args.n, min_exponent=args.min, max_exponent=args.max)
     _check_universe(spec)
     universe = list(enumerate_universe(spec))
-    kb = KnowledgeBase(_build_budget(args))
     classes = proj_classes(universe, kb)
     if args.format == "structured":
         print(classes_to_json(classes))

@@ -30,11 +30,11 @@ depth stays rigid at every greater one.  Two depth rules follow:
   uncut search at d).  So one UNKNOWN entry per sorted tuple, with the
   greatest depth it is known at, answers every lower depth as cut.
 
-Only a cut search that decides is stored per (sorted tuple, remaining
-depth).  This is the transposition-table rule of recording the depth an
-entry was searched to (T. A. Marsland, "A Review of Game-Tree Pruning",
-ICCA Journal 9(1), 1986), applied to an exact search, so no answer
-depends on which table served it.
+A cut search that decides is not held: a revisit searches it again,
+and its children come from the memo.  This is the transposition-table
+rule of recording the depth an entry was searched to (T. A. Marsland,
+"A Review of Game-Tree Pruning", ICCA Journal 9(1), 1986), applied to an
+exact search, so no answer depends on which table served it.
 
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
@@ -104,26 +104,26 @@ Entry = tuple[Classification, "int | None"]
 
 
 class KnowledgeBase:
-    """Memo tables keyed by the sorted tuple, plus budget.
+    """Two memo tables keyed by the sorted tuple, plus budget.
 
     Sorting the key is valid because the defining polynomial is symmetric
     in the (variable, exponent) pairs, so every status is invariant under
     permuting coordinates.  By the depth rules in the module docstring a
     memoized answer equals the cold-cache answer at the requested depth,
     which makes census output independent of worker count and call order.
-    A decided entry is never overwritten, and all writers compute
-    identical values for a key.
+    A cut search that decides is not held, only checked against
+    contradictory statuses.  A decided entry is never overwritten, and
+    all writers compute identical values for a key.
     """
 
     def __init__(self, budget: Budget | None = None):
         self.budget = budget or _DEFAULT_BUDGET
         self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
         self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
-        self._cut: dict[tuple[Exponents, int], Entry] = {}  # (canonical, depth) -> (answer, None)
         self._decided: dict[Exponents, bool] = {}  # canonical -> implies_rigid
 
     def __len__(self) -> int:
-        return len(self._saturated) + len(self._unknown) + len(self._cut)
+        return len(self._saturated) + len(self._unknown)
 
     def lookup(self, canonical: Exponents, depth: int) -> Entry | None:
         entry = self._saturated.get(canonical)
@@ -135,8 +135,6 @@ class KnowledgeBase:
         unknown = self._unknown.get(canonical)
         if unknown is not None and depth <= unknown[1]:
             return unknown[0]
-        if self._cut:
-            return self._cut.get((canonical, depth))
         return None
 
     def store(self, canonical: Exponents, depth: int, entry: Entry) -> None:
@@ -148,8 +146,6 @@ class KnowledgeBase:
         elif result.status is Status.UNKNOWN:
             # stored after a lookup missed, so depth exceeds any depth held
             self._unknown[canonical] = entry, depth
-        else:
-            self._cut.setdefault((canonical, depth), entry)
 
     def _register(self, canonical: Exponents, status: Status) -> None:
         rigid = status.implies_rigid

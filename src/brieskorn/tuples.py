@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from . import backend
@@ -358,25 +358,20 @@ def _factorization(value: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=1 << 10)
 def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
-    """The positive divisors of ``value``, ascending; only the ``limit``
-    smallest when a positive ``limit`` is given, found without listing
-    the rest."""
+    """The positive divisors of ``value``, ascending, popped from a heap
+    over its factorization; only the ``limit`` smallest when a positive
+    ``limit`` is given, found without listing the rest."""
     if value < 1:
         raise InputError(f"divisors are defined for positive integers, got {value}")
     if limit is not None and limit < 1:
         raise InputError(f"the divisor limit must be positive, got {limit}")
     factors = _factorization(value)
-    if limit is None or prod(e + 1 for _, e in factors) <= limit:
-        found = [1]
-        for p, e in factors:
-            found = [d * p**k for d in found for k in range(e + 1)]
-        return tuple(sorted(found))
     # Each divisor d > 1 is pushed once, from d / p with p its largest
     # prime factor, and d / p < d, so the heap pops them in ascending order.
     # An item is (divisor, index of its largest prime, that prime's exponent).
     smallest = [1]
     heap = [(p, i, 1) for i, (p, _) in enumerate(factors)]
-    while len(smallest) < limit:
+    while heap and (limit is None or len(smallest) < limit):
         d, i, k = heappop(heap)
         smallest.append(d)
         if k < factors[i][1]:

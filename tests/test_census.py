@@ -253,6 +253,35 @@ class TestBenchmarkDigests:
         assert digest == recorded_digests("classify-cold")["verdicts"]
 
 
+#: sha256 of the census files of n=5 over 1..10 at shallow depths, where
+#: many searches are cut.  The memo holds no cut search that decides, so
+#: these pin that re-searching one gives the bytes a held entry gave.
+CUT_DEPTH_DIGESTS = {
+    1: {
+        "csv": "23dca5d35c7f45ce7c04baf7cc265a3b5987229acb937b1fa821fadb3000d98f",
+        "summary": "df69dd0f997c0fb1203cb4ddfeb9b0cd788f92b71037695e645038e0c6f0b94a",
+        "certificates": "5d114e57ea18ef8f0b7a64d185285d4a3b04ee426a981928b21715424e198f08",
+    },
+    2: {
+        "csv": "546565141193d9d0c518644ede120b99ed54c8cc57fe467de40325e47c37ee8c",
+        "summary": "44ab750e601acc15aaecc46dbf80b5196eb5a4524699ab2aaca03d580b938fc2",
+        "certificates": "10f6d99222ec49b515db5595fb9b3b96adc6123016c9c3d32f78c436febf4007",
+    },
+}
+
+
+class TestCutDepthDigests:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("depth", sorted(CUT_DEPTH_DIGESTS))
+    def test_census_files_match(self, monkeypatch, tmp_path, depth, workers):
+        # 2,002 rows fall under the floor: lower it so that the pool runs
+        monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
+        spec = CensusSpec(length=5, max_exponent=10, budget=bk.Budget(max_depth=depth))
+        paths = bk.write_census_files(bk.run_census(spec, workers=workers), tmp_path)
+        for key, expected in CUT_DEPTH_DIGESTS[depth].items():
+            assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == expected, key
+
+
 class TestRenderOnce:
     """Each decided row's certificate is rendered once, into its sidecar
     entry, and its id hashes that same text."""

@@ -10,7 +10,7 @@ import pytest
 
 import brieskorn
 from brieskorn import tuples as tp
-from brieskorn.cli import MAX_UNIVERSE, main
+from brieskorn.cli import MAX_ENTRIES, MAX_UNIVERSE, main
 
 
 def run(capsys, *argv):
@@ -230,23 +230,103 @@ class TestUniverseCap:
         assert run(capsys, "proj-classes", "--n", "3", "--max", "4")[0] == 2
 
 
+class TestLongTupleUniverses:
+    """A universe under ``MAX_UNIVERSE`` tuples is still refused when its
+    tuples hold more than ``MAX_ENTRIES`` entries in all, before any tuple
+    is listed or --out created."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--n", "30000", "--min", "1", "--max", "2"),
+            ("proj-classes", "--n", "30000", "--min", "1", "--max", "2"),
+            ("census", "--n", str(10**9), "--min", "5", "--max", "5"),
+            ("proj-classes", "--n", str(10**9), "--min", "5", "--max", "5"),
+        ],
+    )
+    def test_exits_two_at_once(self, capsys, monkeypatch, tmp_path, argv):
+        import brieskorn.cli
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("listed a refused universe")
+
+        monkeypatch.setattr(brieskorn.cli, "enumerate_universe", no_listing)
+        monkeypatch.setattr(brieskorn.cli, "run_census", no_listing)
+        out_dir = tmp_path / "huge"
+        extra = ("--out", str(out_dir)) if argv[0] == "census" else ()
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the universe") and err.count("\n") == 1
+        assert f"more than {MAX_ENTRIES} entries" in err
+        assert not out_dir.exists()
+
+    def test_entries_cap_is_inclusive(self, capsys, monkeypatch):
+        import brieskorn.cli
+
+        # n=3 over 1..3 has 10 tuples of 3 entries; over 1..4, 15 tuples.
+        assert MAX_ENTRIES == 10 * MAX_UNIVERSE
+        monkeypatch.setattr(brieskorn.cli, "MAX_ENTRIES", 30)
+        assert run(capsys, "proj-classes", "--n", "3", "--max", "3")[0] == 0
+        code, _, err = run(capsys, "proj-classes", "--n", "3", "--max", "4")
+        assert code == 2 and "more than 30 entries" in err
+
+
 class TestBudgetPlumbing:
     def test_flags_override(self, capsys):
         code, out, _ = run(capsys, "classify", "--depth", "0", "4", "4", "4", "12")
         assert code == 0
         assert "status: UNKNOWN" in out  # the deciding descend step needs depth >= 1
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("BRIESKORN_BUDGET", "depth=0")
+    def test_env_budget(self, capsys, monkeypatch, tmp_path):
+        # Budgets come from the flags only: the retired variable, set to
+        # anything, is refused in one line naming the flags, before any
+        # tuple is classified or listed and before --out is created, so
+        # that a run never takes a budget its flags do not show.
+        import brieskorn.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked under a refused budget")
+
+        out_dir = tmp_path / "out"
+        commands = [
+            ("classify", "4", "4", "4", "12"),
+            ("invariants", "2", "3", "3", "4"),
+            ("census", "--n", "3", "--max", "4", "--out", str(out_dir)),
+            ("proj-classes", "--n", "3", "--max", "4"),
+        ]
+        with monkeypatch.context() as patched:
+            for name in ("classify", "kernel_degree_bound", "run_census", "enumerate_universe"):
+                patched.setattr(brieskorn.cli, name, no_work)
+            for raw in ("depth=0", " "):
+                patched.setenv("BRIESKORN_BUDGET", raw)
+                for argv in commands:
+                    code, out, err = run(capsys, *argv)
+                    assert (code, out) == (2, ""), (raw, argv)
+                    assert err.startswith("error: BRIESKORN_BUDGET") and err.count("\n") == 1
+                    assert "--depth" in err and "--max-witnesses" in err
+        assert not out_dir.exists()
+        # an empty value is no setting: the default depth decides the tuple
+        monkeypatch.setenv("BRIESKORN_BUDGET", "")
         code, out, _ = run(capsys, "classify", "4", "4", "4", "12")
-        assert code == 0
-        assert "status: UNKNOWN" in out
+        assert code == 0 and "status: RIGID" in out
 
     def test_flag_beats_env(self, capsys, monkeypatch):
+        # The flag is the only budget: a set variable does not combine with
+        # it but refuses the run, and with the variable empty the flag alone
+        # decides the depth.
         monkeypatch.setenv("BRIESKORN_BUDGET", "depth=0")
+        code, out, err = run(capsys, "classify", "--depth", "6", "4", "4", "4", "12")
+        assert (code, out) == (2, "")
+        assert "BRIESKORN_BUDGET" in err and "--depth" in err
+        monkeypatch.setenv("BRIESKORN_BUDGET", "")
         code, out, _ = run(capsys, "classify", "--depth", "6", "4", "4", "4", "12")
         assert code == 0
         assert "status: RIGID" in out
+        code, out, _ = run(capsys, "classify", "--depth", "0", "4", "4", "4", "12")
+        assert code == 0
+        assert "status: UNKNOWN" in out
 
     def test_bad_env_budget_is_an_input_error(self, capsys, monkeypatch):
         # "\u00b2" (superscript two) passes str.isdigit() but not int()
@@ -255,6 +335,7 @@ class TestBudgetPlumbing:
             code, _, err = run(capsys, "classify", "2", "3", "3", "4")
             assert code == 2, raw
             assert "BRIESKORN_BUDGET" in err
+            assert "Traceback" not in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -277,7 +358,7 @@ class TestRemovedSiblingBudget:
         code, _, err = run(capsys, "classify", "2", "3", "3", "4")
         assert code == 2
         assert "BRIESKORN_BUDGET" in err
-        assert err.rstrip().endswith("expected e.g. depth=6,witnesses=32")
+        assert err.rstrip().endswith("set the budget with --depth and --max-witnesses")
 
 
 class TestLargeBudgets:

@@ -13,7 +13,7 @@ from brieskorn import engine
 from brieskorn import tuples as tp
 from brieskorn.certificates import LEAF_RULES, RuleId, Status
 from brieskorn.engine import RULE_PRIORITY, _decide
-from brieskorn.errors import InputError
+from brieskorn.errors import InputError, SoundnessError
 
 
 class TestCandidateRule:
@@ -464,20 +464,22 @@ def test_len_counts_entries_in_every_table():
     entries = (6, 3, 10, 7647185)
     assert _decide(entries, 3, kb)[0].status is Status.UNKNOWN
     assert _decide(entries, 5, kb)[0].status is Status.UNKNOWN
-    # a cut search that decides is held per depth; none occurs in the
-    # census universes, so one is stored directly
-    rigid = bk.classify((2, 3, 4, 5))
-    kb.store((2, 3, 4, 5), 1, (rigid, None))
-    kb.store((2, 3, 4, 5), 2, (rigid, None))
-    assert kb.lookup((2, 3, 4, 5), 2) == (rigid, None)
-    assert kb.lookup((2, 3, 4, 5), 3) is None
     saturated = {canonical for canonical, _, _, height in stored if height is not None}
     cut_unknown = [canonical for canonical, _, status, height in stored
                    if height is None and status is Status.UNKNOWN]
-    cut_decided = {(canonical, depth) for canonical, depth, status, height in stored
-                   if height is None and status is not Status.UNKNOWN}
-    assert saturated and len(set(cut_unknown)) < len(cut_unknown) and len(cut_decided) == 2
-    assert len(kb) == len(saturated) + len(set(cut_unknown)) + len(cut_decided)
+    assert saturated and len(set(cut_unknown)) < len(cut_unknown)
+    assert len(stored) == len(saturated) + len(cut_unknown)  # no cut search decided
+    assert len(kb) == len(saturated) + len(set(cut_unknown))
+    # a cut search that decides is not held, so a revisit searches it
+    # again; none occurs in the census universes, so one is stored directly
+    rigid = bk.classify((2, 3, 4, 5))
+    assert rigid.status is Status.RIGID and (2, 3, 4, 5) not in saturated | set(cut_unknown)
+    kb.store((2, 3, 4, 5), 1, (rigid, None))
+    assert kb.lookup((2, 3, 4, 5), 1) is None
+    assert len(kb) == len(saturated) + len(set(cut_unknown))
+    # its status is still registered against a contradictory one
+    with pytest.raises(SoundnessError, match="contradictory statuses"):
+        kb.store((2, 3, 4, 5), 2, (bk.Classification(Status.NON_RIGID, None), None))
 
 
 # --- one Facts record per search node ------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brieskorn import tuples as tp
@@ -273,6 +273,16 @@ def factored_values(draw):
     return value, tuple(sorted(found))
 
 
+def divisor_examples(test):
+    """Pin 1 (no prime factor), the prime power 2^20 and 30030 =
+    2*3*5*7*11*13 (64 divisors) at limits below, at and past the count."""
+    for value in (1, 2**20, 30030):
+        for limit in (1, 33, 64, 65, None):
+            test = example((value, tuple(trial_divisors(value))), limit)(test)
+    return test
+
+
+@divisor_examples
 @settings(max_examples=150, deadline=None)
 @given(factored_values(), st.integers(1, 40))
 def test_divisors_match_trial_division(case, limit):
