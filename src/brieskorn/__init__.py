@@ -5,19 +5,17 @@ whether the ring k[X_1,...,X_n]/(X_1^a_1 + ... + X_n^a_n) attached to an
 exponent tuple is non-rigid, rigid, or stably rigid, or reports UNKNOWN
 when no implemented criterion applies.  Every decision comes with a
 certificate tree whose side conditions can be re-verified independently.
+
+Importing the package loads the core modules only (``backend``,
+``certificates``, ``engine``, ``errors`` and ``tuples``), which is all
+that classifying a tuple runs.  The ``census`` and ``proj`` submodules and
+the names exported from them load on first access, through the module
+``__getattr__`` below (PEP 562).
 """
 
+from importlib import import_module as _import_module
+
 from .backend import active_backend
-from .census import (
-    CensusResult,
-    CensusRow,
-    CensusSpec,
-    CensusSummary,
-    enumerate_universe,
-    run_census,
-    universe_size,
-    write_census_files,
-)
 from .certificates import (
     Certificate,
     RuleId,
@@ -49,7 +47,6 @@ from .engine import (
     rule_recursive_subtuples,
 )
 from .errors import BrieskornError, CertificateError, InputError, SoundnessError
-from .proj import ProjClass, ProjEdge, proj_classes, proj_edges
 from .tuples import (
     Exponents,
     InvariantReport,
@@ -80,3 +77,40 @@ from .tuples import (
 )
 
 __version__ = "0.1.0"
+
+#: The submodule each lazily loaded name lives in; a submodule's own name
+#: maps to itself.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "census",
+            "CensusResult",
+            "CensusRow",
+            "CensusSpec",
+            "CensusSummary",
+            "enumerate_universe",
+            "run_census",
+            "universe_size",
+            "write_census_files",
+        ),
+        "census",
+    ),
+    **dict.fromkeys(("proj", "ProjClass", "ProjEdge", "proj_classes", "proj_edges"), "proj"),
+}
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f".{module_name}", __name__)
+    if name != module_name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

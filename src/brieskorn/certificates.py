@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Any, Callable, Iterable
@@ -246,6 +245,8 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    import json
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

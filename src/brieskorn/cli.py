@@ -14,25 +14,26 @@ that no run silently takes a budget its command line does not show.
 ``census`` and ``proj-classes`` refuse a universe of more than
 ``MAX_UNIVERSE`` tuples or ``MAX_ENTRIES`` entries (tuples times length)
 with exit code 2, before enumerating it.
+
+``classify`` and ``invariants`` load only the core modules: ``census``,
+``proj``, ``json`` and ``pathlib`` are imported inside the commands and
+branches that use them, so a one-tuple call does not pay for them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import tuples as tp
-from .census import (
-    CSV_HEADER, CensusSpec, _build_row, enumerate_universe, run_census, universe_size,
-    write_census_files,
-)
 from .certificates import Certificate
 from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
 from .errors import BrieskornError, InputError
-from .proj import classes_to_json, proj_classes
+
+if TYPE_CHECKING:
+    from .census import CensusSpec
 
 #: Largest universe ``census`` and ``proj-classes`` accept: about 1 GB of
 #: census rows at roughly 2 KB a row.
@@ -95,6 +96,8 @@ def _cmd_classify(args) -> int:
     outcome = classify(entries, kb)
     cert = outcome.certificate
     if args.format == "structured":
+        import json
+
         payload = {
             "tuple": list(entries),
             "status": outcome.status.value,
@@ -105,8 +108,10 @@ def _cmd_classify(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     if args.format == "csv":
-        print(CSV_HEADER)
-        print(_build_row(entries, outcome).csv_line())
+        from . import census
+
+        print(census.CSV_HEADER)
+        print(census._build_row(entries, outcome).csv_line())
         return 0
     print(f"tuple: {_format_tuple(entries)}")
     print(f"status: {outcome.status.value}")
@@ -128,6 +133,8 @@ def _cmd_invariants(args) -> int:
     kb = KnowledgeBase(_build_budget(args))
     bound = kernel_degree_bound(entries, kb) if len(entries) >= 4 else None
     if args.format == "structured":
+        import json
+
         payload = report.to_dict()
         if bound is not None:
             payload["kernel_degree_bound"] = {
@@ -166,6 +173,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _check_universe(spec: CensusSpec) -> None:
+    from . import census
+
     where = (
         f"the universe (length {spec.length}, exponents {spec.min_exponent}.."
         f"{spec.max_exponent}) has more than"
@@ -174,7 +183,7 @@ def _check_universe(spec: CensusSpec) -> None:
     # at least 2**k: a k of the cap's bit length is over the cap without
     # the closed form, whose cost grows with k.
     k = min(spec.length, spec.max_exponent - spec.min_exponent)
-    if k >= MAX_UNIVERSE.bit_length() or (size := universe_size(spec)) > MAX_UNIVERSE:
+    if k >= MAX_UNIVERSE.bit_length() or (size := census.universe_size(spec)) > MAX_UNIVERSE:
         raise InputError(f"{where} {MAX_UNIVERSE} tuples")
     if size * spec.length > MAX_ENTRIES:
         raise InputError(f"{where} {MAX_ENTRIES} entries")
@@ -185,7 +194,11 @@ def _unwritable(out: str, error: OSError) -> InputError:
 
 
 def _cmd_census(args) -> int:
-    spec = CensusSpec(
+    from pathlib import Path
+
+    from . import census
+
+    spec = census.CensusSpec(
         length=args.n,
         min_exponent=args.min,
         max_exponent=args.max,
@@ -200,9 +213,9 @@ def _cmd_census(args) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as error:
         raise _unwritable(args.out, error) from None
-    result = run_census(spec, workers=args.workers)
+    result = census.run_census(spec, workers=args.workers)
     try:
-        paths = write_census_files(result, args.out)
+        paths = census.write_census_files(result, args.out)
     except OSError as error:
         raise _unwritable(args.out, error) from None
     print(result.summary.render(), end="")
@@ -213,13 +226,15 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_proj_classes(args) -> int:
+    from . import census, proj
+
     kb = KnowledgeBase(_build_budget(args))
-    spec = CensusSpec(length=args.n, min_exponent=args.min, max_exponent=args.max)
+    spec = census.CensusSpec(length=args.n, min_exponent=args.min, max_exponent=args.max)
     _check_universe(spec)
-    universe = list(enumerate_universe(spec))
-    classes = proj_classes(universe, kb)
+    universe = list(census.enumerate_universe(spec))
+    classes = proj.proj_classes(universe, kb)
     if args.format == "structured":
-        print(classes_to_json(classes))
+        print(proj.classes_to_json(classes))
         return 0
     print(
         f"{len(classes)} classes over {len(universe)} tuples "

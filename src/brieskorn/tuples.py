@@ -25,14 +25,16 @@ Terminology used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import backend
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponents = tuple[int, ...]
 IndexSet = frozenset[int]
@@ -265,6 +267,8 @@ class Facts:
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
     """Exact sum of 1/a_i over ``indices`` (all indices when omitted), as
     sum(L/a_i)/L with L the lcm of the chosen entries; 0 for the empty set."""
+    from fractions import Fraction
+
     if indices is None:
         chosen: Sequence[int] = entries
     else:
@@ -273,10 +277,19 @@ def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> 
     return Fraction(sum(total // value for value in chosen), total)
 
 
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below ``limit`` (at least 2), by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
 # Primes below 2**10, tried by trial division before Pollard-Brent rho.
 # A cofactor with no prime factor below 2**10 is prime when it is below
 # 2**20.
-_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10) if all(p % q for q in range(2, isqrt(p) + 1)))
+_SMALL_PRIMES = _primes_below(1 << 10)
 _TRIAL_LIMIT = 1 << 20
 
 # Miller-Rabin to these bases is exact below 3,317,044,064,679,887,385,961,981

@@ -146,12 +146,12 @@ class TestCensus:
         assert "Traceback" not in err
 
     def test_unwritable_out_fails_before_classifying(self, capsys, tmp_path, monkeypatch):
-        import brieskorn.cli
+        import brieskorn.census
 
         def no_census(*args, **kwargs):
             raise AssertionError("run_census called although --out is unusable")
 
-        monkeypatch.setattr(brieskorn.cli, "run_census", no_census)
+        monkeypatch.setattr(brieskorn.census, "run_census", no_census)
         blocker = tmp_path / "file"
         blocker.write_text("not a directory", encoding="utf-8")
         code, _, err = run(
@@ -245,13 +245,13 @@ class TestLongTupleUniverses:
         ],
     )
     def test_exits_two_at_once(self, capsys, monkeypatch, tmp_path, argv):
-        import brieskorn.cli
+        import brieskorn.census
 
         def no_listing(*args, **kwargs):
             raise AssertionError("listed a refused universe")
 
-        monkeypatch.setattr(brieskorn.cli, "enumerate_universe", no_listing)
-        monkeypatch.setattr(brieskorn.cli, "run_census", no_listing)
+        monkeypatch.setattr(brieskorn.census, "enumerate_universe", no_listing)
+        monkeypatch.setattr(brieskorn.census, "run_census", no_listing)
         out_dir = tmp_path / "huge"
         extra = ("--out", str(out_dir)) if argv[0] == "census" else ()
         start = time.perf_counter()
@@ -284,6 +284,7 @@ class TestBudgetPlumbing:
         # anything, is refused in one line naming the flags, before any
         # tuple is classified or listed and before --out is created, so
         # that a run never takes a budget its flags do not show.
+        import brieskorn.census
         import brieskorn.cli
 
         def no_work(*args, **kwargs):
@@ -297,8 +298,10 @@ class TestBudgetPlumbing:
             ("proj-classes", "--n", "3", "--max", "4"),
         ]
         with monkeypatch.context() as patched:
-            for name in ("classify", "kernel_degree_bound", "run_census", "enumerate_universe"):
+            for name in ("classify", "kernel_degree_bound"):
                 patched.setattr(brieskorn.cli, name, no_work)
+            for name in ("run_census", "enumerate_universe"):
+                patched.setattr(brieskorn.census, name, no_work)
             for raw in ("depth=0", " "):
                 patched.setenv("BRIESKORN_BUDGET", raw)
                 for argv in commands:
@@ -430,3 +433,31 @@ class TestKernelNotSelectable:
         assert completed.returncode == 0
         assert "Traceback" not in completed.stderr
         assert "status: UNKNOWN" in completed.stdout
+
+
+class TestColdStart:
+    """``classify`` loads only the core modules: a one-tuple call in a
+    fresh interpreter imports neither the census nor proj modules, nor the
+    standard-library modules only they (or other commands) need."""
+
+    def test_classify_imports_only_the_core(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from brieskorn import cli\n"
+            "code = cli.main(['classify', '2', '3', '3', '4'])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(brieskorn.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert completed.returncode == 0, completed.stderr
+        *output, last = completed.stdout.splitlines()
+        assert "status: UNKNOWN" in output
+        code, *loaded = last.split()
+        assert code == "0"
+        assert "brieskorn.engine" in loaded
+        unwanted = {"brieskorn.census", "brieskorn.proj", "multiprocessing", "json", "fractions"}
+        assert unwanted.isdisjoint(loaded)

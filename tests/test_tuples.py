@@ -229,6 +229,10 @@ class TestDivisors:
         assert tp.divisors(1) == (1,)
         assert tp.divisors(12) == (1, 2, 3, 4, 6, 12)
         assert tp.divisors(49) == (1, 7, 49)
+        # the sieved table of trial-division primes is the primes below 2^10
+        assert tp._SMALL_PRIMES == tuple(
+            p for p in range(2, 1 << 10) if all(p % q for q in range(2, isqrt(p) + 1))
+        )
 
     def test_smallest_divisors(self):
         assert tp.divisors(12, 4) == (1, 2, 3, 4)
