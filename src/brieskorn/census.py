@@ -5,12 +5,18 @@ range (one representative per permutation class), classifies each one,
 and aggregates counts per status and per deciding rule plus the frontier
 of UNKNOWN tuples.  Output is deterministic: rows come in lexicographic
 order of the sorted tuples and are independent of the worker count, so
-two runs produce byte-identical files.  Each row's reciprocal sum is one
-exact ``Fraction`` built from integers.  Each decided row's certificate
-is rendered once, by the certificate renderer (sorted keys, two-space
-indent, no generic JSON encoder), into the row's ``certificates.json``
-entry; the row's id hashes that same text, and the sidecar is built from
-the entries without rendering anything again.
+two runs produce byte-identical files.
+
+Each row is built from one :class:`~brieskorn.tuples.Facts` record: the
+census builds it for the tuple, the search reads it at its root node, and
+the row takes its cotype, T_n membership and reciprocal sum from it.  The
+reciprocal sum is an exact ``Fraction``, and its CSV field is written
+from that fraction's numerator and denominator.  Both texts a row
+contributes are rendered once, when the row is built: its CSV line, and
+for a decided row its ``certificates.json`` entry, written by the
+certificate renderer (sorted keys, two-space indent, no generic JSON
+encoder).  The row's id hashes that same certificate text, and the files
+are joined from these texts without rendering anything again.
 
 File outputs::
 
@@ -23,13 +29,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from typing import NamedTuple
 
 from .certificates import Certificate, RuleId, Status, _render, _wrap, certificate_id
-from .engine import Budget, Classification, KnowledgeBase, classify
+from .engine import _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _Record, classify
 from .errors import InputError
 from .tuples import Exponents, Facts
 
@@ -44,28 +50,34 @@ SUMMARY_SIBLINGS_FIELD = "siblings=16"
 MIN_ROWS_PER_PROCESS = 1_000
 
 
-@dataclass(frozen=True)
-class CensusSpec:
+class CensusSpec(_Record):
     """Universe description plus budget overrides."""
 
-    length: int
-    max_exponent: int
-    min_exponent: int = 1
-    budget: Budget = field(default_factory=Budget)
+    __slots__ = ("length", "max_exponent", "min_exponent", "budget")
 
-    def __post_init__(self):
-        if self.length < 3:
-            raise InputError(f"census tuples need length >= 3, got {self.length}")
-        if self.min_exponent < 1:
-            raise InputError(f"minimum exponent must be >= 1, got {self.min_exponent}")
-        if self.min_exponent > self.max_exponent:
-            raise InputError(
-                f"empty exponent range [{self.min_exponent}, {self.max_exponent}]"
-            )
+    def __init__(
+        self, length: int, max_exponent: int, min_exponent: int = 1, budget: Budget = _DEFAULT_BUDGET
+    ):
+        self._set(length=length, max_exponent=max_exponent, min_exponent=min_exponent, budget=budget)
+        if length < 3:
+            raise InputError(f"census tuples need length >= 3, got {length}")
+        if min_exponent < 1:
+            raise InputError(f"minimum exponent must be >= 1, got {min_exponent}")
+        if min_exponent > max_exponent:
+            raise InputError(f"empty exponent range [{min_exponent}, {max_exponent}]")
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
+    """One classified tuple of a census, with the texts it contributes.
+
+    ``cotype``, ``in_tn`` and ``reciprocal_sum`` (an exact ``Fraction``)
+    come from the tuple's :class:`~brieskorn.tuples.Facts` record, the one
+    its search read at the root.  ``csv_line`` is the row's line of
+    ``census.csv`` and ``sidecar_entry`` its entry of ``certificates.json``
+    (``"<certificate_id>": <certificate>``, empty for an UNKNOWN row), both
+    rendered when the row is built.
+    """
+
     exponents: Exponents
     status: Status
     rule: RuleId | None
@@ -75,26 +87,11 @@ class CensusRow:
     certificate_id: str
     budget_hit: bool
     certificate: Certificate | None
-    #: ``"<certificate_id>": <certificate>``, as certificates.json holds it;
-    #: empty for an UNKNOWN row.
     sidecar_entry: str
-
-    def csv_line(self) -> str:
-        return ";".join(
-            (
-                ",".join(str(v) for v in self.exponents),
-                self.status.value,
-                "" if self.rule is None else self.rule.value,
-                str(self.cotype),
-                "true" if self.in_tn else "false",
-                str(self.reciprocal_sum),
-                self.certificate_id,
-            )
-        )
+    csv_line: str
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     spec: CensusSpec
     row_count: int
     status_counts: tuple[tuple[Status, int], ...]
@@ -118,14 +115,13 @@ class CensusSummary:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     spec: CensusSpec
     rows: tuple[CensusRow, ...]
     summary: CensusSummary
 
     def csv_text(self) -> str:
-        return "\n".join([CSV_HEADER, *(row.csv_line() for row in self.rows)]) + "\n"
+        return "\n".join([CSV_HEADER, *(row.csv_line for row in self.rows)]) + "\n"
 
     def certificates_json(self) -> str:
         # Each entry starts with its quoted id, and equal ids carry equal
@@ -148,29 +144,54 @@ def universe_size(spec: CensusSpec) -> int:
     return comb(choices + spec.length - 1, spec.length)
 
 
-def _build_row(entries: Exponents, outcome: Classification) -> CensusRow:
+def _build_row(entries: Exponents, outcome: Classification, facts: Facts) -> CensusRow:
+    """The row of ``entries``, classified as ``outcome`` by a search that
+    read ``facts`` at its root."""
     certificate = outcome.certificate
-    text = "" if certificate is None else _render(certificate, "  ", "  ")
-    key = certificate_id(certificate, text) if text else ""
-    facts = Facts(entries)
+    if certificate is None:
+        rule, key, entry = None, "", ""
+    else:
+        rule = certificate.rule
+        text = _render(certificate, "  ", "  ")
+        key = certificate_id(certificate, text)
+        entry = f'"{key}": {text}'
+    cotype = facts.mask.bit_count()
+    ratio = Fraction(facts.sigma, facts.lcm)
+    numerator, denominator = ratio.numerator, ratio.denominator
+    line = ";".join(
+        (
+            ",".join(map(str, entries)),
+            outcome.status.value,
+            "" if rule is None else rule.value,
+            str(cotype),
+            "true" if facts.in_tn else "false",
+            str(numerator) if denominator == 1 else f"{numerator}/{denominator}",
+            key,
+        )
+    )
     return CensusRow(
         exponents=entries,
         status=outcome.status,
-        rule=None if certificate is None else certificate.rule,
-        cotype=facts.mask.bit_count(),
+        rule=rule,
+        cotype=cotype,
         in_tn=facts.in_tn,
-        reciprocal_sum=Fraction(facts.sigma, facts.lcm),
+        reciprocal_sum=ratio,
         certificate_id=key,
         budget_hit=outcome.budget_hit,
         certificate=certificate,
-        sidecar_entry=f'"{key}": {text}' if text else "",
+        sidecar_entry=entry,
+        csv_line=line,
     )
 
 
 def _classify_chunk(args: tuple[tuple[Exponents, ...], Budget]) -> list[CensusRow]:
     chunk, budget = args
     kb = KnowledgeBase(budget)
-    return [_build_row(entries, classify(entries, kb)) for entries in chunk]
+    rows = []
+    for entries in chunk:
+        facts = Facts(entries)
+        rows.append(_build_row(entries, classify(entries, kb, facts=facts), facts))
+    return rows
 
 
 def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:

@@ -47,9 +47,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import tuples as tp
 from .errors import CertificateError
@@ -83,8 +83,9 @@ class RuleId(enum.Enum):
     DESCEND = "DESCEND"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
+    """What a recursive rule acted on (a field left None is not used)."""
+
     index: int | None = None
     exponents: Exponents | None = None
     subsets: tuple[tuple[int, ...], ...] | None = None
@@ -100,8 +101,10 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
+    """One node of a certificate tree: the rule that fired on ``exponents``
+    under ``permutation``, its witness and its sub-certificates."""
+
     rule: RuleId
     exponents: Exponents
     status: Status
@@ -131,7 +134,30 @@ def _wrap(items: list[str], brackets: str, pad: str, step: str) -> str:
 def _render(node: Certificate, step: str, pad: str = "") -> str:
     """The text json.dumps(node.to_dict(), sort_keys=True, indent=len(step))
     gives, with the whole object nested at ``pad``.  Keys are written in
-    sorted order; entries are ints, so ``str`` is their JSON."""
+    sorted order; entries are ints, so ``str`` is their JSON.  A leaf (no
+    witness, no children) is written as its cached frame around its
+    entries."""
+    if node.witness is None and not node.children and node.exponents:
+        head, tail = _leaf_frame(node.rule, node.status, tuple(node.permutation), step, pad)
+        return head + (",\n" + pad + 2 * step).join(map(str, node.exponents)) + tail
+    return _render_fields(node, step, pad)
+
+
+@lru_cache(maxsize=1 << 10)
+def _leaf_frame(
+    rule: RuleId, status: Status, permutation: tuple[int, ...], step: str, pad: str
+) -> tuple[str, str]:
+    """The text of a leaf node before and after its entries.  Only they vary
+    between the leaves of one rule, status, permutation and layout; the
+    frame is cut from a leaf rendered with a placeholder entry, a character
+    that no other part of the text holds."""
+    placeholder = Certificate(rule, ("\0",), status, permutation)
+    head, tail = _render_fields(placeholder, step, pad).split("\0")
+    return head, tail
+
+
+def _render_fields(node: Certificate, step: str, pad: str) -> str:
+    """:func:`_render`, written field by field."""
     inner, deeper = pad + step, pad + 2 * step
 
     def ints(values: Iterable[int], at: str) -> str:
@@ -293,8 +319,7 @@ def _two_first(entries: Exponents) -> tuple[tuple[int, ...], ...]:
     return _FIRST_SLOT[entries.index(2) + 1] if 2 in entries else ()
 
 
-@dataclass(frozen=True)
-class LeafRule:
+class LeafRule(NamedTuple):
     """A non-recursive rule.
 
     ``holds`` is its side condition.  A permuted rule (one with

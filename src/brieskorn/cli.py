@@ -93,7 +93,8 @@ def _render_certificate(cert: Certificate, indent: int = 0) -> list[str]:
 def _cmd_classify(args) -> int:
     entries = _parse_exponents(args.exponents)
     kb = KnowledgeBase(_build_budget(args))
-    outcome = classify(entries, kb)
+    facts = tp.Facts(entries)
+    outcome = classify(entries, kb, facts=facts)
     cert = outcome.certificate
     if args.format == "structured":
         import json
@@ -111,7 +112,7 @@ def _cmd_classify(args) -> int:
         from . import census
 
         print(census.CSV_HEADER)
-        print(census._build_row(entries, outcome).csv_line())
+        print(census._build_row(entries, outcome, facts).csv_line)
         return 0
     print(f"tuple: {_format_tuple(entries)}")
     print(f"status: {outcome.status.value}")

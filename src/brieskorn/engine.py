@@ -6,7 +6,9 @@ leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
 Each search node builds one :class:`~brieskorn.tuples.Facts` record that
-the leaf rules, the soundness check and both recursive rules share.
+the leaf rules, the soundness check and both recursive rules share; the
+root node takes the caller's record when :func:`classify` is given one,
+so a census row and its search read the same record.
 The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
@@ -36,6 +38,14 @@ rule of recording the depth an entry was searched to (T. A. Marsland,
 "A Review of Game-Tree Pruning", ICCA Journal 9(1), 1986), applied to an
 exact search, so no answer depends on which table served it.
 
+The recursion is bounded by the tuple itself.  Each recursive step either
+shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
+keeps at least three) or replaces an entry by a proper divisor (DESCEND).
+So the potential n + sum(Omega(a_i)), with Omega(a) the number of prime
+factors of a counted with multiplicity, strictly falls at each step and
+never drops below 3.  A search at that depth is therefore never cut, and
+its height is at most n + sum(Omega(a_i)) - 3.
+
 ``UNKNOWN`` is a first-class answer, not an error: it means no
 implemented criterion decides the tuple within the budget.  Known open
 cases (such as (2,3,3,4)) must stay UNKNOWN.
@@ -43,8 +53,8 @@ cases (such as (2,3,3,4)) must stay UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import tuples as tp
 from .certificates import (
@@ -68,20 +78,60 @@ RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBT
 _REORDER = {permutation: itemgetter(*(i - 1 for i in permutation)) for permutation in PERMS4}
 
 
-@dataclass(frozen=True)
-class Budget:
+class _Record:
+    """Base of the records that validate their fields on construction.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, and sets each once through ``_set``.  The
+    record is then immutable, equal to a record of its own type with equal
+    fields (never to a plain tuple), hashed as the tuple of its fields,
+    shown as ``Name(field=value, ...)``, and pickled through its
+    constructor, so an unpickled record is validated again.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Budget(_Record):
     """Search limits for the recursive rules."""
 
-    max_depth: int = 6
-    max_divisor_witnesses: int = 32
+    __slots__ = ("max_depth", "max_divisor_witnesses")
 
-    def __post_init__(self):
-        if self.max_depth < 0 or self.max_divisor_witnesses < 1:
+    def __init__(self, max_depth: int = 6, max_divisor_witnesses: int = 32):
+        self._set(max_depth=max_depth, max_divisor_witnesses=max_divisor_witnesses)
+        if max_depth < 0 or max_divisor_witnesses < 1:
             raise InputError(f"invalid budget {self!r}")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of classifying one tuple.
 
     ``certificate`` is None exactly when the status is UNKNOWN.
@@ -95,7 +145,8 @@ class Classification:
     budget_hit: bool = False
 
 
-#: The budget of every KnowledgeBase built without one (Budget is frozen).
+#: The budget of every KnowledgeBase built without one (a Budget is
+#: immutable, so one instance serves them all).
 _DEFAULT_BUDGET = Budget()
 
 #: A memo entry: an answer and the height of the search that found it,
@@ -157,42 +208,45 @@ class KnowledgeBase:
             )
 
 
-def classify(exponents, kb: KnowledgeBase | None = None) -> Classification:
+def classify(exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None = None) -> Classification:
     """Classify a tuple (length >= 3, positive entries).
 
     Deterministic: rules fire in :data:`RULE_PRIORITY` order and the
     first match wins; UNKNOWN is returned when nothing fires within the
-    budget.
+    budget.  ``facts``, when given, is the tuple's
+    :class:`~brieskorn.tuples.Facts` record, which the root search node
+    then reads instead of building its own (a census row reads it too).
     """
     entries = tp.as_exponents(exponents, minimum_length=3)
+    if facts is not None and facts.entries != entries:
+        raise InputError(f"facts of {facts.entries} given for the tuple {entries}")
     kb = KnowledgeBase() if kb is None else kb
-    return _decide(entries, kb.budget.max_depth, kb)[0]
+    return _decide(entries, kb.budget.max_depth, kb, facts)[0]
 
 
-def _decide(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
+def _decide(entries: Exponents, depth: int, kb: KnowledgeBase, facts: Facts | None = None) -> Entry:
     canonical = tuple(sorted(entries))
     entry = kb.lookup(canonical, depth)
+    if entry is not None:
+        cached = entry[0]
+        if cached.certificate is None or cached.certificate.exponents == entries:
+            return entry
+    # A miss is searched.  So is a hit on the same canonical tuple in another
+    # coordinate order: its certificate is rebuilt for this order (children
+    # resolve via the memo), so that certificates always root at the tuple
+    # as classified.
+    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb)
     if entry is None:
-        entry = _run_cascade(entries, depth, kb)
-        kb.store(canonical, depth, entry)
-        return entry
-    cached = entry[0]
-    if cached.certificate is None or cached.certificate.exponents == entries:
-        return entry
-    # Same canonical tuple, different coordinate order: rebuild the
-    # certificate for this order (children resolve via the memo) so
-    # that certificates always root at the tuple as classified.
-    rebuilt = _run_cascade(entries, depth, kb)
-    if rebuilt[0].status is not cached.status:  # pragma: no cover - permutation invariance
+        kb.store(canonical, depth, searched)
+    elif searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
         raise SoundnessError(
             f"status for {entries} changed under reordering: "
-            f"{cached.status.value} vs {rebuilt[0].status.value}"
+            f"{cached.status.value} vs {searched[0].status.value}"
         )
-    return rebuilt
+    return searched
 
 
-def _run_cascade(entries: Exponents, depth: int, kb: KnowledgeBase) -> Entry:
-    facts = Facts(entries)
+def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase) -> Entry:
     certificate = _first_leaf(facts, LEAF_RULES)
     height: int | None = 0
     if certificate is None:
@@ -367,8 +421,7 @@ def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | No
 # --- derived reporting -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelBound:
+class KernelBound(NamedTuple):
     """Divisor bound on degrees inside kernels of homogeneous derivations.
 
     ``value`` is the lcm drop over the critical indices whose removal

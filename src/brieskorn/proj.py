@@ -21,8 +21,8 @@ test.  No step depends on the size of an entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import tuples as tp
 from .certificates import Status, _wrap
@@ -31,8 +31,7 @@ from .errors import InputError
 from .tuples import Exponents
 
 
-@dataclass(frozen=True)
-class ProjEdge:
+class ProjEdge(NamedTuple):
     """One Veronese embedding step between two universe members.
 
     ``alignment`` permutes ``target`` so that it agrees with ``source``
@@ -56,8 +55,7 @@ class ProjEdge:
         }
 
 
-@dataclass(frozen=True)
-class ProjClass:
+class ProjClass(NamedTuple):
     """A connected component of the (undirected) edge graph."""
 
     members: tuple[Exponents, ...]

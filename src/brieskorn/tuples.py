@@ -24,11 +24,10 @@ Terminology used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import backend
 from .errors import InputError
@@ -232,7 +231,9 @@ def in_tn(entries: Exponents) -> bool:
 
 class Facts:
     """What the rules' side conditions read about one tuple, computed once
-    per search node.
+    per search node.  A census row reuses the record of its root node: the
+    census builds it, passes it to :func:`~brieskorn.engine.classify` and
+    reads the row's cotype, T_n membership and reciprocal sum from it.
 
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
     L/a_i) are set on construction.  The lcm-critical ``mask`` (bit i-1 for
@@ -405,8 +406,7 @@ def identity_permutation(length: int) -> tuple[int, ...]:
     return tuple(range(1, length + 1))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Every derived arithmetic invariant of one exponent tuple."""
 
     exponents: Exponents

@@ -1,6 +1,5 @@
 """Census enumeration, aggregation, determinism, and file outputs."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -198,8 +197,8 @@ class TestSidecarRenderer:
 
     def test_no_certificates(self):
         result = bk.run_census(CensusSpec(length=4, max_exponent=4))
-        empty = dataclasses.replace(
-            result, rows=tuple(row for row in result.rows if row.certificate is None)
+        empty = result._replace(
+            rows=tuple(row for row in result.rows if row.certificate is None)
         )
         assert empty.rows  # (2, 3, 3, 4) is UNKNOWN
         assert empty.certificates_json() == old_sidecar(empty) == "{}\n"
@@ -284,7 +283,24 @@ class TestCutDepthDigests:
 
 class TestRenderOnce:
     """Each decided row's certificate is rendered once, into its sidecar
-    entry, and its id hashes that same text."""
+    entry, and its id hashes that same text; each row's search and its
+    fields read one Facts record."""
+
+    def test_one_facts_record_per_length_3_row(self, monkeypatch):
+        # A length-3 tuple is decided at its root, so the census row's
+        # record is the only one its classification needs.
+        from brieskorn import tuples
+
+        made = []
+        init = tuples.Facts.__init__
+
+        def counting(self, entries):
+            made.append(entries)
+            init(self, entries)
+
+        monkeypatch.setattr(tuples.Facts, "__init__", counting)
+        result = bk.run_census(CensusSpec(length=3, max_exponent=12))
+        assert made == [row.exponents for row in result.rows]
 
     @pytest.mark.parametrize("workload", sorted(BENCHMARK_UNIVERSES))
     def test_row_id_is_the_certificate_id(self, workload):

@@ -1,6 +1,5 @@
 """Certificate serialization round trips and independent replay."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -153,11 +152,30 @@ class TestRenderer:
     def test_hand_built_nodes(self, witness):
         leaf = Certificate(RuleId.N3_T3, (2, 3, 4), Status.RIGID, (1, 2, 3))
         node = Certificate(RuleId.DESCEND, (4, 4, 4, 24), Status.RIGID, (4, 3, 2, 1), witness)
-        nested = dataclasses.replace(node, children=(leaf, dataclasses.replace(node, children=(leaf,))))
+        nested = node._replace(children=(leaf, node._replace(children=(leaf,))))
         for certificate in (node, nested):
             assert_renders_like_json_dumps(certificate)
         if witness == Witness():
             assert '"witness":{}' in certificate_to_json(node)
+
+    @pytest.mark.parametrize(
+        "exponents, permutation",
+        [
+            ((2, 3, 4), (1, 2, 3)),
+            ((1, 10, 100), (3, 1, 2)),
+            ((10,) * 12, tuple(range(12, 0, -1))),
+            ((), ()),
+        ],
+    )
+    def test_leaves(self, exponents, permutation):
+        # A leaf is written as a cached frame around its entries, alone and
+        # as a child, whatever its status, and with a list for a tuple.
+        for status in (Status.RIGID, Status.UNKNOWN):
+            leaf = Certificate(RuleId.LOW_SUM, exponents, status, permutation)
+            parent = Certificate(RuleId.DESCEND, (5, 5, 5, 5), status, (1, 2, 3, 4), Witness(index=1), (leaf, leaf))
+            listed = leaf._replace(exponents=list(exponents), permutation=list(permutation))
+            for certificate in (leaf, parent, leaf._replace(exponents=exponents[::-1]), listed):
+                assert_renders_like_json_dumps(certificate)
 
     def test_wire_names_hold_no_whitespace(self):
         # The compact text is the indented text with its whitespace removed,
@@ -195,16 +213,16 @@ class TestReplay:
     def test_tampered_witness_index_fails(self):
         cert = classified((4, 4, 4, 12))
         assert cert.rule is RuleId.DESCEND
-        bad = dataclasses.replace(cert, witness=dataclasses.replace(cert.witness, index=2))
+        bad = cert._replace(witness=cert.witness._replace(index=2))
         assert not bk.replay(bad)
 
     @pytest.mark.parametrize("witness, child", FORGED_ORDER_WITNESSES)
     def test_forged_order_witness_fails_at_the_node(self, witness, child):
         node = classified((4, 4, 4, 12))
-        bad = dataclasses.replace(node, witness=dataclasses.replace(node.witness, **witness))
+        bad = node._replace(witness=node.witness._replace(**witness))
         if child is not None:
-            forged_child = dataclasses.replace(node.children[0], exponents=child)
-            bad = dataclasses.replace(bad, children=(forged_child,))
+            forged_child = node.children[0]._replace(exponents=child)
+            bad = bad._replace(children=(forged_child,))
         assert not bk.replay(bad)
         with pytest.raises(CertificateError) as excinfo:
             bk.verify_certificate(bad)
@@ -212,26 +230,26 @@ class TestReplay:
 
     def test_tampered_status_fails(self):
         cert = classified((10, 3, 3, 4))
-        bad = dataclasses.replace(cert, status=Status.STABLY_RIGID)
+        bad = cert._replace(status=Status.STABLY_RIGID)
         assert not bk.replay(bad)
 
     def test_tampered_tuple_fails(self):
         cert = classified((10, 3, 3, 4))
-        bad = dataclasses.replace(cert, exponents=(10, 3, 3, 6))
+        bad = cert._replace(exponents=(10, 3, 3, 6))
         assert not bk.replay(bad)
 
     def test_tampered_child_fails_with_path(self):
         cert = classified((2, 5, 7, 3, 3, 3))
         children = list(cert.children)
-        children[1] = dataclasses.replace(children[1], exponents=(5, 3, 3, 9))
-        bad = dataclasses.replace(cert, children=tuple(children))
+        children[1] = children[1]._replace(exponents=(5, 3, 3, 9))
+        bad = cert._replace(children=tuple(children))
         with pytest.raises(CertificateError) as excinfo:
             bk.verify_certificate(bad)
         assert "children[1]" in excinfo.value.path
 
     def test_missing_child_fails(self):
         cert = classified((2, 5, 7, 3, 3, 3))
-        bad = dataclasses.replace(cert, children=cert.children[:2])
+        bad = cert._replace(children=cert.children[:2])
         assert not bk.replay(bad)
 
     def test_unknown_status_never_replays(self):

@@ -72,6 +72,30 @@ class TestClassify:
         assert header.startswith("tuple;status;")
         assert row.startswith("8,8,8,8;STABLY_RIGID;LOW_SUM;")
 
+    @staticmethod
+    def census_line(entries):
+        """The line ``run_census`` writes for the sorted tuple ``entries``."""
+        spec = brieskorn.CensusSpec(length=len(entries), max_exponent=max(entries))
+        prefix = ",".join(map(str, entries)) + ";"
+        lines = brieskorn.run_census(spec).csv_text().splitlines()
+        return next(line for line in lines if line.startswith(prefix))
+
+    @pytest.mark.parametrize("entries", [(2, 3, 7), (2, 3, 3, 4)])
+    def test_csv_line_is_the_census_line(self, capsys, entries):
+        code, out, _ = run(capsys, "classify", "--format", "csv", *map(str, entries))
+        assert code == 0
+        assert out.splitlines()[1] == self.census_line(entries)
+
+    @pytest.mark.parametrize("entries", [(7, 3, 2), (4, 3, 3, 2)])
+    def test_csv_line_keeps_the_input_order(self, capsys, entries):
+        code, out, _ = run(capsys, "classify", "--format", "csv", *map(str, entries))
+        assert code == 0
+        fields = out.splitlines()[1].split(";")
+        sorted_fields = self.census_line(tuple(sorted(entries))).split(";")
+        assert fields[0] == ",".join(map(str, entries))
+        # cotype, in_Tn and reciprocal_sum do not depend on the order
+        assert fields[3:6] == sorted_fields[3:6]
+
     def test_rejects_non_integers(self, capsys):
         code, _, err = run(capsys, "classify", "2", "three", "4")
         assert code == 2
@@ -459,5 +483,8 @@ class TestColdStart:
         code, *loaded = last.split()
         assert code == "0"
         assert "brieskorn.engine" in loaded
-        unwanted = {"brieskorn.census", "brieskorn.proj", "multiprocessing", "json", "fractions"}
+        unwanted = {
+            "brieskorn.census", "brieskorn.proj", "multiprocessing", "json", "fractions",
+            "dataclasses", "inspect",
+        }
         assert unwanted.isdisjoint(loaded)

@@ -439,9 +439,9 @@ def test_each_sorted_tuple_is_searched_once_per_call(monkeypatch, entries):
     searched = []
     run_cascade = engine._run_cascade
 
-    def recording(entries, depth, kb):
-        searched.append(tuple(sorted(entries)))
-        return run_cascade(entries, depth, kb)
+    def recording(facts, depth, kb):
+        searched.append(tuple(sorted(facts.entries)))
+        return run_cascade(facts, depth, kb)
 
     monkeypatch.setattr(engine, "_run_cascade", recording)
     assert bk.classify(entries).status is Status.UNKNOWN
@@ -592,3 +592,34 @@ def test_entry_points_search_the_memo_they_are_given():
     bk.kernel_degree_bound((10, 3, 3, 4), kb)
     assert len(kb) > 0
     assert bk.KnowledgeBase().budget is bk.KnowledgeBase().budget == bk.Budget()
+
+
+def big_omega(value):
+    """The number of prime factors of ``value``, counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= value:
+        while value % p == 0:
+            value //= p
+            count += 1
+        p += 1
+    return count + (value > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 48), min_size=3, max_size=5))
+def test_a_search_at_the_potential_depth_is_never_cut(entries):
+    # Each recursive step shortens the tuple or replaces an entry by a
+    # proper divisor, so n + sum(Omega(a_i)) falls at each step, and stays
+    # at least 3 (module docstring of engine).
+    entries = tuple(entries)
+    potential = len(entries) + sum(big_omega(value) for value in entries)
+    outcome, height = _decide(entries, potential, bk.KnowledgeBase())
+    assert height is not None, (entries, outcome)
+    assert height <= potential - 3
+
+
+def test_classify_takes_the_facts_of_its_own_tuple_only():
+    facts = tp.Facts((4, 4, 4, 12))
+    assert bk.classify((4, 4, 4, 12), facts=facts) == bk.classify((4, 4, 4, 12))
+    with pytest.raises(InputError):
+        bk.classify((4, 4, 4, 12), facts=tp.Facts((4, 4, 12, 4)))
