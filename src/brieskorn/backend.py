@@ -1,13 +1,25 @@
-"""The arithmetic kernel: the omit-one gcd/lcm bundle of a tuple.
+"""The arithmetic kernel: the omit-one gcd/lcm data of a tuple.
 
-:func:`exact_invariant_core` computes the bundle with arbitrary-precision
-integers in O(n) steps that each pair a running lcm with one entry, so
-a tuple of thousands of large coprime entries costs a fraction of a
-second (see its docstring).  When the compiled extension ``_speedups`` is built, its
-64-bit kernel serves machine-size tuples (length <= 64, every entry and
-intermediate lcm below 2**64) and raises OverflowError outside that
-window, where the exact kernel answers instead; results are identical
-either way.  Nothing but the presence of the extension picks the path.
+Two entry points, each with the same dispatch:
+
+* :func:`invariant_core` is the search's kernel.  It returns only what
+  the rules read, ``(coordinate_gcds, lcm_critical_mask)``, from one lcm
+  pass each way (:func:`exact_invariant_core`);
+* :func:`invariant_bundle` returns all seven omit-one parts, for the
+  invariant report and the omit-one lcm and gcd functions.  Its exact
+  form (:func:`exact_invariant_bundle`) is that lean pass plus the
+  total lcm and one gcd pass each way.
+
+Both passes take O(n) steps that each pair a running lcm (or gcd) with
+one entry, so a tuple of thousands of large coprime entries costs a
+fraction of a second.  Nothing here is cached: a search node keeps its
+kernel result in its own :class:`~brieskorn.tuples.Facts` record.
+
+When the compiled extension ``_speedups`` is built, its 64-bit kernel
+serves machine-size tuples (length <= 64, every entry and intermediate
+lcm below 2**64) and raises OverflowError outside that window, where the
+exact passes answer instead; results are identical either way.  Nothing
+but the presence of the extension picks the path.
 """
 
 from __future__ import annotations
@@ -21,55 +33,73 @@ except ImportError:  # installed without the extension
 
 
 def exact_invariant_core(entries):
-    """All omit-one gcd/lcm data for a tuple of positive ints (length >= 2).
+    """``(coordinate_gcds, lcm_critical_mask)`` of a tuple of positive ints
+    (length >= 2), exact for arbitrary integers.
 
-    Returns ``(total_lcm, total_gcd, omitted_lcms, omitted_gcds,
-    coordinate_gcds, lcm_critical_mask, gcd_critical_mask)``.  Bit ``i``
-    of a mask refers to coordinate ``i`` (0-based here; callers translate
-    to the 1-based index sets used everywhere else).  The compiled kernel
-    must return identical values for identical input.
+    ``coordinate_gcds[i]`` is c_i = gcd(a_i, O_i), with O_i the lcm of the
+    entries other than a_i, and bit ``i`` of the mask (0-based here;
+    callers translate to the 1-based index sets used everywhere else) is
+    set exactly when c_i != a_i, i.e. when i is lcm-critical.
 
-    Write O_i for the lcm of the entries other than a_i, and P_i and S_i
-    for the lcms of the entries before and after it.  Since gcd
-    distributes over lcm, the coordinate gcd c_i = gcd(a_i, O_i) is
-    lcm(gcd(a_i, P_i), gcd(a_i, S_i)); since L = lcm(a_i, O_i) =
-    a_i * O_i / c_i, O_i = (L // a_i) * c_i; and i is lcm-critical exactly
-    when c_i != a_i.  So one pass each way, in which every big-integer
-    step pairs a running lcm with one entry, gives the whole bundle: O(n)
-    such steps, where joining prefix and suffix lcms would take n big x
-    big lcms.
+    Write P_i and S_i for the lcms of the entries before and after a_i.
+    Since gcd distributes over lcm, c_i = lcm(gcd(a_i, P_i), gcd(a_i, S_i)).
+    So one pass each way, in which every big-integer step pairs a running
+    lcm with one entry, gives both parts: O(n) such steps, where joining
+    prefix and suffix lcms would take n big x big lcms.
     """
     n = len(entries)
     before = []  # gcd(a_i, P_i)
-    before_gcd = []  # gcd of the entries before a_i
-    total_lcm, total_gcd = 1, 0
+    running = 1
     for value in entries:
-        g = gcd(value, total_lcm)
+        g = gcd(value, running)
         before.append(g)
-        before_gcd.append(total_gcd)
-        total_lcm = total_lcm // g * value
-        total_gcd = gcd(total_gcd, value)
+        running = running // g * value
     floors = [0] * n
-    omitted_gcds = [0] * n
-    after_lcm, after_gcd = 1, 0
-    lcm_mask = gcd_mask = 0
+    running = 1
+    mask = 0
     for i in range(n - 1, -1, -1):
         value = entries[i]
-        g = gcd(value, after_lcm)
+        g = gcd(value, running)
         floor = floors[i] = lcm(before[i], g)
-        other_gcd = omitted_gcds[i] = gcd(before_gcd[i], after_gcd)
         if floor != value:
-            lcm_mask |= 1 << i
-        if value % other_gcd:
+            mask |= 1 << i
+        running = running // g * value
+    return tuple(floors), mask
+
+
+def exact_invariant_bundle(entries):
+    """All omit-one gcd/lcm data for a tuple of positive ints (length >= 2).
+
+    Returns ``(total_lcm, total_gcd, omitted_lcms, omitted_gcds,
+    coordinate_gcds, lcm_critical_mask, gcd_critical_mask)``; parts 4 and
+    5 (0-based) come from :func:`exact_invariant_core`.  Since L =
+    lcm(a_i, O_i) = a_i * O_i / c_i, the lcm of the others is
+    O_i = (L // a_i) * c_i.  The gcds take one more pass each way.  The
+    compiled kernel must return identical values for identical input.
+    """
+    floors, lcm_mask = exact_invariant_core(entries)
+    total_lcm = lcm(*entries)
+    n = len(entries)
+    before = []  # gcd of the entries before a_i
+    total_gcd = 0
+    for value in entries:
+        before.append(total_gcd)
+        total_gcd = gcd(total_gcd, value)
+    omitted_gcds = [0] * n
+    after = 0
+    gcd_mask = 0
+    for i in range(n - 1, -1, -1):
+        value = entries[i]
+        other = omitted_gcds[i] = gcd(before[i], after)
+        if value % other:
             gcd_mask |= 1 << i
-        after_lcm = after_lcm // g * value
-        after_gcd = gcd(after_gcd, value)
+        after = gcd(after, value)
     return (
         total_lcm,
         total_gcd,
         tuple([total_lcm // value * floor for value, floor in zip(entries, floors)]),
         tuple(omitted_gcds),
-        tuple(floors),
+        floors,
         lcm_mask,
         gcd_mask,
     )
@@ -81,10 +111,22 @@ def active_backend() -> str:
 
 
 def invariant_core(entries):
-    """Omit-one gcd/lcm bundle for a tuple; exact for arbitrary integers."""
+    """``(coordinate_gcds, lcm_critical_mask)`` of a tuple; exact for
+    arbitrary integers."""
+    if _speedups is not None:
+        try:
+            return _speedups.invariant_core(entries)[4:6]
+        except OverflowError:
+            pass
+    return exact_invariant_core(entries)
+
+
+def invariant_bundle(entries):
+    """The seven-part omit-one gcd/lcm bundle of a tuple; exact for
+    arbitrary integers."""
     if _speedups is not None:
         try:
             return _speedups.invariant_core(entries)
         except OverflowError:
             pass
-    return exact_invariant_core(entries)
+    return exact_invariant_bundle(entries)

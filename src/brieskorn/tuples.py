@@ -6,9 +6,13 @@ the critical index sets and their sizes (type and cotype), the
 coordinate-wise divisor order, lcm drop factors, and exact reciprocal
 sums.  Index sets and ``index`` arguments are 1-based, matching reports
 and certificates.  All arithmetic is exact (ints and Fractions, never
-floats); the omit-one bundle comes from
-:func:`brieskorn.backend.invariant_core`, which uses the compiled kernel
-whenever it is built and the exact pure-Python kernel otherwise.
+floats).  The coordinate gcds and the lcm-critical set come from the
+lean kernel :func:`brieskorn.backend.invariant_core`; the omit-one lcms
+and gcds and the gcd-critical set come from the seven-part
+:func:`brieskorn.backend.invariant_bundle`.  Both use the compiled
+kernel whenever it is built and the exact pure-Python passes otherwise,
+and neither is cached: each call here runs its pass, and a search node
+keeps its own in its :class:`Facts` record.
 
 Terminology used throughout:
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import backend
@@ -62,11 +66,6 @@ def as_exponents(values: Sequence[int] | Iterable[int], *, minimum_length: int =
     return entries
 
 
-@lru_cache(maxsize=1 << 18)
-def _core(entries: Exponents):
-    return backend.invariant_core(entries)
-
-
 def _check_index(entries: Exponents, index: int) -> None:
     if not 1 <= index <= len(entries):
         raise InputError(f"index {index} out of range for a tuple of length {len(entries)}")
@@ -83,9 +82,13 @@ def _mask_to_indices(mask: int) -> IndexSet:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _unmasked_indices(mask: int, n: int) -> IndexSet:
+    return _mask_to_indices(~mask & ((1 << n) - 1))
+
+
 def lcm_gcd(entries: Exponents) -> tuple[int, int]:
     """(lcm, gcd) of the entries."""
-    return _core(entries)[:2]
+    return lcm(*entries), gcd(*entries)
 
 
 def subtuple(entries: Exponents, removed: Iterable[int]) -> Exponents:
@@ -108,7 +111,7 @@ def omit(entries: Exponents, index: int) -> Exponents:
 
 def normalization(entries: Exponents) -> Exponents:
     """Entries divided by their gcd; the result has gcd 1."""
-    g = _core(entries)[1]
+    g = gcd(*entries)
     return tuple(value // g for value in entries)
 
 
@@ -118,42 +121,43 @@ def degrees(entries: Exponents) -> Exponents:
     Always has gcd 1, and applying it twice yields the normalization of
     the input.
     """
-    total = _core(entries)[0]
+    total = lcm(*entries)
     return tuple(total // value for value in entries)
 
 
 def omitted_lcms(entries: Exponents) -> Exponents:
     """lcm of all entries except the i-th, for each i."""
-    return _core(entries)[2]
+    return backend.invariant_bundle(entries)[2]
 
 
 def omitted_gcds(entries: Exponents) -> Exponents:
     """gcd of all entries except the i-th, for each i."""
-    return _core(entries)[3]
+    return backend.invariant_bundle(entries)[3]
 
 
 def lcm_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly lowers the lcm (a_i does not divide
     the lcm of the others)."""
-    return _mask_to_indices(_core(entries)[5])
+    return _mask_to_indices(backend.invariant_core(entries)[1])
 
 
 def lcm_stable_indices(entries: Exponents) -> IndexSet:
     """Complement of :func:`lcm_critical_indices`: a_i divides the lcm of
     the others."""
-    return _mask_to_indices(~_core(entries)[5] & ((1 << len(entries)) - 1))
+    return _unmasked_indices(backend.invariant_core(entries)[1], len(entries))
 
 
 def gcd_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly raises the gcd (the gcd of the
     others does not divide a_i)."""
-    return _mask_to_indices(_core(entries)[6])
+    return _mask_to_indices(backend.invariant_bundle(entries)[6])
 
 
 def cotype_sets(entries: Exponents) -> tuple[IndexSet, IndexSet, int]:
     """(lcm-critical set, its complement, cotype)."""
-    critical = lcm_critical_indices(entries)
-    return critical, lcm_stable_indices(entries), len(critical)
+    mask = backend.invariant_core(entries)[1]
+    critical = _mask_to_indices(mask)
+    return critical, _unmasked_indices(mask, len(entries)), len(critical)
 
 
 def type_set(entries: Exponents) -> tuple[IndexSet, int]:
@@ -163,22 +167,22 @@ def type_set(entries: Exponents) -> tuple[IndexSet, int]:
 
 
 def cotype(entries: Exponents) -> int:
-    return _core(entries)[5].bit_count()
+    return backend.invariant_core(entries)[1].bit_count()
 
 
 def type_size(entries: Exponents) -> int:
-    return _core(entries)[6].bit_count()
+    return backend.invariant_bundle(entries)[6].bit_count()
 
 
 def coordinate_gcd(entries: Exponents, index: int) -> int:
     """gcd(a_i, lcm of the other entries): the floor of coordinate ``index``
     in the divisor order."""
     _check_index(entries, index)
-    return _core(entries)[4][index - 1]
+    return gcd(entries[index - 1], lcm(*entries[: index - 1], *entries[index:]))
 
 
 def coordinate_gcds(entries: Exponents) -> Exponents:
-    return _core(entries)[4]
+    return backend.invariant_core(entries)[0]
 
 
 def leq_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
@@ -206,21 +210,28 @@ def lt_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
     return smaller != larger and leq_at(smaller, larger, index)
 
 
+def _drop(entries: Exponents, floors: Exponents, chosen: Iterable[int]) -> int:
+    return prod([entries[index - 1] // floors[index - 1] for index in chosen])
+
+
 def lcm_drop(entries: Exponents, indices: Iterable[int]) -> int:
     """lcm of the entries divided by the gcd of the omit-one lcms over
     ``indices``; 1 for the empty set.
 
     Always a positive integer, and equal to 1 exactly when ``indices``
     avoids every lcm-critical index.
+
+    It is the product of a_i / c_i over ``indices``, with c_i the
+    coordinate gcd and O_i the lcm of the others.  For a prime p whose
+    highest power among the entries is p^M, when a single a_i reaches p^M,
+    L / O_i and a_i / c_i both hold p^(M - s), p^s the highest power among
+    the others; otherwise neither holds p.  So the factors a_i / c_i are
+    pairwise coprime, and L over the gcd of the O_i is their product.
     """
     chosen = _check_index_set(entries, indices)
     if not chosen:
         return 1
-    core = _core(entries)
-    g = 0
-    for index in chosen:
-        g = gcd(g, core[2][index - 1])
-    return core[0] // g
+    return _drop(entries, backend.invariant_core(entries)[0], chosen)
 
 
 def in_tn(entries: Exponents) -> bool:
@@ -238,11 +249,14 @@ class Facts:
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
     L/a_i) are set on construction.  The lcm-critical ``mask`` (bit i-1 for
     index i), its ``critical`` indices in ascending order and the coordinate
-    gcds ``floors`` come from the kernel bundle on access, which no length-3
-    search node makes: classifying one never fills the kernel cache.
+    gcds ``floors`` come from one lean kernel pass
+    (:func:`brieskorn.backend.invariant_core`), run on the first read of any
+    of them and kept in the record, not in any process-wide cache.  No
+    length-3 search node reads them, so classifying a length-3 tuple runs
+    no kernel pass.
     """
 
-    __slots__ = ("entries", "n", "in_tn", "lcm", "sigma")
+    __slots__ = ("entries", "n", "in_tn", "lcm", "sigma", "_kernel")
 
     def __init__(self, entries: Exponents):
         self.entries = entries
@@ -250,19 +264,24 @@ class Facts:
         self.in_tn = in_tn(entries)
         self.lcm = total = lcm(*entries)
         self.sigma = sum([total // value for value in entries])
+        self._kernel = None
+
+    def _run_kernel(self) -> tuple[Exponents, int]:
+        kernel = self._kernel = backend.invariant_core(self.entries)
+        return kernel
 
     @property
     def mask(self) -> int:
-        return _core(self.entries)[5]
+        return (self._kernel or self._run_kernel())[1]
 
     @property
     def critical(self) -> tuple[int, ...]:
-        mask = self.mask
-        return tuple(i + 1 for i in range(self.n) if mask >> i & 1)
+        mask = (self._kernel or self._run_kernel())[1]
+        return tuple([i + 1 for i in range(self.n) if mask >> i & 1])
 
     @property
     def floors(self) -> Exponents:
-        return _core(self.entries)[4]
+        return (self._kernel or self._run_kernel())[0]
 
 
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
@@ -451,7 +470,7 @@ class InvariantReport(NamedTuple):
 def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
     """Compute the full invariant bundle for a tuple (length >= 2)."""
     entries = as_exponents(values, minimum_length=2)
-    total_lcm, total_gcd, _, _, coord, lcm_mask, gcd_mask = _core(entries)
+    total_lcm, total_gcd, _, _, coord, lcm_mask, gcd_mask = backend.invariant_bundle(entries)
     lcm_critical = _mask_to_indices(lcm_mask)
     return InvariantReport(
         exponents=entries,
@@ -463,9 +482,9 @@ def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
         cotype=len(lcm_critical),
         gcd_critical=_mask_to_indices(gcd_mask),
         lcm_critical=lcm_critical,
-        lcm_stable=lcm_stable_indices(entries),
+        lcm_stable=_unmasked_indices(lcm_mask, len(entries)),
         coordinate_gcds=coord,
         in_tn=in_tn(entries),
-        critical_lcm_drop=lcm_drop(entries, lcm_critical),
+        critical_lcm_drop=_drop(entries, coord, lcm_critical),
         reciprocal_sum=reciprocal_sum(entries),
     )

@@ -1,10 +1,12 @@
 """Command-line interface: output shapes, exit codes, budget plumbing."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -436,14 +438,27 @@ class TestLongCoprimeTuples:
         primes = odd_primes(6000)
         assert len(primes) == 6000 and primes[-1] > 59_000
         start = time.perf_counter()
-        try:
-            code, out, _ = run(capsys, "classify", *map(str, primes))
-            elapsed = time.perf_counter() - start
-        finally:
-            tp._core.cache_clear()  # its bundle holds about 70 MB of omit-one lcms
+        code, out, _ = run(capsys, "classify", *map(str, primes))
+        elapsed = time.perf_counter() - start
         assert code == 0
         assert "status: RIGID" in out and "rule: COTYPE_GE_NMINUS2" in out
         assert elapsed < 5
+
+    def test_classify_holds_no_kernel_memory_afterwards(self):
+        # The tuple's omit-one lcms are each as large as its lcm (about
+        # 70 MB together); no cache may keep any kernel result alive.
+        primes = tuple(odd_primes(6000))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = brieskorn.classify(primes)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert outcome.status is brieskorn.Status.RIGID
+        assert held < 1 << 20
 
 
 class TestKernelNotSelectable:

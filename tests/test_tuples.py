@@ -336,6 +336,18 @@ def test_lcm_drop_divides_on_supersets(entries, data):
     assert (drop_larger == 1) == (not (larger & tp.lcm_critical_indices(entries)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(exponent_tuples, st.data())
+def test_lcm_drop_and_coordinate_gcd_match_their_definitions(entries, data):
+    n = len(entries)
+    others = [lcm(*entries[:i], *entries[i + 1 :]) for i in range(n)]
+    chosen = data.draw(st.sets(st.integers(1, n)))
+    expected = lcm(*entries) // gcd(*[others[i - 1] for i in chosen]) if chosen else 1
+    assert tp.lcm_drop(entries, chosen) == expected
+    for index in range(1, n + 1):
+        assert tp.coordinate_gcd(entries, index) == gcd(entries[index - 1], others[index - 1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(exponent_tuples, st.data())
 def test_order_witness_characterization(entries, data):
