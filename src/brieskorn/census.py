@@ -10,13 +10,21 @@ two runs produce byte-identical files.
 Each row is built from one :class:`~brieskorn.tuples.Facts` record: the
 census builds it for the tuple, the search reads it at its root node, and
 the row takes its cotype, T_n membership and reciprocal sum from it.  The
-reciprocal sum is an exact ``Fraction``, and its CSV field is written
-from that fraction's numerator and denominator.  Both texts a row
-contributes are rendered once, when the row is built: its CSV line, and
-for a decided row its ``certificates.json`` entry, written by the
-certificate renderer (sorted keys, two-space indent, no generic JSON
-encoder).  The row's id hashes that same certificate text, and the files
-are joined from these texts without rendering anything again.
+reciprocal sum's CSV field is written from sigma / L reduced by their
+gcd.  Both texts a row contributes are rendered once, when the row is
+built: its CSV line, and for a decided row its ``certificates.json``
+entry, written by the certificate renderer (sorted keys, two-space
+indent, no generic JSON encoder).  The row's id hashes that same
+certificate text, and the files are joined from these texts without
+rendering anything again.  A row stores only those texts and scalars; its
+certificate tree and exact reciprocal sum are parsed back from them when
+read.
+
+A census with k > 1 processes forks one child per chunk after the first.
+Each child classifies its chunk and writes its rows, pickled, to a pipe
+of its own: texts, ints, bools and enum members, with no certificate
+tree and no ``Fraction``.  An exception in a child is sent the same way
+and raised again in the caller with its type and message.
 
 File outputs::
 
@@ -27,17 +35,29 @@ File outputs::
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from fractions import Fraction
+import pickle
+import signal
 from itertools import combinations_with_replacement
+from math import gcd
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .certificates import Certificate, RuleId, Status, _render, _wrap, certificate_id
+from .certificates import (
+    Certificate,
+    RuleId,
+    Status,
+    _render,
+    _wrap,
+    certificate_from_json,
+    certificate_id,
+)
 from .engine import _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _Record, classify
 from .errors import InputError
 from .tuples import Exponents, Facts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CSV_HEADER = "tuple;status;rule;cotype;in_Tn;reciprocal_sum;certificate_id"
 
@@ -45,8 +65,8 @@ CSV_HEADER = "tuple;status;rule;cotype;in_Tn;reciprocal_sum;certificate_id"
 #: census file format, not set by any budget.
 SUMMARY_SIBLINGS_FIELD = "siblings=16"
 
-#: Fewest rows a census process is given.  Below it, starting the pool
-#: and pickling the rows back cost more than the search they share out.
+#: Fewest rows a census process is given.  Below it, forking a child and
+#: sending its rows back cost more than the search they share out.
 MIN_ROWS_PER_PROCESS = 1_000
 
 
@@ -70,12 +90,15 @@ class CensusSpec(_Record):
 class CensusRow(NamedTuple):
     """One classified tuple of a census, with the texts it contributes.
 
-    ``cotype``, ``in_tn`` and ``reciprocal_sum`` (an exact ``Fraction``)
-    come from the tuple's :class:`~brieskorn.tuples.Facts` record, the one
-    its search read at the root.  ``csv_line`` is the row's line of
-    ``census.csv`` and ``sidecar_entry`` its entry of ``certificates.json``
+    ``cotype`` and ``in_tn`` come from the tuple's
+    :class:`~brieskorn.tuples.Facts` record, the one its search read at the
+    root.  ``csv_line`` is the row's line of ``census.csv`` and
+    ``sidecar_entry`` its entry of ``certificates.json``
     (``"<certificate_id>": <certificate>``, empty for an UNKNOWN row), both
-    rendered when the row is built.
+    rendered when the row is built.  The row stores no certificate tree and
+    no ``Fraction``: ``certificate`` and ``reciprocal_sum`` are parsed from
+    those two texts on every read, so a row sent from a census child reads
+    the same as one built in the caller.
     """
 
     exponents: Exponents
@@ -83,12 +106,24 @@ class CensusRow(NamedTuple):
     rule: RuleId | None
     cotype: int
     in_tn: bool
-    reciprocal_sum: Fraction
     certificate_id: str
     budget_hit: bool
-    certificate: Certificate | None
     sidecar_entry: str
     csv_line: str
+
+    @property
+    def certificate(self) -> Certificate | None:
+        """The certificate of a decided row, parsed from its sidecar entry."""
+        if not self.sidecar_entry:
+            return None
+        return certificate_from_json(self.sidecar_entry.partition(": ")[2])
+
+    @property
+    def reciprocal_sum(self) -> Fraction:
+        """The exact sum of 1/a_i, parsed from the row's CSV field."""
+        from fractions import Fraction
+
+        return Fraction(self.csv_line.split(";")[5])
 
 
 class CensusSummary(NamedTuple):
@@ -156,8 +191,8 @@ def _build_row(entries: Exponents, outcome: Classification, facts: Facts) -> Cen
         key = certificate_id(certificate, text)
         entry = f'"{key}": {text}'
     cotype = facts.mask.bit_count()
-    ratio = Fraction(facts.sigma, facts.lcm)
-    numerator, denominator = ratio.numerator, ratio.denominator
+    common = gcd(facts.sigma, facts.lcm)
+    numerator, denominator = facts.sigma // common, facts.lcm // common
     line = ";".join(
         (
             ",".join(map(str, entries)),
@@ -175,17 +210,14 @@ def _build_row(entries: Exponents, outcome: Classification, facts: Facts) -> Cen
         rule=rule,
         cotype=cotype,
         in_tn=facts.in_tn,
-        reciprocal_sum=ratio,
         certificate_id=key,
         budget_hit=outcome.budget_hit,
-        certificate=certificate,
         sidecar_entry=entry,
         csv_line=line,
     )
 
 
-def _classify_chunk(args: tuple[tuple[Exponents, ...], Budget]) -> list[CensusRow]:
-    chunk, budget = args
+def _classify_chunk(chunk: list[Exponents], budget: Budget) -> list[CensusRow]:
     kb = KnowledgeBase(budget)
     rows = []
     for entries in chunk:
@@ -194,16 +226,83 @@ def _classify_chunk(args: tuple[tuple[Exponents, ...], Budget]) -> list[CensusRo
     return rows
 
 
+def _fork_chunk(chunk: list[Exponents], budget: Budget) -> Callable[..., list[CensusRow]]:
+    """Fork a child that classifies ``chunk`` and writes its rows to a pipe.
+
+    Returns the collector of that child.  ``collect()`` reads the pipe to
+    its end, reaps the child and returns its rows, or raises the child's
+    exception with its type and message.  ``collect(abort=True)`` kills
+    the child and reaps it.  The child leaves only through ``os._exit``,
+    so it never returns into the caller's frames or flushes the stdio
+    buffers it inherited.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = (True, _classify_chunk(chunk, budget))
+            except BaseException as exc:
+                # Forwarded to the caller, which raises it.  Sent as its
+                # parts, since an exception's __init__ need not take its
+                # own args back.
+                payload = (False, (type(exc), exc.args, vars(exc)))
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+
+    def collect(abort: bool = False) -> list[CensusRow]:
+        data = b""
+        try:
+            if not abort:
+                with open(read_end, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+        finally:
+            os.close(read_end)
+            # Past the end of its pipe the child is only exiting.  Short of
+            # it, the child may be blocked on a write that no read will
+            # drain (a later child holds a copy of this read end), so it is
+            # killed rather than waited for.
+            os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if abort:
+            return []
+        if not data:
+            raise ChildProcessError(f"census child {pid} exited with code {code} and sent no rows")
+        ok, payload = pickle.loads(data)
+        if ok:
+            return payload
+        kind, args, attributes = payload
+        exc = kind.__new__(kind, *args)
+        exc.args = args
+        exc.__dict__.update(attributes)
+        raise exc
+
+    return collect
+
+
 def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     """Classify the whole universe.
 
     It runs in ``k`` processes, the least of ``workers``, the CPUs this
     process may run on and ``len(universe) // MIN_ROWS_PER_PROCESS``.
-    With ``k`` > 1 this process classifies the first of ``k`` contiguous
-    chunks while a fork pool of ``k - 1`` processes classifies the rest,
-    each with a private memo table.  Classification is a pure function of
-    tuple and budget, so the rows, joined in chunk order, are those of a
-    serial run.  ``workers`` below 1 is an InputError.
+    With ``k`` > 1 the universe is cut into ``k`` contiguous chunks: one
+    forked child per chunk after the first classifies it with a private
+    memo table and pipes its rows back, while this process classifies the
+    first.  Classification is a pure function of tuple and budget, so the
+    rows, joined in chunk order, are those of a serial run.  Every child
+    is reaped before this returns or raises, and a child's exception is
+    raised here.  ``workers`` below 1 is an InputError.
     """
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
@@ -214,18 +313,20 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
         cpus = os.cpu_count() or 1
     workers = min(workers, cpus, len(universe) // MIN_ROWS_PER_PROCESS)
     if workers <= 1:
-        rows = _classify_chunk((tuple(universe), spec.budget))
+        rows = _classify_chunk(universe, spec.budget)
     else:
         step = (len(universe) + workers - 1) // workers
-        chunks = [
-            (tuple(universe[i : i + step]), spec.budget)
-            for i in range(0, len(universe), step)
-        ]
-        with multiprocessing.get_context("fork").Pool(len(chunks) - 1) as pool:
-            pending = pool.map_async(_classify_chunk, chunks[1:])
-            rows = _classify_chunk(chunks[0])
-            for part in pending.get():
-                rows.extend(part)
+        chunks = [universe[i : i + step] for i in range(0, len(universe), step)]
+        pending = []
+        try:
+            for chunk in chunks[1:]:
+                pending.append(_fork_chunk(chunk, spec.budget))
+            rows = _classify_chunk(chunks[0], spec.budget)
+            while pending:
+                rows += pending.pop(0)()
+        finally:
+            for collect in pending:
+                collect(abort=True)
     return CensusResult(spec=spec, rows=tuple(rows), summary=_summarize(spec, rows))
 
 

@@ -62,6 +62,10 @@ class Status(enum.Enum):
     STABLY_RIGID = "STABLY_RIGID"
     UNKNOWN = "UNKNOWN"
 
+    # Members are singletons compared by identity, so the identity hash
+    # keeps equality and skips Enum.__hash__, a Python-level call.
+    __hash__ = object.__hash__
+
     def __init__(self, value: str):
         #: Stable rigidity counts as rigidity (a plain attribute: read at every search node).
         self.implies_rigid = value in ("RIGID", "STABLY_RIGID")
@@ -81,6 +85,8 @@ class RuleId(enum.Enum):
     COTYPE_GE_NMINUS2 = "COTYPE_GE_NMINUS2"
     RECURSIVE_SUBTUPLES = "RECURSIVE_SUBTUPLES"
     DESCEND = "DESCEND"
+
+    __hash__ = object.__hash__  # as for Status
 
 
 class Witness(NamedTuple):

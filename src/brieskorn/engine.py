@@ -444,16 +444,17 @@ def kernel_degree_bound(exponents, kb: KnowledgeBase | None = None) -> KernelBou
     omit-one subtuple at a critical index."""
     entries = tp.as_exponents(exponents, minimum_length=4)
     kb = KnowledgeBase() if kb is None else kb
+    facts = Facts(entries)
     rigid = set()
     undecided = set()
-    for index in sorted(tp.lcm_critical_indices(entries)):
+    for index in facts.critical:
         result = _decide(tp.omit(entries, index), kb.budget.max_depth, kb)[0]
         if result.status.implies_rigid:
             rigid.add(index)
         elif result.status is Status.UNKNOWN:
             undecided.add(index)
     return KernelBound(
-        value=tp.lcm_drop(entries, rigid),
+        value=tp._drop(entries, facts.floors, rigid),
         rigid_critical=frozenset(rigid),
         undecided=frozenset(undecided),
     )

@@ -263,7 +263,8 @@ class Facts:
         self.n = len(entries)
         self.in_tn = in_tn(entries)
         self.lcm = total = lcm(*entries)
-        self.sigma = sum([total // value for value in entries])
+        # one quotient L/a_i, nearly as large as L, is held at a time
+        self.sigma = sum(map(total.__floordiv__, entries))
         self._kernel = None
 
     def _run_kernel(self) -> tuple[Exponents, int]:

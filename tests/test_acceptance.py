@@ -214,7 +214,7 @@ def test_criterion_7_proj_classes():
 
 
 def test_criterion_8_census_determinism(monkeypatch):
-    # 715 rows fall under the floor: lower it so that the pool runs
+    # 715 rows fall under the floor: lower it so that children fork
     monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
     with criterion(8, "census output identical for different worker counts"):
         spec = CensusSpec(length=4, max_exponent=10)

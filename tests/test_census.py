@@ -3,8 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import sys
-import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import brieskorn as bk
 from brieskorn import census
 from brieskorn.census import CSV_HEADER, CensusSpec
 from brieskorn.certificates import RuleId, Status, certificate_from_dict, certificate_id
-from brieskorn.errors import InputError
+from brieskorn.errors import CertificateError, InputError, SoundnessError
+from brieskorn.tuples import Facts
 
 
 class TestSpec:
@@ -102,7 +104,7 @@ class TestCsv:
 
 class TestDeterminismAndFiles:
     def test_worker_counts_agree_byte_for_byte(self, monkeypatch):
-        # 126 rows fall under the floor: lower it so that the pool runs
+        # 126 rows fall under the floor: lower it so that children fork
         monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
         spec = CensusSpec(length=4, max_exponent=6)
         serial = bk.run_census(spec, workers=1)
@@ -114,42 +116,33 @@ class TestDeterminismAndFiles:
     FOUR_CPUS = {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
-        "max_exponent, floor, affinity, cpu_count, workers, pool_sizes",
+        "max_exponent, floor, affinity, cpu_count, workers, children",
         [
             # n=3 max 21 has 1,771 rows, max 22 has 2,024 and max 8 has 120
-            pytest.param(21, None, FOUR_CPUS, 4, 5000, [], id="below-twice-the-floor"),
-            pytest.param(22, None, FOUR_CPUS, 4, 5000, [1], id="twice-the-floor"),
-            pytest.param(22, None, {0}, 4, 5000, [], id="one-cpu-affinity"),
-            pytest.param(22, None, None, None, 5000, [], id="no-affinity-no-cpu-count"),
-            pytest.param(22, None, None, 4, 5000, [1], id="no-affinity-cpu-count"),
-            pytest.param(8, 60, FOUR_CPUS, 4, 5000, [1], id="each-process-at-the-floor"),
-            pytest.param(8, 61, FOUR_CPUS, 4, 5000, [], id="each-process-under-the-floor"),
-            pytest.param(8, 1, FOUR_CPUS, 8, 5000, [3], id="capped-at-affinity"),
-            pytest.param(8, 1, FOUR_CPUS, 4, 2, [1], id="capped-at-workers"),
+            pytest.param(21, None, FOUR_CPUS, 4, 5000, 0, id="below-twice-the-floor"),
+            pytest.param(22, None, FOUR_CPUS, 4, 5000, 1, id="twice-the-floor"),
+            pytest.param(22, None, {0}, 4, 5000, 0, id="one-cpu-affinity"),
+            pytest.param(22, None, None, None, 5000, 0, id="no-affinity-no-cpu-count"),
+            pytest.param(22, None, None, 4, 5000, 1, id="no-affinity-cpu-count"),
+            pytest.param(8, 60, FOUR_CPUS, 4, 5000, 1, id="each-process-at-the-floor"),
+            pytest.param(8, 61, FOUR_CPUS, 4, 5000, 0, id="each-process-under-the-floor"),
+            pytest.param(8, 1, FOUR_CPUS, 8, 5000, 3, id="capped-at-affinity"),
+            pytest.param(8, 1, FOUR_CPUS, 4, 2, 1, id="capped-at-workers"),
         ],
     )
     def test_pool_size_from_rows_and_cpus(
-        self, monkeypatch, max_exponent, floor, affinity, cpu_count, workers, pool_sizes
+        self, monkeypatch, max_exponent, floor, affinity, cpu_count, workers, children
     ):
-        # the stub pool maps in this process, so no worker is ever started
+        # the stub classifies each child's chunk in this process, so no
+        # child is ever started
         started = []
 
-        class InProcessPool:
-            def __init__(self, processes):
-                started.append(processes)
+        def in_process(chunk, budget):
+            started.append(chunk)
+            rows = census._classify_chunk(chunk, budget)
+            return lambda abort=False: rows
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map_async(self, fn, items):
-                results = [fn(item) for item in items]
-                return types.SimpleNamespace(get=lambda: results)
-
-        context = types.SimpleNamespace(Pool=InProcessPool)
-        monkeypatch.setattr(census.multiprocessing, "get_context", lambda method: context)
+        monkeypatch.setattr(census, "_fork_chunk", in_process)
         monkeypatch.setattr(census.os, "cpu_count", lambda: cpu_count)
         if affinity is None:
             monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
@@ -161,7 +154,7 @@ class TestDeterminismAndFiles:
             monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", floor)
         spec = CensusSpec(length=3, max_exponent=max_exponent)
         sized = bk.run_census(spec, workers=workers)
-        assert started == pool_sizes
+        assert len(started) == children
         assert sized.csv_text() == bk.run_census(spec).csv_text()
 
     def test_files_written_and_sidecar_replays(self, tmp_path):
@@ -177,6 +170,74 @@ class TestDeterminismAndFiles:
             assert bk.replay(certificate)
         ids_in_rows = {row.certificate_id for row in result.rows if row.certificate_id}
         assert ids_in_rows == set(sidecar)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedChunks:
+    """Each chunk after the first is classified in a forked child, which
+    pipes its rows back; every child is reaped whether the census returns
+    or raises, and a child's exception is raised in the caller."""
+
+    SPEC = CensusSpec(length=3, max_exponent=8)  # 120 rows: two chunks of 60
+
+    @pytest.fixture
+    def two_chunks(self, monkeypatch):
+        monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def raise_on(self, monkeypatch, target, action):
+        classify = census.classify
+
+        def stub(entries, kb, **kwargs):
+            if entries == target:
+                action()
+            return classify(entries, kb, **kwargs)
+
+        monkeypatch.setattr(census, "classify", stub)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SoundnessError("(8, 8, 8) is both RIGID and NON_RIGID"),
+            # its __init__ rewrites its message, so the child sends args
+            CertificateError("bad witness", "root.children[1]"),
+        ],
+        ids=["soundness", "certificate"],
+    )
+    def test_child_error_reaches_the_caller(self, two_chunks, monkeypatch, error):
+        def fail():
+            raise error
+
+        self.raise_on(monkeypatch, (8, 8, 8), fail)  # the last row, in chunk 2
+        with pytest.raises(type(error)) as excinfo:
+            bk.run_census(self.SPEC, workers=2)
+        assert type(excinfo.value) is type(error)
+        assert str(excinfo.value) == str(error)
+        assert vars(excinfo.value) == vars(error)
+        no_child_left()
+
+    def test_child_that_sends_nothing(self, two_chunks, monkeypatch):
+        self.raise_on(monkeypatch, (8, 8, 8), lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exited with code 3 and sent no rows"):
+            bk.run_census(self.SPEC, workers=2)
+        no_child_left()
+
+    def test_parent_error_leaves_no_child(self, two_chunks, monkeypatch):
+        def fail():
+            raise SoundnessError("in the first chunk")
+
+        self.raise_on(monkeypatch, (1, 1, 1), fail)  # the first row, in chunk 1
+        with pytest.raises(SoundnessError, match="in the first chunk"):
+            bk.run_census(self.SPEC, workers=2)
+        no_child_left()
+
+    def test_forked_rows_equal_serial_rows(self, two_chunks):
+        assert bk.run_census(self.SPEC, workers=2) == bk.run_census(self.SPEC)
+        no_child_left()
 
 
 def old_sidecar(result):
@@ -273,7 +334,7 @@ class TestCutDepthDigests:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("depth", sorted(CUT_DEPTH_DIGESTS))
     def test_census_files_match(self, monkeypatch, tmp_path, depth, workers):
-        # 2,002 rows fall under the floor: lower it so that the pool runs
+        # 2,002 rows fall under the floor: lower it so that children fork
         monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
         spec = CensusSpec(length=5, max_exponent=10, budget=bk.Budget(max_depth=depth))
         paths = bk.write_census_files(bk.run_census(spec, workers=workers), tmp_path)
@@ -310,6 +371,19 @@ class TestRenderOnce:
         assert decided
         for row in decided:
             assert row.certificate_id == certificate_id(row.certificate)
+
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_UNIVERSES))
+    def test_rows_read_back_the_search(self, workload):
+        # A row stores texts and scalars only; its certificate and exact
+        # reciprocal sum, parsed back from them, are the search's.
+        length, max_exponent = BENCHMARK_UNIVERSES[workload]
+        result = bk.run_census(CensusSpec(length=length, max_exponent=max_exponent), workers=2)
+        kb = bk.KnowledgeBase()
+        for row in result.rows:
+            facts = Facts(row.exponents)
+            assert row.certificate == bk.classify(row.exponents, kb).certificate
+            assert row.reciprocal_sum == Fraction(facts.sigma, facts.lcm)
+            assert type(row.reciprocal_sum) is Fraction
 
     def test_files_render_no_certificate(self, monkeypatch, tmp_path):
         from brieskorn import certificates

@@ -460,6 +460,64 @@ class TestLongCoprimeTuples:
         assert outcome.status is brieskorn.Status.RIGID
         assert held < 1 << 20
 
+    def test_classify_peak_holds_one_quotient_at_a_time(self):
+        # sigma, the sum of the quotients L/a_i, each nearly as large as
+        # L, is summed one quotient at a time: the list of all 6,000 of
+        # them peaked at about 68 MB.
+        primes = tuple(odd_primes(6000))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            brieskorn.classify(primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
+
+class TestInvariantsKernelPasses:
+    """``invariants`` runs the report's bundle once and one lean pass per
+    tuple it searches: the kernel bound takes the critical indices and the
+    drop over the rigid ones from one record of the tuple."""
+
+    EXPECTED = (
+        "tuple: (2,3,3,4,5)\n"
+        "lcm: 60\n"
+        "gcd: 1\n"
+        "normalization: (2,3,3,4,5)\n"
+        "degrees (lcm/entry): (30,20,20,15,12)\n"
+        "type: 0   gcd-critical indices: {}\n"
+        "cotype: 2   lcm-critical indices: {4,5}\n"
+        "lcm-stable indices: {1,2,3}\n"
+        "coordinate gcds: (2,3,3,2,1)\n"
+        "in_Tn: true\n"
+        "lcm drop over critical indices: 10\n"
+        "reciprocal sum: 97/60\n"
+        "kernel degree bound: 2  (divides the true bound; undecided subtuples at {5})\n"
+    )
+
+    def test_one_lean_pass_for_the_bound(self, capsys, monkeypatch):
+        from brieskorn import backend
+
+        passes = []
+        core, bundle = backend.invariant_core, backend.invariant_bundle
+
+        def counted(kernel, kind):
+            def wrapper(entries):
+                passes.append((kind, len(entries)))
+                return kernel(entries)
+
+            return wrapper
+
+        monkeypatch.setattr(backend, "invariant_core", counted(core, "core"))
+        monkeypatch.setattr(backend, "invariant_bundle", counted(bundle, "bundle"))
+        code, out, _ = run(capsys, "invariants", "2", "3", "3", "4", "5")
+        assert code == 0
+        assert out == self.EXPECTED
+        # the report, the bound's record of (2,3,3,4,5), then the search of
+        # the subtuple (2,3,3,4); that of (2,3,3,5) reads no kernel
+        assert passes == [("bundle", 5), ("core", 5), ("core", 4)]
+
 
 class TestKernelNotSelectable:
     """Whether the compiled kernel is built is all that picks it: the

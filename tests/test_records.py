@@ -1,6 +1,6 @@
 """The contract every public record keeps: immutable, equal and hashed by
 value, shown with its class and field names, and unchanged by a pickle
-round trip (census workers send rows and certificates back that way)."""
+round trip (census children send their rows back that way)."""
 
 import pickle
 
@@ -63,8 +63,8 @@ RECORDS = {
     "CensusRow": (
         lambda: census_result().rows[-1],
         (
-            "exponents", "status", "rule", "cotype", "in_tn", "reciprocal_sum", "certificate_id",
-            "budget_hit", "certificate", "sidecar_entry", "csv_line",
+            "exponents", "status", "rule", "cotype", "in_tn", "certificate_id", "budget_hit",
+            "sidecar_entry", "csv_line",
         ),
     ),
     "CensusSummary": (
