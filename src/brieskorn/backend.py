@@ -1,38 +1,31 @@
 """The arithmetic kernel: the omit-one gcd/lcm data of a tuple.
 
-Two entry points, each with the same dispatch:
+Two entry points, both exact for arbitrary integers:
 
 * :func:`invariant_core` is the search's kernel.  It returns only what
   the rules read, ``(coordinate_gcds, lcm_critical_mask)``, from one lcm
-  pass each way (:func:`exact_invariant_core`);
+  pass each way;
 * :func:`invariant_bundle` returns all seven omit-one parts, for the
-  invariant report and the omit-one lcm and gcd functions.  Its exact
-  form (:func:`exact_invariant_bundle`) is that lean pass plus the
-  total lcm and one gcd pass each way.
+  invariant report and the omit-one lcm and gcd functions: that lean
+  pass plus the total lcm and one gcd pass each way.
 
 Both passes take O(n) steps that each pair a running lcm (or gcd) with
 one entry, so a tuple of thousands of large coprime entries costs a
 fraction of a second.  Nothing here is cached: a search node keeps its
 kernel result in its own :class:`~brieskorn.tuples.Facts` record.
-
-When the compiled extension ``_speedups`` is built, its 64-bit kernel
-serves machine-size tuples (length <= 64, every entry and intermediate
-lcm below 2**64) and raises OverflowError outside that window, where the
-exact passes answer instead; results are identical either way.  Nothing
-but the presence of the extension picks the path.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-try:
-    from . import _speedups
-except ImportError:  # installed without the extension
-    _speedups = None
+
+def active_backend() -> str:
+    """The kernel in use: always ``"python"``, the exact passes here."""
+    return "python"
 
 
-def exact_invariant_core(entries):
+def invariant_core(entries):
     """``(coordinate_gcds, lcm_critical_mask)`` of a tuple of positive ints
     (length >= 2), exact for arbitrary integers.
 
@@ -67,17 +60,21 @@ def exact_invariant_core(entries):
     return tuple(floors), mask
 
 
-def exact_invariant_bundle(entries):
+# The bundle calls the lean pass by this name, not through the module
+# attribute, so a wrapper on ``invariant_core`` counts the search's passes only.
+_lean_pass = invariant_core
+
+
+def invariant_bundle(entries):
     """All omit-one gcd/lcm data for a tuple of positive ints (length >= 2).
 
     Returns ``(total_lcm, total_gcd, omitted_lcms, omitted_gcds,
     coordinate_gcds, lcm_critical_mask, gcd_critical_mask)``; parts 4 and
-    5 (0-based) come from :func:`exact_invariant_core`.  Since L =
+    5 (0-based) come from :func:`invariant_core`.  Since L =
     lcm(a_i, O_i) = a_i * O_i / c_i, the lcm of the others is
-    O_i = (L // a_i) * c_i.  The gcds take one more pass each way.  The
-    compiled kernel must return identical values for identical input.
+    O_i = (L // a_i) * c_i.  The gcds take one more pass each way.
     """
-    floors, lcm_mask = exact_invariant_core(entries)
+    floors, lcm_mask = _lean_pass(entries)
     total_lcm = lcm(*entries)
     n = len(entries)
     before = []  # gcd of the entries before a_i
@@ -103,30 +100,3 @@ def exact_invariant_bundle(entries):
         lcm_mask,
         gcd_mask,
     )
-
-
-def active_backend() -> str:
-    """``"c"`` when the compiled kernel is built, else ``"python"``."""
-    return "python" if _speedups is None else "c"
-
-
-def invariant_core(entries):
-    """``(coordinate_gcds, lcm_critical_mask)`` of a tuple; exact for
-    arbitrary integers."""
-    if _speedups is not None:
-        try:
-            return _speedups.invariant_core(entries)[4:6]
-        except OverflowError:
-            pass
-    return exact_invariant_core(entries)
-
-
-def invariant_bundle(entries):
-    """The seven-part omit-one gcd/lcm bundle of a tuple; exact for
-    arbitrary integers."""
-    if _speedups is not None:
-        try:
-            return _speedups.invariant_core(entries)
-        except OverflowError:
-            pass
-    return exact_invariant_bundle(entries)

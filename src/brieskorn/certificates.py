@@ -39,7 +39,8 @@ byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
 The parser takes exactly these keys, so a parsed certificate renders back
 to the text it was read from: a node has all six, a witness a subset of
 its three with no null value, and any other key or a null witness value
-raises :class:`CertificateError`.
+raises :class:`CertificateError`, as does a tree nested too deeply to
+parse.
 """
 
 from __future__ import annotations
@@ -227,6 +228,13 @@ _WITNESS_KEYS = frozenset({"index", "tuple", "subsets"})
 
 def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
     """Parse one node and its children; the key sets must be exact."""
+    try:
+        return _node_from_dict(raw, path)
+    except RecursionError:
+        raise CertificateError("certificate nested too deeply", path) from None
+
+
+def _node_from_dict(raw: Any, path: str) -> Certificate:
     if not isinstance(raw, dict):
         raise CertificateError(f"certificate node must be an object, got {type(raw).__name__}", path)
     if raw.keys() != _NODE_KEYS:
@@ -270,7 +278,7 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
     if not isinstance(raw["children"], list):
         raise CertificateError("children must be a list", path)
     children = tuple(
-        certificate_from_dict(child, f"{path}.children[{k}]")
+        _node_from_dict(child, f"{path}.children[{k}]")
         for k, child in enumerate(raw["children"])
     )
     return Certificate(rule, exponents, status, permutation, witness, children)
@@ -283,6 +291,8 @@ def certificate_from_json(text: str) -> Certificate:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateError("certificate nested too deeply") from None
     return certificate_from_dict(raw)
 
 
@@ -404,6 +414,11 @@ def _fail(message: str, path: str) -> None:
     raise CertificateError(message, path)
 
 
+def _need_positive(entries: Exponents, what: str, path: str) -> None:
+    if any(not isinstance(v, int) or v < 1 for v in entries):
+        _fail(f"{what} must be positive integers: {entries!r}", path)
+
+
 def _need_witness(node: Certificate, path: str) -> Witness:
     if node.witness is None:
         _fail(f"{node.rule.value} requires a witness", path)
@@ -415,8 +430,7 @@ def _replay_node(node: Certificate, path: str) -> None:
     n = len(entries)
     if n < 3:
         _fail(f"classified tuples need length >= 3, got {n}", path)
-    if any(not isinstance(v, int) or v < 1 for v in entries):
-        _fail(f"entries must be positive integers: {entries!r}", path)
+    _need_positive(entries, "entries", path)
     identity = tuple(range(1, n + 1))
     if node.permutation != identity and tuple(sorted(node.permutation)) != identity:
         _fail(f"invalid permutation {node.permutation!r}", path)
@@ -477,6 +491,7 @@ def _replay_descend(node: Certificate, path: str) -> Status:
         _fail(f"witness index {witness.index} out of range for a tuple of length {n}", path)
     if len(witness.exponents) != n:
         _fail(f"witness tuple {witness.exponents!r} does not have length {n}", path)
+    _need_positive(witness.exponents, "witness entries", path)
     if len(node.children) != 1:
         _fail("descend carries exactly one child", path)
     child = node.children[0]

@@ -9,10 +9,9 @@ and certificates.  All arithmetic is exact (ints and Fractions, never
 floats).  The coordinate gcds and the lcm-critical set come from the
 lean kernel :func:`brieskorn.backend.invariant_core`; the omit-one lcms
 and gcds and the gcd-critical set come from the seven-part
-:func:`brieskorn.backend.invariant_bundle`.  Both use the compiled
-kernel whenever it is built and the exact pure-Python passes otherwise,
-and neither is cached: each call here runs its pass, and a search node
-keeps its own in its :class:`Facts` record.
+:func:`brieskorn.backend.invariant_bundle`.  Both are exact
+pure-Python passes, and neither is cached: each call here runs its pass,
+and a search node keeps its own in its :class:`Facts` record.
 
 Terminology used throughout:
 

@@ -116,6 +116,38 @@ class TestSerialization:
         with pytest.raises(CertificateError):
             certificate_from_json("{not json")
 
+    # Far deeper than the interpreter's recursion limit, so that both the
+    # JSON decoder and the node parser run out of stack on the way down.
+    TOO_DEEP = 20_000
+
+    def test_parser_rejects_text_nested_too_deeply(self):
+        # The (4,4,4,12) DESCEND text split around its leaf child; depth 1
+        # is the text itself.  Built by repetition, not by wrapping the
+        # text once per level, which would copy it once per level.
+        node = classified((4, 4, 4, 12))
+        text = certificate_to_json(node)
+        leaf = certificate_to_json(node.children[0])
+        head, tail = text.split(leaf)
+
+        def chain(depth):
+            return head * depth + leaf + tail * depth
+
+        assert chain(1) == text
+        assert certificate_to_json(certificate_from_json(chain(50))) == chain(50)
+        with pytest.raises(CertificateError, match="nested too deeply") as excinfo:
+            certificate_from_json(chain(self.TOO_DEEP))
+        assert excinfo.value.path == "root"
+
+    def test_parser_rejects_a_dict_nested_too_deeply(self):
+        node = classified((4, 4, 4, 12))
+        outer = node.to_dict()
+        payload = node.children[0].to_dict()
+        for _ in range(self.TOO_DEEP):
+            payload = {**outer, "children": [payload]}
+        with pytest.raises(CertificateError, match="nested too deeply") as excinfo:
+            certificate_from_dict(payload)
+        assert excinfo.value.path == "root"
+
 
 def oracle(certificate, **layout):
     return json.dumps(certificate.to_dict(), sort_keys=True, **layout)
@@ -198,6 +230,8 @@ FORGED_ORDER_WITNESSES = [
     pytest.param({"index": 9}, None, id="descend-index-9"),
     pytest.param({"exponents": (4, 4, 4)}, None, id="descend-short-witness"),
     pytest.param({"exponents": (4, 4, 4)}, (4, 4, 4), id="descend-short-witness-and-child"),
+    pytest.param({"exponents": (4, 4, 4, 0)}, (4, 4, 4, 0), id="descend-zero-witness-entry"),
+    pytest.param({"exponents": (4, 4, 4, -4)}, (4, 4, 4, -4), id="descend-negative-witness-entry"),
 ]
 
 

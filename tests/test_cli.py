@@ -520,7 +520,7 @@ class TestInvariantsKernelPasses:
 
 
 class TestKernelNotSelectable:
-    """Whether the compiled kernel is built is all that picks it: the
+    """There is one kernel, the exact pure-Python passes: the
     kernel-selection variable of older releases is ignored, whatever its
     value, and cannot break the exit-code contract."""
 
