@@ -39,8 +39,8 @@ byte for byte to ``json.dumps(to_dict(), sort_keys=True, ...)``::
 The parser takes exactly these keys, so a parsed certificate renders back
 to the text it was read from: a node has all six, a witness a subset of
 its three with no null value, and any other key or a null witness value
-raises :class:`CertificateError`, as does a tree nested too deeply to
-parse.
+raises :class:`CertificateError`, as does a tree nested more than
+:data:`MAX_NESTING` levels deep, or too deeply for the JSON decoder.
 """
 
 from __future__ import annotations
@@ -226,15 +226,25 @@ _NODE_KEYS = frozenset({"rule", "tuple", "permutation", "witness", "children", "
 _WITNESS_KEYS = frozenset({"index", "tuple", "subsets"})
 
 
+#: The deepest nesting the parser accepts: children at most this many
+#: levels below the root.  The recursive renderer and replay take two or
+#: three stack frames per level, so every tree the parser accepts renders
+#: back and replays within the interpreter's default recursion limit.
+MAX_NESTING = 200
+
+
 def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
-    """Parse one node and its children; the key sets must be exact."""
+    """Parse one node and its children; the key sets must be exact, and
+    the tree at most :data:`MAX_NESTING` levels deep."""
     try:
-        return _node_from_dict(raw, path)
+        return _node_from_dict(raw, path, MAX_NESTING)
     except RecursionError:
         raise CertificateError("certificate nested too deeply", path) from None
 
 
-def _node_from_dict(raw: Any, path: str) -> Certificate:
+def _node_from_dict(raw: Any, path: str, levels: int) -> Certificate:
+    """One node, whose children may nest ``levels`` more levels; deeper
+    nesting raises RecursionError, as the interpreter's stack would."""
     if not isinstance(raw, dict):
         raise CertificateError(f"certificate node must be an object, got {type(raw).__name__}", path)
     if raw.keys() != _NODE_KEYS:
@@ -277,8 +287,10 @@ def _node_from_dict(raw: Any, path: str) -> Certificate:
         )
     if not isinstance(raw["children"], list):
         raise CertificateError("children must be a list", path)
+    if raw["children"] and not levels:
+        raise RecursionError
     children = tuple(
-        _node_from_dict(child, f"{path}.children[{k}]")
+        _node_from_dict(child, f"{path}.children[{k}]", levels - 1)
         for k, child in enumerate(raw["children"])
     )
     return Certificate(rule, exponents, status, permutation, witness, children)
@@ -325,14 +337,25 @@ _LAST_SLOT = tuple(sorted(next(p for p in PERMS4 if p[3] == k) for k in range(1,
 _FIRST_SLOT = {k: tuple(p for p in PERMS4 if p[0] == k) for k in range(1, 5)}
 
 
-def _by_last_slot(entries: Exponents) -> tuple[tuple[int, ...], ...]:
+def _by_last_slot(facts: Facts) -> tuple[tuple[int, ...], ...]:
     """Candidates of a condition that depends only on the entry in slot 4."""
     return _LAST_SLOT
 
 
-def _two_first(entries: Exponents) -> tuple[tuple[int, ...], ...]:
-    """Candidates of a condition that needs the single 2 in slot 1."""
-    return _FIRST_SLOT[entries.index(2) + 1] if 2 in entries else ()
+def _three_threes(facts: Facts) -> tuple[tuple[int, ...], ...]:
+    """Candidates of a = b = c = 3: none unless three entries are 3."""
+    return _LAST_SLOT if facts.entries.count(3) >= 3 else ()
+
+
+def _even_gcd_slots(facts: Facts) -> tuple[tuple[int, ...], ...]:
+    """Candidates of :func:`_even_gcd`: the single 2 in slot 1, and in slot 4
+    an entry whose coordinate gcd is 2.  With a = 2 and b even,
+    gcd(d, lcm(b, c)) = gcd(d, lcm(a, b, c)), the coordinate gcd of d."""
+    entries = facts.entries
+    if 2 not in entries:
+        return ()
+    floors = facts.floors
+    return tuple([p for p in _FIRST_SLOT[entries.index(2) + 1] if floors[p[3] - 1] == 2])
 
 
 class LeafRule(NamedTuple):
@@ -343,17 +366,19 @@ class LeafRule(NamedTuple):
     and ``holds`` reads the tuple reordered by the certificate's
     permutation.  Every other rule's condition is symmetric, and ``holds``
     reads the tuple's :class:`~brieskorn.tuples.Facts`, built once per
-    search node.  ``candidates(entries)`` lists,
-    in :data:`PERMS4` order, the permutations that can satisfy ``holds``,
-    so the first of them that does is the first in :data:`PERMS4` that
-    does; the search tries only these, while replay evaluates ``holds``
-    under whatever permutation a certificate records.  ``condition``
-    states the side condition for replay error messages.
+    search node.  ``candidates(facts)`` reads that record too and lists,
+    in :data:`PERMS4` order, the permutations that can satisfy ``holds``
+    (for ``N4_EVEN_GCD`` it reads the coordinate gcds), so the first of
+    them that does is the first in :data:`PERMS4` that does; the search
+    tries only these, and evaluates ``holds`` on each in turn, while
+    replay evaluates ``holds`` under whatever permutation a certificate
+    records.  ``condition`` states the side condition for replay error
+    messages.
     """
 
     rule: RuleId
     status: Status
-    candidates: Callable[[Exponents], tuple[tuple[int, ...], ...]] | None
+    candidates: Callable[[Facts], tuple[tuple[int, ...], ...]] | None
     holds: Callable[[Any], bool]
     condition: str
 
@@ -375,10 +400,10 @@ LEAF_RULES = (
     LeafRule(RuleId.N4_COPRIME, Status.RIGID, _by_last_slot,
              lambda p: gcd(p[0] * p[1] * p[2], p[3]) == 1,
              "gcd(a*b*c, d) = 1"),
-    LeafRule(RuleId.N4_THREE_THREES, Status.RIGID, _by_last_slot,
+    LeafRule(RuleId.N4_THREE_THREES, Status.RIGID, _three_threes,
              lambda p: p[0] == p[1] == p[2] == 3,
              "a = b = c = 3"),
-    LeafRule(RuleId.N4_EVEN_GCD, Status.RIGID, _two_first,
+    LeafRule(RuleId.N4_EVEN_GCD, Status.RIGID, _even_gcd_slots,
              _even_gcd,
              "a = 2, b, c, d >= 3, b even, gcd(b, c) >= 3, gcd(d, lcm(b, c)) = 2"),
     LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, None,

@@ -38,6 +38,30 @@ rule of recording the depth an entry was searched to (T. A. Marsland,
 "A Review of Game-Tree Pruning", ICCA Journal 9(1), 1986), applied to an
 exact search, so no answer depends on which table served it.
 
+DESCEND's witnesses at a critical index i of a tuple at depth D are
+f * k, with f = gcd(a_i, O_i) the floor of i, O_i the lcm of the other
+entries, and k running over the smallest divisors of a_i / f in
+ascending order.  A witness child reached at f * k answers index i from
+its parent's loop instead of asking the memo again (the *sibling rule*):
+
+* its floor at i is again f: gcd(a_i / f, O_i / f) = 1 and k divides
+  a_i / f, so gcd(f * k, O_i) = f;
+* so its witnesses at i are f * k' for the proper divisors k' of k
+  (fewer than the cap), which are exactly the parent's earlier witnesses
+  that divide k, in the same coordinate order;
+* the parent found each of them non-rigid at depth D - 1, so each is
+  non-rigid at D - 2, and the memo serves it there with the height h it
+  had at D - 1 when h <= D - 2, and as cut (None) otherwise: an uncut
+  height is at most the depth, so h = D - 1 is cut at D - 2.
+
+So the child's loop at i would record those heights and move on, and
+the parent hands it their greatest instead (D - 1 standing for a cut
+one).  The parent keeps, for each k, the greatest over k and its
+divisors, so a child's fold is the greatest over k / p for the primes p
+dividing k: a few steps per witness, not one per earlier sibling.  No
+answer, certificate, cut bit or memo entry changes; the skipped
+lookups would all have been hits.
+
 The recursion is bounded by the tuple itself.  Each recursive step either
 shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
 keeps at least three) or replaces an entry by a proper divisor (DESCEND).
@@ -224,7 +248,13 @@ def classify(exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None 
     return _decide(entries, kb.budget.max_depth, kb, facts)[0]
 
 
-def _decide(entries: Exponents, depth: int, kb: KnowledgeBase, facts: Facts | None = None) -> Entry:
+def _decide(
+    entries: Exponents,
+    depth: int,
+    kb: KnowledgeBase,
+    facts: Facts | None = None,
+    inherited: tuple[int, int] | None = None,
+) -> Entry:
     canonical = tuple(sorted(entries))
     entry = kb.lookup(canonical, depth)
     if entry is not None:
@@ -235,7 +265,7 @@ def _decide(entries: Exponents, depth: int, kb: KnowledgeBase, facts: Facts | No
     # coordinate order: its certificate is rebuilt for this order (children
     # resolve via the memo), so that certificates always root at the tuple
     # as classified.
-    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb)
+    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb, inherited)
     if entry is None:
         kb.store(canonical, depth, searched)
     elif searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
@@ -246,7 +276,9 @@ def _decide(entries: Exponents, depth: int, kb: KnowledgeBase, facts: Facts | No
     return searched
 
 
-def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase) -> Entry:
+def _run_cascade(
+    facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple[int, int] | None
+) -> Entry:
     certificate = _first_leaf(facts, LEAF_RULES)
     height: int | None = 0
     if certificate is None:
@@ -256,7 +288,7 @@ def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase) -> Entry:
             return Classification(Status.UNKNOWN, None, True), None
         heights: list[int | None] = []
         certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
-            facts, depth, kb, heights
+            facts, depth, kb, heights, inherited
         )
         height = None if None in heights else max(heights, default=-1) + 1
         if certificate is None:
@@ -297,7 +329,7 @@ def _first_leaf(facts: Facts, rules: tuple[LeafRule, ...]) -> Certificate | None
             if leaf.holds(facts):
                 return Certificate(leaf.rule, entries, leaf.status, tp.identity_permutation(facts.n))
         elif gate:
-            for permutation in leaf.candidates(entries):
+            for permutation in leaf.candidates(facts):
                 if leaf.holds(_REORDER[permutation](entries)):
                     return Certificate(leaf.rule, entries, leaf.status, permutation)
     return None
@@ -333,22 +365,48 @@ def _recursive_subtuples(
 
 
 def _descend(
-    facts: Facts, depth: int, kb: KnowledgeBase, heights: list[int | None]
+    facts: Facts,
+    depth: int,
+    kb: KnowledgeBase,
+    heights: list[int | None],
+    inherited: tuple[int, int] | None = None,
 ) -> Certificate | None:
     """Replaces one critical coordinate by a smaller compatible divisor and
     inherits rigidity from below (one-directional, so only RIGID comes
-    back up).  The search height of each witness visited goes to ``heights``."""
+    back up).  The search height of each witness visited goes to ``heights``.
+
+    ``inherited`` is given to a witness child: the index it was reached at,
+    and the greatest height of its siblings as its parent folded them (the
+    sibling rule in the module docstring).  That index's witnesses are not
+    visited again; their folded height goes to ``heights`` instead."""
     entries, floors = facts.entries, facts.floors
+    cap = kb.budget.max_divisor_witnesses
     for index in facts.critical:
+        if inherited is not None and inherited[0] == index:
+            height = inherited[1]
+            heights.append(height if height < depth else None)
+            continue
         value = entries[index - 1]
         floor = floors[index - 1]
         # The witnesses are the proper divisors of the entry that floor
         # divides, the smallest max_divisor_witnesses of them: floor times
-        # each divisor of value // floor but the last.
-        cap = kb.budget.max_divisor_witnesses
+        # each divisor of value // floor but the last.  They come in
+        # ascending order, so the divisors of each k come before it, and
+        # a k that no prime seen so far divides is itself a prime.
+        # folded[k] is the greatest height found at depth - 1 among the
+        # witnesses floor * k' with k' dividing k, depth - 1 standing for a
+        # cut one; a child reached at k inherits the greatest folded[k // p]
+        # over the primes p dividing k (the sibling rule).
+        folded: dict[int, int] = {}
+        primes: list[int] = []
         for k in tp.divisors(value // floor, cap + 1)[:-1]:
+            below = [folded[k // p] for p in primes if not k % p]
+            if not below and k > 1:
+                primes.append(k)
+                below.append(folded[1])
+            siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            result, height = _decide(witness_tuple, depth - 1, kb)
+            result, height = _decide(witness_tuple, depth - 1, kb, None, (index, siblings))
             heights.append(height)
             if result.status.implies_rigid:
                 return Certificate(
@@ -359,6 +417,7 @@ def _descend(
                     Witness(index=index, exponents=witness_tuple),
                     (result.certificate,),
                 )
+            folded[k] = max(siblings, depth - 1 if height is None else height)
     return None
 
 

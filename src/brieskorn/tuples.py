@@ -81,6 +81,10 @@ def _mask_to_indices(mask: int) -> IndexSet:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+#: For each mask below 2^8, the 1-based indices of its set bits, ascending.
+_ASCENDING = tuple(tuple([i + 1 for i in range(8) if mask >> i & 1]) for mask in range(1 << 8))
+
+
 def _unmasked_indices(mask: int, n: int) -> IndexSet:
     return _mask_to_indices(~mask & ((1 << n) - 1))
 
@@ -250,9 +254,12 @@ class Facts:
     index i), its ``critical`` indices in ascending order and the coordinate
     gcds ``floors`` come from one lean kernel pass
     (:func:`brieskorn.backend.invariant_core`), run on the first read of any
-    of them and kept in the record, not in any process-wide cache.  No
-    length-3 search node reads them, so classifying a length-3 tuple runs
-    no kernel pass.
+    of them and kept in the record, not in any process-wide cache.  A
+    search node reads ``critical`` up to three times; for a mask below
+    2^8 (every tuple of length 8 or less) each read is a lookup in a fixed
+    table, and only a longer tuple's is built from the mask.  No length-3
+    search node reads them, so classifying a length-3 tuple runs no kernel
+    pass.
     """
 
     __slots__ = ("entries", "n", "in_tn", "lcm", "sigma", "_kernel")
@@ -277,6 +284,8 @@ class Facts:
     @property
     def critical(self) -> tuple[int, ...]:
         mask = (self._kernel or self._run_kernel())[1]
+        if mask < len(_ASCENDING):
+            return _ASCENDING[mask]
         return tuple([i + 1 for i in range(self.n) if mask >> i & 1])
 
     @property

@@ -116,26 +116,27 @@ class TestSerialization:
         with pytest.raises(CertificateError):
             certificate_from_json("{not json")
 
-    # Far deeper than the interpreter's recursion limit, so that both the
-    # JSON decoder and the node parser run out of stack on the way down.
+    # Far deeper than the interpreter's recursion limit, so that the JSON
+    # decoder runs out of stack on the way down, and far deeper than
+    # MAX_NESTING.
     TOO_DEEP = 20_000
 
-    def test_parser_rejects_text_nested_too_deeply(self):
-        # The (4,4,4,12) DESCEND text split around its leaf child; depth 1
-        # is the text itself.  Built by repetition, not by wrapping the
-        # text once per level, which would copy it once per level.
+    @staticmethod
+    def chain_text(depth):
+        # The (4,4,4,12) DESCEND text split around its leaf child, with its
+        # one DESCEND level repeated ``depth`` times; depth 1 is the text
+        # itself.  Built by repetition, not by wrapping the text once per
+        # level, which would copy it once per level.
         node = classified((4, 4, 4, 12))
-        text = certificate_to_json(node)
         leaf = certificate_to_json(node.children[0])
-        head, tail = text.split(leaf)
+        head, tail = certificate_to_json(node).split(leaf)
+        return head * depth + leaf + tail * depth
 
-        def chain(depth):
-            return head * depth + leaf + tail * depth
-
-        assert chain(1) == text
-        assert certificate_to_json(certificate_from_json(chain(50))) == chain(50)
+    def test_parser_rejects_text_nested_too_deeply(self):
+        assert self.chain_text(1) == certificate_to_json(classified((4, 4, 4, 12)))
+        assert certificate_to_json(certificate_from_json(self.chain_text(50))) == self.chain_text(50)
         with pytest.raises(CertificateError, match="nested too deeply") as excinfo:
-            certificate_from_json(chain(self.TOO_DEEP))
+            certificate_from_json(self.chain_text(self.TOO_DEEP))
         assert excinfo.value.path == "root"
 
     def test_parser_rejects_a_dict_nested_too_deeply(self):
@@ -147,6 +148,40 @@ class TestSerialization:
         with pytest.raises(CertificateError, match="nested too deeply") as excinfo:
             certificate_from_dict(payload)
         assert excinfo.value.path == "root"
+
+    @pytest.mark.parametrize("depth", [certificates.MAX_NESTING + 1, 300, 400, 480])
+    def test_parser_rejects_what_the_renderer_cannot_write_back(self, depth):
+        # Chains 400 and 480 levels deep used to parse, and rendering them
+        # back raised RecursionError.
+        with pytest.raises(CertificateError, match="nested too deeply") as excinfo:
+            certificate_from_json(self.chain_text(depth))
+        assert excinfo.value.path == "root"
+
+    def test_the_deepest_accepted_chain_renders_back(self):
+        text = self.chain_text(certificates.MAX_NESTING)
+        parsed = certificate_from_json(text)
+        assert certificate_to_json(parsed) == text
+        assert certificate_id(parsed) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+    def test_the_deepest_accepted_valid_chain_replays(self):
+        # (4,4,4,4 * 2^j) descends at index 4 to (4,4,4,4 * 2^(j-1)), down to
+        # the EQUAL_EXPONENTS leaf (4,4,4,4).
+        node = Certificate(RuleId.EQUAL_EXPONENTS, (4, 4, 4, 4), Status.RIGID, (1, 2, 3, 4))
+        for j in range(1, certificates.MAX_NESTING + 1):
+            node = Certificate(
+                RuleId.DESCEND, (4, 4, 4, 4 << j), Status.RIGID, (1, 2, 3, 4),
+                Witness(index=4, exponents=node.exponents), (node,),
+            )
+        text = certificate_to_json(node, indent=2)
+        parsed = certificate_from_json(text)
+        assert parsed == node and bk.replay(parsed)
+        deeper = Certificate(
+            RuleId.DESCEND, (4, 4, 4, 8 << j), Status.RIGID, (1, 2, 3, 4),
+            Witness(index=4, exponents=node.exponents), (node,),
+        )
+        assert bk.replay(deeper)
+        with pytest.raises(CertificateError, match="nested too deeply"):
+            certificate_from_json(certificate_to_json(deeper))
 
 
 def oracle(certificate, **layout):

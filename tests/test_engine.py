@@ -5,13 +5,13 @@ from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
 from brieskorn import engine
 from brieskorn import tuples as tp
-from brieskorn.certificates import LEAF_RULES, RuleId, Status
+from brieskorn.certificates import LEAF_RULES, RuleId, Status, recursive_subsets
 from brieskorn.engine import RULE_PRIORITY, _decide
 from brieskorn.errors import InputError, SoundnessError
 
@@ -439,9 +439,9 @@ def test_each_sorted_tuple_is_searched_once_per_call(monkeypatch, entries):
     searched = []
     run_cascade = engine._run_cascade
 
-    def recording(facts, depth, kb):
+    def recording(facts, depth, kb, inherited):
         searched.append(tuple(sorted(facts.entries)))
-        return run_cascade(facts, depth, kb)
+        return run_cascade(facts, depth, kb, inherited)
 
     monkeypatch.setattr(engine, "_run_cascade", recording)
     assert bk.classify(entries).status is Status.UNKNOWN
@@ -480,6 +480,136 @@ def test_len_counts_entries_in_every_table():
     # its status is still registered against a contradictory one
     with pytest.raises(SoundnessError, match="contradictory statuses"):
         kb.store((2, 3, 4, 5), 2, (bk.Classification(Status.NON_RIGID, None), None))
+
+
+# --- DESCEND's sibling rule ----------------------------------------------------
+#
+# The search as it was before a witness child took its siblings' verdicts
+# from its parent's loop: every witness at every critical index is asked
+# of the memo.  The leaf cascade is the engine's own (its permuted rules
+# are checked against the tuple predicates below).
+
+
+def reference_decide(entries, depth, kb):
+    canonical = tuple(sorted(entries))
+    entry = kb.lookup(canonical, depth)
+    if entry is not None:
+        cached = entry[0]
+        if cached.certificate is None or cached.certificate.exponents == entries:
+            return entry
+    searched = reference_run_cascade(tp.Facts(entries), depth, kb)
+    if entry is None:
+        kb.store(canonical, depth, searched)
+    return searched
+
+
+def reference_run_cascade(facts, depth, kb):
+    certificate = engine._first_leaf(facts, LEAF_RULES)
+    height = 0
+    if certificate is None:
+        if not facts.mask:
+            return bk.Classification(Status.UNKNOWN, None, False), 0
+        if depth <= 0:
+            return bk.Classification(Status.UNKNOWN, None, True), None
+        heights = []
+        certificate = reference_subtuples(facts, depth, kb, heights) or reference_descend(
+            facts, depth, kb, heights
+        )
+        height = None if None in heights else max(heights, default=-1) + 1
+        if certificate is None:
+            return bk.Classification(Status.UNKNOWN, None, True), height
+    return bk.Classification(certificate.status, certificate), height
+
+
+def reference_subtuples(facts, depth, kb, heights):
+    subsets = recursive_subsets(facts)
+    if not subsets:
+        return None
+    children = []
+    for subset in subsets:
+        result, height = reference_decide(tp.subtuple(facts.entries, subset), depth - 1, kb)
+        heights.append(height)
+        if not result.status.implies_rigid:
+            return None
+        children.append(result.certificate)
+    return bk.Certificate(
+        RuleId.RECURSIVE_SUBTUPLES, facts.entries, Status.RIGID,
+        tp.identity_permutation(facts.n), bk.Witness(subsets=subsets), tuple(children),
+    )
+
+
+def reference_descend(facts, depth, kb, heights):
+    entries, floors = facts.entries, facts.floors
+    for index in facts.critical:
+        floor = floors[index - 1]
+        for k in tp.divisors(entries[index - 1] // floor, kb.budget.max_divisor_witnesses + 1)[:-1]:
+            witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
+            result, height = reference_decide(witness_tuple, depth - 1, kb)
+            heights.append(height)
+            if result.status.implies_rigid:
+                return bk.Certificate(
+                    RuleId.DESCEND, entries, Status.RIGID, tp.identity_permutation(facts.n),
+                    bk.Witness(index=index, exponents=witness_tuple), (result.certificate,),
+                )
+    return None
+
+
+def memo_tables(kb):
+    return [list(table.items()) for table in (kb._saturated, kb._unknown, kb._decided)]
+
+
+@st.composite
+def smooth_searches(draw):
+    # Small entries sharing factors with one large smooth entry, so that
+    # DESCEND walks long witness lists and its children meet their siblings.
+    small = st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16))
+    others = draw(st.lists(small, min_size=3, max_size=5))
+    powers = draw(st.tuples(*(st.integers(0, top) for top in (14, 8, 5, 3, 2))))
+    large = 2**powers[0] * 3**powers[1] * 5**powers[2] * 7**powers[3] * 11**powers[4]
+    entries = draw(st.permutations(others + [max(large, 17)]))
+    return tuple(entries), draw(st.integers(0, 8)), draw(st.sampled_from((1, 2, 5, 32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_searches())
+def test_sibling_rule_matches_the_search_that_asks_the_memo(search):
+    entries, depth, cap = search
+    budget = bk.Budget(max_depth=depth, max_divisor_witnesses=cap)
+    kb, reference_kb = bk.KnowledgeBase(budget), bk.KnowledgeBase(budget)
+    for tuple_ in (entries, entries[::-1]):  # the second through a warm memo
+        got = _decide(tuple_, depth, kb)
+        assert got == reference_decide(tuple_, depth, reference_kb), tuple_
+        assert memo_tables(kb) == memo_tables(reference_kb), tuple_
+
+
+def count_decides(monkeypatch):
+    calls = []
+    decide = engine._decide
+
+    def counting(*args):
+        calls.append(args[0])
+        return decide(*args)
+
+    monkeypatch.setattr(engine, "_decide", counting)
+    return calls
+
+
+BIG_SMOOTH = 2**20 * 3**12 * 5**8 * 7**6 * 11**4 * 13**3
+
+
+@pytest.mark.parametrize(
+    "entries,cap,calls",
+    [
+        ((7, 11468800, 2, 8), 32, 33),  # 332 when every sibling was asked again
+        ((6, 3, 10, 7647185), 32, 14),  # 71
+        ((7, BIG_SMOOTH, 2, 8), 4096, 4097),  # 253,503
+    ],
+)
+def test_descend_asks_the_memo_once_per_witness(monkeypatch, entries, cap, calls):
+    decided = count_decides(monkeypatch)
+    outcome = bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_divisor_witnesses=cap)))
+    assert outcome.status is Status.UNKNOWN and outcome.budget_hit
+    assert len(decided) == calls
 
 
 # --- one Facts record per search node ------------------------------------------
@@ -556,6 +686,17 @@ def leaf_tuples(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(leaf_tuples())
+# three 3s, with the fourth entry in each slot
+@example((6, 3, 3, 3))
+@example((3, 6, 3, 3))
+@example((3, 3, 6, 3))
+@example((3, 3, 3, 6))
+# every even entry's coordinate gcd is 2, but no two share a factor >= 3
+@example((2, 4, 10, 6))
+# the coordinate gcd of 4 is 2, and every other entry is odd
+@example((9, 4, 3, 2))
+# three even entries, none of them but the 2 with coordinate gcd 2
+@example((7, 56 * 5, 2, 8))
 def test_first_leaf_matches_the_tuple_predicates(entries):
     certificate = engine._first_leaf(tp.Facts(entries), LEAF_RULES)
     found = None if certificate is None else (certificate.rule, certificate.status, certificate.permutation)
@@ -636,3 +777,12 @@ def test_classify_takes_the_facts_of_its_own_tuple_only():
     assert bk.classify((4, 4, 4, 12), facts=facts) == bk.classify((4, 4, 4, 12))
     with pytest.raises(InputError):
         bk.classify((4, 4, 4, 12), facts=tp.Facts((4, 4, 12, 4)))
+
+
+@pytest.mark.parametrize("entries", [(7, 11468800, 2, 8), (12, 18, 8, 9, 5, 7, 11, 13), tuple(range(2, 12))])
+def test_facts_critical_indices_are_the_omit_one_definition(entries):
+    # up to length 8 from the table of small masks, beyond it from the mask
+    facts = tp.Facts(entries)
+    assert facts.critical == tuple(_critical(entries))
+    if len(entries) <= 8:
+        assert facts.critical is tp._ASCENDING[facts.mask]
