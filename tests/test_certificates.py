@@ -333,3 +333,265 @@ class TestReplay:
             RuleId.EQUAL_EXPONENTS, (3, 3, 3, 3), Status.RIGID, (1, 2, 3, 4)
         )
         assert not bk.replay(cert)
+
+
+# --- every parser and replay error, byte for byte ---------------------------
+#
+# Each case builds one malformed payload (parsed by certificate_from_dict) or
+# one forged certificate (checked by verify_certificate) and pins the error's
+# full text and path.  The bases are the (4,4,4,12) DESCEND certificate, the
+# (2,5,7,3,3,3) RECURSIVE_SUBTUPLES one with three leaf children, and the
+# DESCEND chain (4,4,4,32) -> (4,4,4,16) -> (4,4,4,8) -> (4,4,4,4), whose
+# last node is an EQUAL_EXPONENTS leaf.
+
+
+def descend_payload():
+    return classified((4, 4, 4, 12)).to_dict()
+
+
+def recursive_payload():
+    return classified((2, 5, 7, 3, 3, 3)).to_dict()
+
+
+def chain_node(bottom=RuleId.EQUAL_EXPONENTS):
+    node = leaf(bottom, (4, 4, 4, 4))
+    for j in (1, 2, 3):
+        node = leaf(RuleId.DESCEND, (4, 4, 4, 4 << j), witness=Witness(index=4, exponents=node.exponents),
+                    children=(node,))
+    return node
+
+
+def chain_payload():
+    return chain_node().to_dict()
+
+
+def edited(base, edit):
+    """A parse case: the payload ``base()`` changed in place by ``edit``."""
+
+    def build():
+        payload = base()
+        edit(payload)
+        return payload
+
+    return "parse", build
+
+
+def forged(build):
+    """A replay case: the certificate ``build()``."""
+    return "replay", build
+
+
+def descend_node():
+    return classified((4, 4, 4, 12))
+
+
+def recursive_node():
+    return classified((2, 5, 7, 3, 3, 3))
+
+
+def with_child(node, k, **changes):
+    children = list(node.children)
+    children[k] = children[k]._replace(**changes)
+    return node._replace(children=tuple(children))
+
+
+def with_witness(node, **changes):
+    return node._replace(witness=node.witness._replace(**changes))
+
+
+def leaf(rule, entries, status=Status.RIGID, permutation=None, **fields):
+    return Certificate(rule, entries, status, permutation or tuple(range(1, len(entries) + 1)), **fields)
+
+
+ERROR_PINS = [
+    # the mutations of test_parser_rejects_malformed_payloads
+    ("missing-rule", edited(descend_payload, lambda d: d.pop("rule")),
+     "root: missing fields: ['rule']", "root"),
+    ("unknown-rule", edited(descend_payload, lambda d: d.update(rule="NO_SUCH_RULE")),
+     "root: unknown rule 'NO_SUCH_RULE'", "root"),
+    ("unknown-status", edited(descend_payload, lambda d: d.update(status="MAYBE")),
+     "root: unknown status 'MAYBE'", "root"),
+    ("str-entry", edited(descend_payload, lambda d: d.update(tuple=[2, "3"])),
+     "root: tuple must be a list of integers, got [2, '3']", "root"),
+    ("children-not-list", edited(descend_payload, lambda d: d.update(children="nope")),
+     "root: children must be a list", "root"),
+    ("retired-rule", edited(descend_payload, lambda d: d.update(rule="TRANSFER")),
+     "root: unknown rule 'TRANSFER'", "root"),
+    ("unknown-field", edited(descend_payload, lambda d: d.update(foo=1)),
+     "root: unknown fields: ['foo']", "root"),
+    ("unknown-witness-field", edited(descend_payload, lambda d: d["witness"].update(sibling=[4, 4, 4, 12])),
+     "root: unknown witness fields: ['sibling']", "root"),
+    # node and field types
+    ("node-not-object", ("parse", lambda: [descend_payload()]),
+     "root: certificate node must be an object, got list", "root"),
+    ("missing-fields", edited(descend_payload, lambda d: [d.pop(k) for k in ("witness", "status")]),
+     "root: missing fields: ['status', 'witness']", "root"),
+    ("unknown-non-string-field", edited(descend_payload, lambda d: d.update({7: 1, "extra": 2})),
+     "root: unknown fields: [7, 'extra']", "root"),
+    ("tuple-not-list", edited(descend_payload, lambda d: d.update(tuple="4,4,4,12")),
+     "root: tuple must be a list of integers, got '4,4,4,12'", "root"),
+    ("tuple-tuple", edited(descend_payload, lambda d: d.update(tuple=(4, 4, 4, 12))),
+     "root: tuple must be a list of integers, got (4, 4, 4, 12)", "root"),
+    ("bool-entry", edited(descend_payload, lambda d: d.update(tuple=[4, 4, 4, True])),
+     "root: tuple must be a list of integers, got [4, 4, 4, True]", "root"),
+    ("float-entry", edited(descend_payload, lambda d: d.update(tuple=[4, 4, 4, 12.0])),
+     "root: tuple must be a list of integers, got [4, 4, 4, 12.0]", "root"),
+    ("null-entry", edited(descend_payload, lambda d: d.update(tuple=[4, None, 4, 12])),
+     "root: tuple must be a list of integers, got [4, None, 4, 12]", "root"),
+    ("bool-permutation", edited(descend_payload, lambda d: d.update(permutation=[True, 2, 3, 4])),
+     "root: permutation must be a list of integers, got [True, 2, 3, 4]", "root"),
+    ("permutation-not-list", edited(descend_payload, lambda d: d.update(permutation=None)),
+     "root: permutation must be a list of integers, got None", "root"),
+    ("unhashable-rule", edited(descend_payload, lambda d: d.update(rule=["DESCEND"])),
+     "root: unknown rule ['DESCEND']", "root"),
+    ("unhashable-status", edited(descend_payload, lambda d: d.update(status=["RIGID"])),
+     "root: unknown status ['RIGID']", "root"),
+    ("dict-rule", edited(descend_payload, lambda d: d.update(rule={})),
+     "root: unknown rule {}", "root"),
+    ("int-status", edited(descend_payload, lambda d: d.update(status=1)),
+     "root: unknown status 1", "root"),
+    ("lowercase-rule", edited(descend_payload, lambda d: d.update(rule="descend")),
+     "root: unknown rule 'descend'", "root"),
+    # witnesses
+    ("witness-not-object", edited(descend_payload, lambda d: d.update(witness=[4, [4, 4, 4, 4]])),
+     "root: witness must be an object or null", "root"),
+    ("null-witness-index", edited(descend_payload, lambda d: d["witness"].update(index=None)),
+     "root: witness index must be an integer", "root"),
+    ("bool-witness-index", edited(descend_payload, lambda d: d["witness"].update(index=True)),
+     "root: witness index must be an integer", "root"),
+    ("str-witness-index", edited(descend_payload, lambda d: d["witness"].update(index="4")),
+     "root: witness index must be an integer", "root"),
+    ("null-witness-tuple", edited(descend_payload, lambda d: d["witness"].update(tuple=None)),
+     "root: witness tuple must be a list of integers, got None", "root"),
+    ("bool-witness-tuple", edited(descend_payload, lambda d: d["witness"].update(tuple=[4, 4, False, 4])),
+     "root: witness tuple must be a list of integers, got [4, 4, False, 4]", "root"),
+    ("null-witness-subsets", edited(descend_payload, lambda d: d["witness"].update(subsets=None)),
+     "root: witness subsets must be a list of lists", "root"),
+    ("subsets-not-list", edited(recursive_payload, lambda d: d["witness"].update(subsets="12,13,23")),
+     "root: witness subsets must be a list of lists", "root"),
+    ("subset-not-list", edited(recursive_payload, lambda d: d["witness"].update(subsets=[[1, 2], 13, [2, 3]])),
+     "root: witness subset must be a list of integers, got 13", "root"),
+    ("bool-subset-entry", edited(recursive_payload, lambda d: d["witness"].update(subsets=[[1, 2], [True, 3]])),
+     "root: witness subset must be a list of integers, got [True, 3]", "root"),
+    # children, and the path of a bad node below the root
+    ("child-not-object", edited(recursive_payload, lambda d: d["children"].__setitem__(1, "leaf")),
+     "root.children[1]: certificate node must be an object, got str", "root.children[1]"),
+    ("bad-child", edited(recursive_payload, lambda d: d["children"][2].update(status="MAYBE")),
+     "root.children[2]: unknown status 'MAYBE'", "root.children[2]"),
+    ("bad-grandchild", edited(chain_payload, lambda d: d["children"][0]["children"][0].update(tuple=[4, True])),
+     "root.children[0].children[0]: tuple must be a list of integers, got [4, True]",
+     "root.children[0].children[0]"),
+    ("bad-great-grandchild-witness",
+     edited(chain_payload, lambda d: d["children"][0]["children"][0]["children"][0].update(witness=7)),
+     "root.children[0].children[0].children[0]: witness must be an object or null",
+     "root.children[0].children[0].children[0]"),
+    ("nested-too-deeply",
+     ("parse", lambda: json.loads(TestSerialization.chain_text(certificates.MAX_NESTING + 1))),
+     "root: certificate nested too deeply", "root"),
+    # _replay_node
+    ("replay-short-tuple", forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 2))),
+     "root: classified tuples need length >= 3, got 2", "root"),
+    ("replay-zero-entry", forged(lambda: leaf(RuleId.NOT_IN_TN, (0, 2, 3), Status.NON_RIGID)),
+     "root: entries must be positive integers: (0, 2, 3)", "root"),
+    ("replay-str-entry", forged(lambda: leaf(RuleId.NOT_IN_TN, (1, "2", 3), Status.NON_RIGID)),
+     "root: entries must be positive integers: (1, '2', 3)", "root"),
+    ("replay-repeated-slot", forged(lambda: leaf(RuleId.N3_T3, (2, 3, 4), permutation=(1, 1, 2))),
+     "root: invalid permutation (1, 1, 2)", "root"),
+    ("replay-short-permutation", forged(lambda: leaf(RuleId.N3_T3, (2, 3, 4), permutation=(2, 1))),
+     "root: invalid permutation (2, 1)", "root"),
+    ("replay-permuted-rule-on-length-3", forged(lambda: leaf(RuleId.N4_COPRIME, (2, 3, 5))),
+     "root: rule applies to length-4 tuples in T_n only", "root"),
+    ("replay-permuted-rule-outside-tn", forged(lambda: leaf(RuleId.N4_COPRIME, (1, 3, 5, 7))),
+     "root: rule applies to length-4 tuples in T_n only", "root"),
+    ("replay-symmetric-condition", forged(lambda: leaf(RuleId.EQUAL_EXPONENTS, (3, 3, 3, 3))),
+     "root: EQUAL_EXPONENTS side condition fails for (3, 3, 3, 3): needs length n >= 4, "
+     "all entries equal and >= n", "root"),
+    ("replay-permuted-condition",
+     forged(lambda: leaf(RuleId.N4_COPRIME, (2, 9, 4, 6), permutation=(4, 1, 2, 3))),
+     "root: N4_COPRIME side condition fails for (6, 2, 9, 4): needs gcd(a*b*c, d) = 1", "root"),
+    ("replay-leaf-with-children",
+     forged(lambda: leaf(RuleId.LOW_SUM, (4, 4, 4), Status.STABLY_RIGID,
+                         children=(leaf(RuleId.EQUAL_EXPONENTS, (4, 4, 4, 4)),))),
+     "root: LOW_SUM must not have children", "root"),
+    ("replay-unknown-status", forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 3, 3, 2), Status.UNKNOWN)),
+     "root: recorded status UNKNOWN but side conditions derive NON_RIGID", "root"),
+    ("replay-recursive-status", forged(lambda: recursive_node()._replace(status=Status.STABLY_RIGID)),
+     "root: recorded status STABLY_RIGID but side conditions derive RIGID", "root"),
+    # _replay_recursive
+    ("recursive-on-length-3", forged(lambda: leaf(RuleId.RECURSIVE_SUBTUPLES, (2, 3, 5), witness=Witness())),
+     "root: recursive rule needs length >= 4 and at least two lcm-critical indices", "root"),
+    ("recursive-without-witness", forged(lambda: recursive_node()._replace(witness=None)),
+     "root: RECURSIVE_SUBTUPLES requires a witness", "root"),
+    ("recursive-other-subsets", forged(lambda: with_witness(recursive_node(), subsets=((1, 2), (1, 3)))),
+     "root: witness subsets ((1, 2), (1, 3)) differ from the required subsets "
+     "((1, 2), (1, 3), (2, 3))", "root"),
+    ("recursive-missing-child", forged(lambda: recursive_node()._replace(children=recursive_node().children[:2])),
+     "root: expected 3 children, found 2", "root"),
+    ("recursive-child-not-subtuple", forged(lambda: with_child(recursive_node(), 1, exponents=(5, 3, 3, 9))),
+     "root.children[1]: child tuple (5, 3, 3, 9) is not the subtuple (5, 3, 3, 3)", "root.children[1]"),
+    ("recursive-child-not-rigid", forged(lambda: with_child(recursive_node(), 2, status=Status.NON_RIGID)),
+     "root.children[2]: child status NON_RIGID does not establish rigidity", "root.children[2]"),
+    ("recursive-child-fails", forged(lambda: with_child(recursive_node(), 0, rule=RuleId.LOW_SUM)),
+     "root.children[0]: LOW_SUM side condition fails for (3, 3, 3, 7): needs reciprocal sum <= 1/(n-2)",
+     "root.children[0]"),
+    # _replay_descend
+    ("descend-without-witness", forged(lambda: descend_node()._replace(witness=None)),
+     "root: DESCEND requires a witness", "root"),
+    ("descend-without-index", forged(lambda: with_witness(descend_node(), index=None)),
+     "root: descend witness needs an index and a witness tuple", "root"),
+    ("descend-without-tuple", forged(lambda: with_witness(descend_node(), exponents=None)),
+     "root: descend witness needs an index and a witness tuple", "root"),
+    ("descend-index-0", forged(lambda: with_witness(descend_node(), index=0)),
+     "root: witness index 0 out of range for a tuple of length 4", "root"),
+    ("descend-index-5", forged(lambda: with_witness(descend_node(), index=5)),
+     "root: witness index 5 out of range for a tuple of length 4", "root"),
+    ("descend-short-witness", forged(lambda: with_witness(descend_node(), exponents=(4, 4, 4))),
+     "root: witness tuple (4, 4, 4) does not have length 4", "root"),
+    ("descend-zero-witness-entry", forged(lambda: with_witness(descend_node(), exponents=(4, 4, 4, 0))),
+     "root: witness entries must be positive integers: (4, 4, 4, 0)", "root"),
+    ("descend-str-witness-entry", forged(lambda: with_witness(descend_node(), exponents=(4, 4, 4, "4"))),
+     "root: witness entries must be positive integers: (4, 4, 4, '4')", "root"),
+    ("descend-two-children",
+     forged(lambda: descend_node()._replace(children=descend_node().children * 2)),
+     "root: descend carries exactly one child", "root"),
+    ("descend-child-differs", forged(lambda: with_child(descend_node(), 0, exponents=(4, 4, 4, 8))),
+     "root: child tuple differs from the witness tuple", "root"),
+    ("descend-not-below",
+     forged(lambda: with_child(with_witness(descend_node(), exponents=(4, 4, 4, 12)), 0, exponents=(4, 4, 4, 12))),
+     "root: witness tuple is not strictly below in the coordinate divisor order", "root"),
+    ("descend-other-index", forged(lambda: with_witness(descend_node(), index=2)),
+     "root: witness tuple is not strictly below in the coordinate divisor order", "root"),
+    ("descend-child-not-rigid", forged(lambda: with_child(descend_node(), 0, status=Status.UNKNOWN)),
+     "root: child status UNKNOWN does not establish rigidity", "root"),
+    ("descend-child-fails", forged(lambda: with_child(descend_node(), 0, rule=RuleId.N3_T3)),
+     "root.children[0]: N3_T3 side condition fails for (4, 4, 4, 4): needs length 3, in T_n, "
+     "reciprocal sum > 1", "root.children[0]"),
+    ("descend-grandchild-not-rigid",
+     forged(lambda: chain_node()._replace(children=(with_child(chain_node().children[0], 0, status=Status.NON_RIGID),))),
+     "root.children[0]: child status NON_RIGID does not establish rigidity", "root.children[0]"),
+    ("descend-great-grandchild-fails", forged(lambda: chain_node(bottom=RuleId.N3_T3)),
+     "root.children[0].children[0].children[0]: N3_T3 side condition fails for (4, 4, 4, 4): needs length 3, "
+     "in T_n, reciprocal sum > 1", "root.children[0].children[0].children[0]"),
+]
+
+
+class TestErrorPins:
+    """The exact text and path of every parser and replay error."""
+
+    def test_the_bases_are_valid(self):
+        for node in (descend_node(), recursive_node(), chain_node()):
+            assert bk.replay(node)
+            assert certificate_from_dict(node.to_dict()) == node
+
+    @pytest.mark.parametrize(
+        "case, message, path", [pytest.param(case, message, path, id=name) for name, case, message, path in ERROR_PINS]
+    )
+    def test_error_text_and_path(self, case, message, path):
+        kind, build = case
+        check = certificate_from_dict if kind == "parse" else bk.verify_certificate
+        subject = build()
+        with pytest.raises(CertificateError) as excinfo:
+            check(subject)
+        assert (str(excinfo.value), excinfo.value.path) == (message, path)
+        if kind == "replay":
+            assert bk.replay(subject) is False
