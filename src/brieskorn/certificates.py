@@ -41,6 +41,11 @@ to the text it was read from: a node has all six, a witness a subset of
 its three with no null value, and any other key or a null witness value
 raises :class:`CertificateError`, as does a tree nested more than
 :data:`MAX_NESTING` levels deep, or too deeply for the JSON decoder.
+Every ``int`` above is a plain integer: an ``int`` and never a ``bool``,
+which Python counts as one and which would render as ``True``.  Replay
+applies the same rule (:func:`_ints`) to the entries, the permutation and
+every witness value, so a certificate built in memory that replays
+renders to text that parses back.
 """
 
 from __future__ import annotations
@@ -216,8 +221,20 @@ def certificate_id(certificate: Certificate, text: str | None = None) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
 
 
+_INT = frozenset({int})
+
+
+def _ints(values: Iterable[Any]) -> bool:
+    """Whether every entry of the sequence ``values`` is an int and none a
+    bool: the one type rule of the parser and of replay, so that an entry
+    renders as a JSON integer (a bool would render as ``True``).  One type
+    pass decides the common case; the test per entry runs only when it
+    fails, and accepts int subclasses other than bool."""
+    return _INT.issuperset(map(type, values)) or all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
 def _int_list(raw: Any, what: str, path: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list) or not _ints(raw):
         raise CertificateError(f"{what} must be a list of integers, got {raw!r}", path)
     return tuple(raw)
 
@@ -242,6 +259,12 @@ def certificate_from_dict(raw: Any, path: str = "root") -> Certificate:
         raise CertificateError("certificate nested too deeply", path) from None
 
 
+# Wire names to members, and each member to itself, as RuleId(...) and
+# Status(...) take them.
+_RULES = {key: rule for rule in RuleId for key in (rule.value, rule)}
+_STATUSES = {key: status for status in Status for key in (status.value, status)}
+
+
 def _node_from_dict(raw: Any, path: str, levels: int) -> Certificate:
     """One node, whose children may nest ``levels`` more levels; deeper
     nesting raises RecursionError, as the interpreter's stack would."""
@@ -252,13 +275,13 @@ def _node_from_dict(raw: Any, path: str, levels: int) -> Certificate:
         if missing:
             raise CertificateError(f"missing fields: {sorted(missing)}", path)
         raise CertificateError(f"unknown fields: {sorted(raw.keys() - _NODE_KEYS, key=str)}", path)
-    try:
-        rule = RuleId(raw["rule"])
-    except ValueError:
+    try:  # an unhashable name raises TypeError
+        rule = _RULES[raw["rule"]]
+    except (KeyError, TypeError):
         raise CertificateError(f"unknown rule {raw['rule']!r}", path) from None
     try:
-        status = Status(raw["status"])
-    except ValueError:
+        status = _STATUSES[raw["status"]]
+    except (KeyError, TypeError):
         raise CertificateError(f"unknown status {raw['status']!r}", path) from None
     exponents = _int_list(raw["tuple"], "tuple", path)
     permutation = _int_list(raw["permutation"], "permutation", path)
@@ -276,24 +299,27 @@ def _node_from_dict(raw: Any, path: str, levels: int) -> Certificate:
         if "subsets" in w:
             if not isinstance(w["subsets"], list):
                 raise CertificateError("witness subsets must be a list of lists", path)
-            subsets = tuple(_int_list(part, "witness subset", path) for part in w["subsets"])
+            subsets = tuple([_int_list(part, "witness subset", path) for part in w["subsets"]])
         index = w.get("index")
-        if "index" in w and (not isinstance(index, int) or isinstance(index, bool)):
+        if "index" in w and not _ints((index,)):
             raise CertificateError("witness index must be an integer", path)
         witness = Witness(
             index=index,
             exponents=_int_list(w["tuple"], "witness tuple", path) if "tuple" in w else None,
             subsets=subsets,
         )
-    if not isinstance(raw["children"], list):
+    children = raw["children"]
+    if not isinstance(children, list):
         raise CertificateError("children must be a list", path)
-    if raw["children"] and not levels:
-        raise RecursionError
-    children = tuple(
-        _node_from_dict(child, f"{path}.children[{k}]", levels - 1)
-        for k, child in enumerate(raw["children"])
-    )
-    return Certificate(rule, exponents, status, permutation, witness, children)
+    nodes = ()
+    if children:
+        if not levels:
+            raise RecursionError
+        nodes = tuple([
+            _node_from_dict(child, f"{path}.children[{k}]", levels - 1) for k, child in enumerate(children)
+        ])
+    # tuple.__new__ skips the named tuple's __new__, a Python-level call
+    return tuple.__new__(Certificate, (rule, exponents, status, permutation, witness, nodes))
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -440,7 +466,8 @@ def _fail(message: str, path: str) -> None:
 
 
 def _need_positive(entries: Exponents, what: str, path: str) -> None:
-    if any(not isinstance(v, int) or v < 1 for v in entries):
+    """``entries``, which are not empty, are positive integers."""
+    if not (_ints(entries) and min(entries) >= 1):
         _fail(f"{what} must be positive integers: {entries!r}", path)
 
 
@@ -450,23 +477,42 @@ def _need_witness(node: Certificate, path: str) -> Witness:
     return node.witness
 
 
+def _need_int_witness(witness: Witness, path: str) -> None:
+    """Every witness value an integer under the parser's rule, whether or
+    not the node's rule reads it, so that the node renders to text that
+    parses back."""
+    index, exponents, subsets = witness
+    if index is not None and not _ints((index,)):
+        _fail(f"witness index must be an integer, got {index!r}", path)
+    if exponents is not None and not _ints(exponents):
+        _fail(f"witness tuple must be a list of integers, got {exponents!r}", path)
+    if subsets is not None and not all(map(_ints, subsets)):
+        _fail(f"witness subsets must be lists of integers, got {subsets!r}", path)
+
+
+# The identity permutation of each length below 16.
+_IDENTITY = tuple(tuple(range(1, n + 1)) for n in range(16))
+
+
 def _replay_node(node: Certificate, path: str) -> None:
     entries = node.exponents
     n = len(entries)
     if n < 3:
         _fail(f"classified tuples need length >= 3, got {n}", path)
     _need_positive(entries, "entries", path)
-    identity = tuple(range(1, n + 1))
-    if node.permutation != identity and tuple(sorted(node.permutation)) != identity:
-        _fail(f"invalid permutation {node.permutation!r}", path)
+    permutation = node.permutation
+    identity = _IDENTITY[n] if n < len(_IDENTITY) else tuple(range(1, n + 1))
+    # A bool equals 0 or 1, so the type test cannot wait for a mismatch.
+    if not _ints(permutation) or permutation != identity and tuple(sorted(permutation)) != identity:
+        _fail(f"invalid permutation {permutation!r}", path)
     rule = node.rule
     leaf = _LEAF_BY_ID.get(rule)
     derived: Status
 
     if leaf is not None:
         permuted = entries  # the permutation is valid, so it reorders them directly
-        if node.permutation != identity:
-            permuted = tuple([entries[p - 1] for p in node.permutation])
+        if permutation != identity:
+            permuted = tuple([entries[p - 1] for p in permutation])
         facts = Facts(permuted)
         if leaf.candidates is not None and not permutable(facts):
             _fail("rule applies to length-4 tuples in T_n only", path)
@@ -484,6 +530,8 @@ def _replay_node(node: Certificate, path: str) -> None:
 
     if node.status is not derived:
         _fail(f"recorded status {node.status.value} but side conditions derive {derived.value}", path)
+    if node.witness is not None:
+        _need_int_witness(node.witness, path)
 
 
 def _replay_recursive(node: Certificate, path: str) -> Status:
@@ -538,7 +586,7 @@ def verify_certificate(certificate: Certificate) -> None:
 def replay(certificate: Certificate) -> bool:
     """True when the whole certificate tree replays successfully."""
     try:
-        verify_certificate(certificate)
+        _replay_node(certificate, "root")
     except CertificateError:
         return False
     return True

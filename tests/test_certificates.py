@@ -1,10 +1,14 @@
 """Certificate serialization round trips and independent replay."""
 
+import copy
 import hashlib
 import json
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brieskorn as bk
 from brieskorn import certificates
@@ -567,7 +571,8 @@ ERROR_PINS = [
      "root.children[0]: N3_T3 side condition fails for (4, 4, 4, 4): needs length 3, in T_n, "
      "reciprocal sum > 1", "root.children[0]"),
     ("descend-grandchild-not-rigid",
-     forged(lambda: chain_node()._replace(children=(with_child(chain_node().children[0], 0, status=Status.NON_RIGID),))),
+     forged(lambda: chain_node()._replace(
+         children=(with_child(chain_node().children[0], 0, status=Status.NON_RIGID),))),
      "root.children[0]: child status NON_RIGID does not establish rigidity", "root.children[0]"),
     ("descend-great-grandchild-fails", forged(lambda: chain_node(bottom=RuleId.N3_T3)),
      "root.children[0].children[0].children[0]: N3_T3 side condition fails for (4, 4, 4, 4): needs length 3, "
@@ -595,3 +600,154 @@ class TestErrorPins:
         assert (str(excinfo.value), excinfo.value.path) == (message, path)
         if kind == "replay":
             assert bk.replay(subject) is False
+
+
+# (forged certificate, the same certificate with each bool replaced by the
+# int it equals, error text, path).  Replay took a bool for the int it
+# equals, so each forged certificate replayed, and rendered to text with
+# ``True`` or ``False`` in it, which the parser rejects as invalid JSON.
+BOOLEAN_FORGERIES = [
+    pytest.param(lambda: leaf(RuleId.NOT_IN_TN, (True, 2, 3), Status.NON_RIGID),
+                 lambda: leaf(RuleId.NOT_IN_TN, (1, 2, 3), Status.NON_RIGID),
+                 "root: entries must be positive integers: (True, 2, 3)", "root", id="entry"),
+    pytest.param(lambda: with_witness(classified((12, 4, 4, 4)), index=True),
+                 lambda: with_witness(classified((12, 4, 4, 4)), index=1),
+                 "root: witness index must be an integer, got True", "root", id="descend-index"),
+    pytest.param(lambda: with_witness(recursive_node(), index=False),
+                 lambda: with_witness(recursive_node(), index=0),
+                 "root: witness index must be an integer, got False", "root", id="recursive-index"),
+    pytest.param(lambda: leaf(RuleId.N3_T3, (2, 3, 4), witness=Witness(exponents=(True, 3, 4))),
+                 lambda: leaf(RuleId.N3_T3, (2, 3, 4), witness=Witness(exponents=(1, 3, 4))),
+                 "root: witness tuple must be a list of integers, got (True, 3, 4)", "root", id="witness-tuple"),
+    pytest.param(lambda: with_witness(recursive_node(), subsets=((True, 2), (True, 3), (2, 3))),
+                 lambda: with_witness(recursive_node(), subsets=((1, 2), (1, 3), (2, 3))),
+                 "root: witness subsets must be lists of integers, got ((True, 2), (True, 3), (2, 3))", "root",
+                 id="witness-subsets"),
+    pytest.param(lambda: with_child(descend_node(), 0, witness=Witness(index=True)),
+                 lambda: with_child(descend_node(), 0, witness=Witness(index=1)),
+                 "root.children[0]: witness index must be an integer, got True", "root.children[0]",
+                 id="child-witness-index"),
+]
+
+
+class TestIntegerRule:
+    """Replay takes the parser's integer rule: an int, and never a bool."""
+
+    @pytest.mark.parametrize("forge, fix, message, path", BOOLEAN_FORGERIES)
+    def test_replay_rejects_a_bool(self, forge, fix, message, path):
+        fixed = fix()
+        assert bk.replay(fixed)
+        assert certificate_from_json(certificate_to_json(fixed)) == fixed
+        forgery = forge()
+        assert forgery == fixed  # a bool equals the int it stands for
+        assert bk.replay(forgery) is False
+        with pytest.raises(CertificateError) as excinfo:
+            bk.verify_certificate(forgery)
+        assert (str(excinfo.value), excinfo.value.path) == (message, path)
+        with pytest.raises(CertificateError, match="invalid JSON"):
+            certificate_from_json(certificate_to_json(forgery))
+
+    def test_replay_rejects_a_bool_permutation(self):
+        # (True, 2, 3) == (1, 2, 3), so the identity test alone passed it.
+        forgery = leaf(RuleId.N3_T3, (2, 3, 4), permutation=(True, 2, 3))
+        assert bk.replay(forgery._replace(permutation=(1, 2, 3)))
+        assert bk.replay(forgery) is False
+        with pytest.raises(CertificateError) as excinfo:
+            bk.verify_certificate(forgery)
+        assert (str(excinfo.value), excinfo.value.path) == ("root: invalid permutation (True, 2, 3)", "root")
+
+    def test_int_subclasses_other_than_bool_still_parse(self):
+        # The one type pass fails on them, and the test per entry accepts them.
+        class Entry(int):
+            pass
+
+        payload = descend_payload()
+        payload["tuple"] = [Entry(v) for v in payload["tuple"]]
+        payload["witness"]["index"] = Entry(4)
+        parsed = certificate_from_dict(payload)
+        assert parsed == descend_node() and bk.replay(parsed)
+        assert {type(v) for v in parsed.exponents} == {Entry}
+
+    def test_members_parse_as_their_names(self):
+        # RuleId(...) and Status(...) take a member as well as its name.
+        payload = descend_payload()
+        payload.update(rule=RuleId.DESCEND, status=Status.RIGID)
+        assert certificate_from_dict(payload) == descend_node()
+
+
+# --- parse and replay under mutation ---------------------------------------
+
+
+@lru_cache(maxsize=None)
+def fuzz_bases():
+    """Sidecar entries of two small censuses, at most four of each rule:
+    leaves of every rule, DESCEND trees and RECURSIVE_SUBTUPLES trees."""
+    by_rule = {}
+    for length, max_exponent in ((4, 12), (5, 6)):
+        sidecar = json.loads(bk.run_census(CensusSpec(length=length, max_exponent=max_exponent)).certificates_json())
+        for payload in sidecar.values():
+            by_rule.setdefault(payload["rule"], []).append(payload)
+    return tuple(payload for rule in sorted(by_rule) for payload in by_rule[rule][:4])
+
+
+def slots(value, found):
+    """Every (container, key) pair inside ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found.append((value, key))
+        slots(item, found)
+    return found
+
+
+JUNK = st.sampled_from([
+    True, False, "3", 3.0, -1, 0, 2**70, None, [], [1, "x"], [[2, 3]], {}, ["LOW_SUM"], {"rule": "RIGID"},
+    "LOW_SUM", "RIGID", "DESCEND", "NON_RIGID",
+]).map(copy.deepcopy)  # a later mutation may write into a list or dict drawn here
+
+
+def mutate(data, payload):
+    """Change ``payload`` in place once, or wrap it as the child of a base
+    node; returns the payload to parse."""
+    action = data.draw(st.sampled_from(["replace", "drop", "add", "nest"]))
+    if action == "nest":
+        parent = copy.deepcopy(data.draw(st.sampled_from(fuzz_bases())))
+        parent["children"] = [payload, *parent["children"]][: data.draw(st.integers(1, 2))]
+        return parent
+    dicts = [payload] + [item for container, key in slots(payload, []) if isinstance(item := container[key], dict)]
+    if action == "drop":
+        target = data.draw(st.sampled_from(dicts))
+        if target:
+            del target[data.draw(st.sampled_from(sorted(target, key=str)))]
+    elif action == "add":
+        data.draw(st.sampled_from(dicts))[data.draw(st.sampled_from(["extra", "index", "subsets", "rule", 7]))] = (
+            data.draw(JUNK)
+        )
+    else:
+        container, key = data.draw(st.sampled_from(slots(payload, [])))
+        container[key] = data.draw(JUNK)
+    return payload
+
+
+class TestFuzz:
+    def test_the_bases_round_trip_and_replay(self):
+        assert {payload["rule"] for payload in fuzz_bases()} >= {"DESCEND", "RECURSIVE_SUBTUPLES", "N4_EVEN_GCD"}
+        for payload in fuzz_bases():
+            parsed = certificate_from_dict(payload)
+            assert certificate_to_json(parsed, indent=2) == json.dumps(payload, sort_keys=True, indent=2)
+            assert bk.replay(parsed)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_parse_and_replay_of_mutated_sidecar_entries(self, data):
+        payload = copy.deepcopy(data.draw(st.sampled_from(fuzz_bases())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = mutate(data, payload)
+        try:
+            parsed = certificate_from_dict(payload)
+        except CertificateError:
+            return
+        assert isinstance(parsed, Certificate)
+        assert certificate_to_json(parsed, indent=2) == json.dumps(payload, sort_keys=True, indent=2)
+        assert certificate_from_json(certificate_to_json(parsed)) == parsed
+        verdict = bk.replay(parsed)
+        assert verdict is True or verdict is False
