@@ -148,8 +148,9 @@ def _render(node: Certificate, step: str, pad: str = "") -> str:
     gives, with the whole object nested at ``pad``.  Keys are written in
     sorted order; entries are ints, so ``str`` is their JSON.  A leaf (no
     witness, no children) is written as its cached frame around its
-    entries."""
-    if node.witness is None and not node.children and node.exponents:
+    entries.  The cache is keyed by the permutation, and a bool equals the
+    int it stands for, so only a permutation of plain ints takes it."""
+    if node.witness is None and not node.children and node.exponents and _ints(node.permutation):
         head, tail = _leaf_frame(node.rule, node.status, tuple(node.permutation), step, pad)
         return head + (",\n" + pad + 2 * step).join(map(str, node.exponents)) + tail
     return _render_fields(node, step, pad)
@@ -477,13 +478,18 @@ def _need_witness(node: Certificate, path: str) -> Witness:
     return node.witness
 
 
+def _need_int_index(index: Any, path: str) -> None:
+    if not _ints((index,)):
+        _fail(f"witness index must be an integer, got {index!r}", path)
+
+
 def _need_int_witness(witness: Witness, path: str) -> None:
     """Every witness value an integer under the parser's rule, whether or
     not the node's rule reads it, so that the node renders to text that
     parses back."""
     index, exponents, subsets = witness
-    if index is not None and not _ints((index,)):
-        _fail(f"witness index must be an integer, got {index!r}", path)
+    if index is not None:
+        _need_int_index(index, path)
     if exponents is not None and not _ints(exponents):
         _fail(f"witness tuple must be a list of integers, got {exponents!r}", path)
     if subsets is not None and not all(map(_ints, subsets)):
@@ -560,6 +566,7 @@ def _replay_descend(node: Certificate, path: str) -> Status:
     if witness.index is None or witness.exponents is None:
         _fail("descend witness needs an index and a witness tuple", path)
     n = len(node.exponents)
+    _need_int_index(witness.index, path)
     if not 1 <= witness.index <= n:
         _fail(f"witness index {witness.index} out of range for a tuple of length {n}", path)
     if len(witness.exponents) != n:

@@ -6,12 +6,13 @@ the critical index sets and their sizes (type and cotype), the
 coordinate-wise divisor order, lcm drop factors, and exact reciprocal
 sums.  Index sets and ``index`` arguments are 1-based, matching reports
 and certificates.  All arithmetic is exact (ints and Fractions, never
-floats).  The coordinate gcds and the lcm-critical set come from the
-lean kernel :func:`brieskorn.backend.invariant_core`; the omit-one lcms
-and gcds and the gcd-critical set come from the seven-part
-:func:`brieskorn.backend.invariant_bundle`.  Both are exact
-pure-Python passes, and neither is cached: each call here runs its pass,
-and a search node keeps its own in its :class:`Facts` record.
+floats).  Each helper runs only the pass it reads: the coordinate gcds,
+the lcm-critical set and the omit-one lcms (L / a_i) * c_i come from the
+lean kernel :func:`brieskorn.backend.invariant_core`, and the gcds and
+the gcd-critical set from one gcd pass each way (:func:`_gcd_pass`).
+Neither pass is cached: a search node keeps its own in its :class:`Facts`
+record, and :func:`invariant_report` reads one such record plus one gcd
+pass.
 
 Terminology used throughout:
 
@@ -128,14 +129,40 @@ def degrees(entries: Exponents) -> Exponents:
     return tuple(total // value for value in entries)
 
 
+def _gcd_pass(entries: Exponents) -> tuple[int, Exponents, int]:
+    """``(total_gcd, omitted_gcds, gcd_critical_mask)`` of a tuple of
+    positive ints (length >= 2), from one gcd pass each way: the gcd of
+    the others is that of the entries before and after a_i, and bit i-1 of
+    the mask is set when it does not divide a_i."""
+    n = len(entries)
+    before = []  # gcd of the entries before a_i
+    total_gcd = 0
+    for value in entries:
+        before.append(total_gcd)
+        total_gcd = gcd(total_gcd, value)
+    omitted = [0] * n
+    after = 0
+    mask = 0
+    for i in range(n - 1, -1, -1):
+        value = entries[i]
+        other = omitted[i] = gcd(before[i], after)
+        if value % other:
+            mask |= 1 << i
+        after = gcd(after, value)
+    return total_gcd, tuple(omitted), mask
+
+
 def omitted_lcms(entries: Exponents) -> Exponents:
-    """lcm of all entries except the i-th, for each i."""
-    return backend.invariant_bundle(entries)[2]
+    """lcm of all entries except the i-th, for each i.  Since L =
+    lcm(a_i, O_i) = a_i * O_i / c_i, with c_i the coordinate gcd, the lcm
+    of the others is O_i = (L // a_i) * c_i."""
+    total, floors = lcm(*entries), backend.invariant_core(entries)[0]
+    return tuple([total // value * floor for value, floor in zip(entries, floors)])
 
 
 def omitted_gcds(entries: Exponents) -> Exponents:
     """gcd of all entries except the i-th, for each i."""
-    return backend.invariant_bundle(entries)[3]
+    return _gcd_pass(entries)[1]
 
 
 def lcm_critical_indices(entries: Exponents) -> IndexSet:
@@ -153,7 +180,7 @@ def lcm_stable_indices(entries: Exponents) -> IndexSet:
 def gcd_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly raises the gcd (the gcd of the
     others does not divide a_i)."""
-    return _mask_to_indices(backend.invariant_bundle(entries)[6])
+    return _mask_to_indices(_gcd_pass(entries)[2])
 
 
 def cotype_sets(entries: Exponents) -> tuple[IndexSet, IndexSet, int]:
@@ -174,7 +201,7 @@ def cotype(entries: Exponents) -> int:
 
 
 def type_size(entries: Exponents) -> int:
-    return backend.invariant_bundle(entries)[6].bit_count()
+    return _gcd_pass(entries)[2].bit_count()
 
 
 def coordinate_gcd(entries: Exponents, index: int) -> int:
@@ -477,9 +504,15 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
-    """Compute the full invariant bundle for a tuple (length >= 2)."""
+    """Every derived invariant of a tuple (length >= 2), from its
+    :class:`Facts` record (L, sigma, T_n membership, the lcm-critical mask
+    and the coordinate gcds) and one gcd pass."""
+    from fractions import Fraction
+
     entries = as_exponents(values, minimum_length=2)
-    total_lcm, total_gcd, _, _, coord, lcm_mask, gcd_mask = backend.invariant_bundle(entries)
+    facts = Facts(entries)
+    total_gcd, _, gcd_mask = _gcd_pass(entries)
+    total_lcm, lcm_mask, coord = facts.lcm, facts.mask, facts.floors
     lcm_critical = _mask_to_indices(lcm_mask)
     return InvariantReport(
         exponents=entries,
@@ -491,9 +524,9 @@ def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
         cotype=len(lcm_critical),
         gcd_critical=_mask_to_indices(gcd_mask),
         lcm_critical=lcm_critical,
-        lcm_stable=_unmasked_indices(lcm_mask, len(entries)),
+        lcm_stable=_unmasked_indices(lcm_mask, facts.n),
         coordinate_gcds=coord,
-        in_tn=in_tn(entries),
-        critical_lcm_drop=_drop(entries, coord, lcm_critical),
-        reciprocal_sum=reciprocal_sum(entries),
+        in_tn=facts.in_tn,
+        critical_lcm_drop=_drop(entries, coord, facts.critical),
+        reciprocal_sum=Fraction(facts.sigma, total_lcm),
     )

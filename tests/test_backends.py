@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brieskorn import active_backend, backend
+from brieskorn import tuples as tp
 
 
 def test_the_exact_passes_are_the_only_kernel():
@@ -15,8 +16,9 @@ def test_the_exact_passes_are_the_only_kernel():
 
 
 def omit_one_core(entries):
-    """The bundle straight from its definition: each omit-one lcm and gcd
-    computed over the other entries."""
+    """The seven omit-one parts straight from their definition: the lcm and
+    gcd, each omit-one lcm and gcd computed over the other entries, the
+    coordinate gcds and both critical masks."""
     others = [entries[:i] + entries[i + 1 :] for i in range(len(entries))]
     omitted_lcms = tuple(lcm(*rest) for rest in others)
     omitted_gcds = tuple(gcd(*rest) for rest in others)
@@ -60,7 +62,20 @@ kernel_entries = st.one_of(
 @with_fixed_tuples
 @given(st.lists(kernel_entries, min_size=2, max_size=9).map(tuple))
 def test_exact_kernel_matches_the_omit_one_definition(entries):
-    assert backend.invariant_bundle(entries) == omit_one_core(entries)
+    report = tp.invariant_report(entries)
+
+    def mask(indices):
+        return sum(1 << (i - 1) for i in indices)
+
+    assert (
+        report.total_lcm,
+        report.total_gcd,
+        tp.omitted_lcms(entries),
+        tp.omitted_gcds(entries),
+        report.coordinate_gcds,
+        mask(report.lcm_critical),
+        mask(report.gcd_critical),
+    ) == omit_one_core(entries)
 
 
 @settings(max_examples=400, deadline=None)
@@ -68,9 +83,8 @@ def test_exact_kernel_matches_the_omit_one_definition(entries):
 @given(st.lists(kernel_entries, min_size=2, max_size=9).map(tuple))
 def test_lean_kernel_matches_its_definition(entries):
     # c_i = gcd(a_i, lcm of the others), and bit i is set exactly when
-    # c_i != a_i; the same two parts as the bundle's
+    # c_i != a_i
     floors, mask = backend.invariant_core(entries)
     others = [lcm(*entries[:i], *entries[i + 1 :]) for i in range(len(entries))]
     assert floors == tuple(gcd(value, other) for value, other in zip(entries, others))
     assert mask == sum(1 << i for i, (value, floor) in enumerate(zip(entries, floors)) if floor != value)
-    assert (floors, mask) == backend.invariant_bundle(entries)[4:6]

@@ -248,6 +248,18 @@ class TestRenderer:
             for certificate in (leaf, parent, leaf._replace(exponents=exponents[::-1]), listed):
                 assert_renders_like_json_dumps(certificate)
 
+    def test_a_bool_permutation_leaves_the_leaf_cache_alone(self):
+        # (True, 2, 3) == (1, 2, 3), so a frame cached for the bool
+        # permutation would be the frame of every later (1, 2, 3) leaf.
+        certificates._leaf_frame.cache_clear()
+        forged = Certificate(RuleId.N3_T3, (2, 3, 4), Status.RIGID, (True, 2, 3))
+        assert "True" in certificate_to_json(forged)
+        real = classified((2, 3, 4))
+        assert real == forged._replace(permutation=(1, 2, 3))
+        text = certificate_to_json(real)
+        assert text == oracle(real, separators=(",", ":"))
+        assert certificate_from_json(text) == real
+
     def test_wire_names_hold_no_whitespace(self):
         # The compact text is the indented text with its whitespace removed,
         # which is the same text only while no string in it holds whitespace.
@@ -549,6 +561,14 @@ ERROR_PINS = [
      "root: witness index 0 out of range for a tuple of length 4", "root"),
     ("descend-index-5", forged(lambda: with_witness(descend_node(), index=5)),
      "root: witness index 5 out of range for a tuple of length 4", "root"),
+    ("descend-str-index", forged(lambda: with_witness(descend_node(), index="4")),
+     "root: witness index must be an integer, got '4'", "root"),
+    ("descend-float-index", forged(lambda: with_witness(descend_node(), index=4.0)),
+     "root: witness index must be an integer, got 4.0", "root"),
+    ("descend-fractional-index", forged(lambda: with_witness(descend_node(), index=2.5)),
+     "root: witness index must be an integer, got 2.5", "root"),
+    ("descend-float-index-out-of-range", forged(lambda: with_witness(descend_node(), index=7.0)),
+     "root: witness index must be an integer, got 7.0", "root"),
     ("descend-short-witness", forged(lambda: with_witness(descend_node(), exponents=(4, 4, 4))),
      "root: witness tuple (4, 4, 4) does not have length 4", "root"),
     ("descend-zero-witness-entry", forged(lambda: with_witness(descend_node(), exponents=(4, 4, 4, 0))),

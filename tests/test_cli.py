@@ -1,14 +1,19 @@
 """Command-line interface: output shapes, exit codes, budget plumbing."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brieskorn
 from brieskorn import tuples as tp
@@ -476,9 +481,9 @@ class TestLongCoprimeTuples:
 
 
 class TestInvariantsKernelPasses:
-    """``invariants`` runs the report's bundle once and one lean pass per
-    tuple it searches: the kernel bound takes the critical indices and the
-    drop over the rigid ones from one record of the tuple."""
+    """``invariants`` runs the report's lean pass and gcd pass once, and one
+    lean pass per tuple it searches: the kernel bound takes the critical
+    indices and the drop over the rigid ones from one record of the tuple."""
 
     EXPECTED = (
         "tuple: (2,3,3,4,5)\n"
@@ -496,11 +501,11 @@ class TestInvariantsKernelPasses:
         "kernel degree bound: 2  (divides the true bound; undecided subtuples at {5})\n"
     )
 
-    def test_one_lean_pass_for_the_bound(self, capsys, monkeypatch):
+    def test_every_pass_of_the_report_and_the_bound(self, capsys, monkeypatch):
         from brieskorn import backend
 
         passes = []
-        core, bundle = backend.invariant_core, backend.invariant_bundle
+        core, gcds = backend.invariant_core, tp._gcd_pass
 
         def counted(kernel, kind):
             def wrapper(entries):
@@ -510,13 +515,14 @@ class TestInvariantsKernelPasses:
             return wrapper
 
         monkeypatch.setattr(backend, "invariant_core", counted(core, "core"))
-        monkeypatch.setattr(backend, "invariant_bundle", counted(bundle, "bundle"))
+        monkeypatch.setattr(tp, "_gcd_pass", counted(gcds, "gcd"))
         code, out, _ = run(capsys, "invariants", "2", "3", "3", "4", "5")
         assert code == 0
         assert out == self.EXPECTED
-        # the report, the bound's record of (2,3,3,4,5), then the search of
-        # the subtuple (2,3,3,4); that of (2,3,3,5) reads no kernel
-        assert passes == [("bundle", 5), ("core", 5), ("core", 4)]
+        # the report's gcd pass and its record's lean pass, the bound's
+        # record of (2,3,3,4,5), then the search of the subtuple (2,3,3,4);
+        # that of (2,3,3,5) reads no kernel
+        assert passes == [("gcd", 5), ("core", 5), ("core", 5), ("core", 4)]
 
 
 class TestKernelNotSelectable:
@@ -561,3 +567,71 @@ class TestColdStart:
             "dataclasses", "inspect",
         }
         assert unwanted.isdisjoint(loaded)
+
+
+# Entries stay below 2**64: DESCEND factors entries with Pollard rho
+# (tuples._rho), which has no step budget yet, so an entry with two large
+# prime factors can take seconds.
+POSITIVE = st.integers(1, 12) | st.integers(1, 2**64 - 1)
+ENTRY_TOKENS = (st.integers(-3, 0) | POSITIVE).map(str) | st.sampled_from(
+    ["x", "", "1.5", "2e3", "0x10", "-", "-x", " 7 "]
+)
+# half the entry lists are valid, so that most of those are classified
+ENTRY_LISTS = st.lists(POSITIVE.map(str), max_size=8) | st.lists(ENTRY_TOKENS, max_size=8)
+BUDGET_FLAGS = st.tuples(
+    st.sampled_from(["--depth", "--max-witnesses"]), st.integers(-2, 100_000).map(str)
+)
+
+
+def universes():
+    """(--n, --min, --max): a small universe (under 2,000 tuples, so no
+    census forks, or rejected), or one over a cap by its tuples or entries."""
+    small = st.tuples(
+        st.integers(3, 6) | st.integers(-1, 6),
+        st.none() | st.integers(1, 3) | st.integers(-1, 3),
+        st.integers(1, 8) | st.integers(-2, 8),
+    )
+    wide = st.tuples(st.integers(3, 10**9), st.none(), st.integers(10**3, 10**30))
+    long = st.integers(MAX_ENTRIES + 1, 10**9).flatmap(
+        lambda n: st.integers(1, 9).map(lambda value: (n, value, value))
+    )
+    return st.one_of(small, small, wide, long)
+
+
+@st.composite
+def command_lines(draw):
+    """argv for one of the four commands, valid or not."""
+    command = draw(st.sampled_from(["classify", "invariants", "census", "proj-classes"]))
+    argv = [command]
+    if command in ("classify", "invariants"):
+        argv += draw(ENTRY_LISTS)
+    else:
+        n, low, high = draw(universes())
+        argv += ["--n", str(n), "--max", str(high)]
+        if low is not None:
+            argv += ["--min", str(low)]
+        if command == "census":
+            argv += ["--workers", str(draw(st.integers(-1, 3)))]
+    if command != "census" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["human", "structured", "csv", "json"]))]
+    for flag in draw(st.lists(BUDGET_FLAGS, max_size=2)):
+        argv += flag
+    return argv
+
+
+class TestFuzz:
+    """Every command line of the four commands keeps the exit contract:
+    0 or 2, and never an exception.  ``main`` runs in-process."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_every_exit_code_is_0_or_2(self, argv):
+        with tempfile.TemporaryDirectory() as scratch:
+            if argv[0] == "census":
+                argv = [*argv, "--out", os.path.join(scratch, "out")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    code = stop.code
+        assert code in (0, 2), argv

@@ -704,8 +704,8 @@ def test_first_leaf_matches_the_tuple_predicates(entries):
 
 
 def test_classifying_a_length_3_tuple_runs_no_kernel_pass(monkeypatch):
-    # The length-3 rules need no kernel value, so neither kernel entry
-    # point runs; a counter on each shows it.
+    # The length-3 rules need no kernel value, so neither the lean pass
+    # nor the gcd pass runs; a counter on each shows it.
     from brieskorn import backend
 
     passes = []
@@ -717,9 +717,10 @@ def test_classifying_a_length_3_tuple_runs_no_kernel_pass(monkeypatch):
 
         return count
 
-    for name in ("invariant_core", "invariant_bundle"):
-        monkeypatch.setattr(backend, name, counted(getattr(backend, name)))
-    assert tp.cotype((4, 6, 9)) == 2 and passes == [(4, 6, 9)]  # the counter sees a pass
+    for module, name in ((backend, "invariant_core"), (tp, "_gcd_pass")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert tp.cotype((4, 6, 9)) == 2 and passes == [(4, 6, 9)]  # the counters see each pass
+    assert tp.type_size((4, 6, 9)) == 2 and passes == [(4, 6, 9)] * 2
     passes.clear()
     for entries in ((1009, 1013, 1019), (2, 3, 1021), (1, 1031, 1033), (2, 2, 1039), (3, 3, 1049)):
         bk.classify(entries)
