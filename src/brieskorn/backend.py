@@ -1,5 +1,5 @@
-"""The arithmetic kernel: the coordinate gcds and the lcm-critical mask of
-a tuple, exact for arbitrary integers.
+"""The arithmetic kernel: the coordinate gcds and the lcm-critical indices
+of a tuple, exact for arbitrary integers.
 
 :func:`invariant_core` is the one kernel pass; :mod:`brieskorn.tuples`
 derives every other omit-one invariant from it or from its own gcd pass.
@@ -20,13 +20,12 @@ def active_backend() -> str:
 
 
 def invariant_core(entries):
-    """``(coordinate_gcds, lcm_critical_mask)`` of a tuple of positive ints
+    """``(coordinate_gcds, lcm_critical)`` of a tuple of positive ints
     (length >= 2), exact for arbitrary integers.
 
     ``coordinate_gcds[i]`` is c_i = gcd(a_i, O_i), with O_i the lcm of the
-    entries other than a_i, and bit ``i`` of the mask (0-based here;
-    callers translate to the 1-based index sets used everywhere else) is
-    set exactly when c_i != a_i, i.e. when i is lcm-critical.
+    entries other than a_i, and ``lcm_critical`` holds, ascending, the
+    1-based indices i with c_i != a_i: the lcm-critical ones.
 
     Write P_i and S_i for the lcms of the entries before and after a_i.
     Since gcd distributes over lcm, c_i = lcm(gcd(a_i, P_i), gcd(a_i, S_i)).
@@ -42,13 +41,14 @@ def invariant_core(entries):
         before.append(g)
         running = running // g * value
     floors = [0] * n
+    critical = []  # descending until reversed
     running = 1
-    mask = 0
     for i in range(n - 1, -1, -1):
         value = entries[i]
         g = gcd(value, running)
         floor = floors[i] = lcm(before[i], g)
         if floor != value:
-            mask |= 1 << i
+            critical.append(i + 1)
         running = running // g * value
-    return tuple(floors), mask
+    critical.reverse()
+    return tuple(floors), tuple(critical)

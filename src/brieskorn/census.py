@@ -190,7 +190,7 @@ def _build_row(entries: Exponents, outcome: Classification, facts: Facts) -> Cen
         text = _render(certificate, "  ", "  ")
         key = certificate_id(certificate, text)
         entry = f'"{key}": {text}'
-    cotype = facts.mask.bit_count()
+    cotype = len(facts.critical)
     common = gcd(facts.sigma, facts.lcm)
     numerator, denominator = facts.sigma // common, facts.lcm // common
     line = ";".join(

@@ -434,13 +434,13 @@ LEAF_RULES = (
              _even_gcd,
              "a = 2, b, c, d >= 3, b even, gcd(b, c) >= 3, gcd(d, lcm(b, c)) = 2"),
     LeafRule(RuleId.COTYPE_GE_2_N4, Status.RIGID, None,
-             lambda f: permutable(f) and f.mask.bit_count() >= 2,
+             lambda f: permutable(f) and len(f.critical) >= 2,
              "length 4, in T_n, cotype >= 2"),
     LeafRule(RuleId.EQUAL_EXPONENTS, Status.RIGID, None,
              lambda f: f.n >= 4 and len(set(f.entries)) == 1 and f.entries[0] >= f.n,
              "length n >= 4, all entries equal and >= n"),
     LeafRule(RuleId.COTYPE_GE_NMINUS2, Status.RIGID, None,
-             lambda f: f.n >= 4 and f.in_tn and f.mask.bit_count() >= f.n - 2,
+             lambda f: f.n >= 4 and f.in_tn and len(f.critical) >= f.n - 2,
              "length n >= 4, in T_n, cotype >= n-2"),
     LeafRule(RuleId.I_SUM, Status.RIGID, None,
              lambda f: (f.n - 2) * (f.sigma - sum([f.lcm // f.entries[i - 1] for i in f.critical])) < f.lcm,

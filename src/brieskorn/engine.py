@@ -282,7 +282,7 @@ def _run_cascade(
     certificate = _first_leaf(facts, LEAF_RULES)
     height: int | None = 0
     if certificate is None:
-        if not facts.mask:  # the recursive rules act on lcm-critical indices
+        if not facts.critical:  # the recursive rules act on lcm-critical indices
             return Classification(Status.UNKNOWN, None, False), 0
         if depth <= 0:  # the depth limit cuts the search here
             return Classification(Status.UNKNOWN, None, True), None

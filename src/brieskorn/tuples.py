@@ -10,9 +10,10 @@ floats).  Each helper runs only the pass it reads: the coordinate gcds,
 the lcm-critical set and the omit-one lcms (L / a_i) * c_i come from the
 lean kernel :func:`brieskorn.backend.invariant_core`, and the gcds and
 the gcd-critical set from one gcd pass each way (:func:`_gcd_pass`).
-Neither pass is cached: a search node keeps its own in its :class:`Facts`
-record, and :func:`invariant_report` reads one such record plus one gcd
-pass.
+Both passes give their critical indices as an ascending tuple, and the
+public helpers give them as frozensets.  Neither pass is cached: a search
+node keeps its own in its :class:`Facts` record, and
+:func:`invariant_report` reads one such record plus one gcd pass.
 
 Terminology used throughout:
 
@@ -78,16 +79,9 @@ def _check_index_set(entries: Exponents, indices: Iterable[int]) -> tuple[int, .
     return tuple(out)
 
 
-def _mask_to_indices(mask: int) -> IndexSet:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-#: For each mask below 2^8, the 1-based indices of its set bits, ascending.
-_ASCENDING = tuple(tuple([i + 1 for i in range(8) if mask >> i & 1]) for mask in range(1 << 8))
-
-
-def _unmasked_indices(mask: int, n: int) -> IndexSet:
-    return _mask_to_indices(~mask & ((1 << n) - 1))
+def _stable(critical: tuple[int, ...], n: int) -> IndexSet:
+    """The indices 1..n outside ``critical``."""
+    return frozenset(range(1, n + 1)).difference(critical)
 
 
 def lcm_gcd(entries: Exponents) -> tuple[int, int]:
@@ -129,11 +123,11 @@ def degrees(entries: Exponents) -> Exponents:
     return tuple(total // value for value in entries)
 
 
-def _gcd_pass(entries: Exponents) -> tuple[int, Exponents, int]:
-    """``(total_gcd, omitted_gcds, gcd_critical_mask)`` of a tuple of
-    positive ints (length >= 2), from one gcd pass each way: the gcd of
-    the others is that of the entries before and after a_i, and bit i-1 of
-    the mask is set when it does not divide a_i."""
+def _gcd_pass(entries: Exponents) -> tuple[int, Exponents, tuple[int, ...]]:
+    """``(total_gcd, omitted_gcds, gcd_critical)`` of a tuple of positive
+    ints (length >= 2), from one gcd pass each way: the gcd of the others
+    is that of the entries before and after a_i, and ``gcd_critical``
+    holds, ascending, the 1-based indices i where it does not divide a_i."""
     n = len(entries)
     before = []  # gcd of the entries before a_i
     total_gcd = 0
@@ -141,15 +135,16 @@ def _gcd_pass(entries: Exponents) -> tuple[int, Exponents, int]:
         before.append(total_gcd)
         total_gcd = gcd(total_gcd, value)
     omitted = [0] * n
+    critical = []  # descending until reversed
     after = 0
-    mask = 0
     for i in range(n - 1, -1, -1):
         value = entries[i]
         other = omitted[i] = gcd(before[i], after)
         if value % other:
-            mask |= 1 << i
+            critical.append(i + 1)
         after = gcd(after, value)
-    return total_gcd, tuple(omitted), mask
+    critical.reverse()
+    return total_gcd, tuple(omitted), tuple(critical)
 
 
 def omitted_lcms(entries: Exponents) -> Exponents:
@@ -168,26 +163,25 @@ def omitted_gcds(entries: Exponents) -> Exponents:
 def lcm_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly lowers the lcm (a_i does not divide
     the lcm of the others)."""
-    return _mask_to_indices(backend.invariant_core(entries)[1])
+    return frozenset(backend.invariant_core(entries)[1])
 
 
 def lcm_stable_indices(entries: Exponents) -> IndexSet:
     """Complement of :func:`lcm_critical_indices`: a_i divides the lcm of
     the others."""
-    return _unmasked_indices(backend.invariant_core(entries)[1], len(entries))
+    return _stable(backend.invariant_core(entries)[1], len(entries))
 
 
 def gcd_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly raises the gcd (the gcd of the
     others does not divide a_i)."""
-    return _mask_to_indices(_gcd_pass(entries)[2])
+    return frozenset(_gcd_pass(entries)[2])
 
 
 def cotype_sets(entries: Exponents) -> tuple[IndexSet, IndexSet, int]:
     """(lcm-critical set, its complement, cotype)."""
-    mask = backend.invariant_core(entries)[1]
-    critical = _mask_to_indices(mask)
-    return critical, _unmasked_indices(mask, len(entries)), len(critical)
+    critical = backend.invariant_core(entries)[1]
+    return frozenset(critical), _stable(critical, len(entries)), len(critical)
 
 
 def type_set(entries: Exponents) -> tuple[IndexSet, int]:
@@ -197,11 +191,11 @@ def type_set(entries: Exponents) -> tuple[IndexSet, int]:
 
 
 def cotype(entries: Exponents) -> int:
-    return backend.invariant_core(entries)[1].bit_count()
+    return len(backend.invariant_core(entries)[1])
 
 
 def type_size(entries: Exponents) -> int:
-    return _gcd_pass(entries)[2].bit_count()
+    return len(_gcd_pass(entries)[2])
 
 
 def coordinate_gcd(entries: Exponents, index: int) -> int:
@@ -277,16 +271,12 @@ class Facts:
     reads the row's cotype, T_n membership and reciprocal sum from it.
 
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
-    L/a_i) are set on construction.  The lcm-critical ``mask`` (bit i-1 for
-    index i), its ``critical`` indices in ascending order and the coordinate
-    gcds ``floors`` come from one lean kernel pass
-    (:func:`brieskorn.backend.invariant_core`), run on the first read of any
-    of them and kept in the record, not in any process-wide cache.  A
-    search node reads ``critical`` up to three times; for a mask below
-    2^8 (every tuple of length 8 or less) each read is a lookup in a fixed
-    table, and only a longer tuple's is built from the mask.  No length-3
-    search node reads them, so classifying a length-3 tuple runs no kernel
-    pass.
+    L/a_i) are set on construction.  The lcm-critical indices ``critical``,
+    ascending, and the coordinate gcds ``floors`` come from one lean kernel
+    pass (:func:`brieskorn.backend.invariant_core`), run on the first read
+    of either and kept in the record, not in any process-wide cache.  No
+    length-3 search node reads them, so classifying a length-3 tuple runs
+    no kernel pass.
     """
 
     __slots__ = ("entries", "n", "in_tn", "lcm", "sigma", "_kernel")
@@ -300,20 +290,13 @@ class Facts:
         self.sigma = sum(map(total.__floordiv__, entries))
         self._kernel = None
 
-    def _run_kernel(self) -> tuple[Exponents, int]:
+    def _run_kernel(self) -> tuple[Exponents, tuple[int, ...]]:
         kernel = self._kernel = backend.invariant_core(self.entries)
         return kernel
 
     @property
-    def mask(self) -> int:
-        return (self._kernel or self._run_kernel())[1]
-
-    @property
     def critical(self) -> tuple[int, ...]:
-        mask = (self._kernel or self._run_kernel())[1]
-        if mask < len(_ASCENDING):
-            return _ASCENDING[mask]
-        return tuple([i + 1 for i in range(self.n) if mask >> i & 1])
+        return (self._kernel or self._run_kernel())[1]
 
     @property
     def floors(self) -> Exponents:
@@ -425,13 +408,17 @@ def _factorization(value: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found.items()))
 
 
-@lru_cache(maxsize=1 << 10)
+# typed: a float or bool argument never shares a key with an int, so it
+# reaches the checks below, and an exception is never cached
+@lru_cache(maxsize=1 << 10, typed=True)
 def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
     """The positive divisors of ``value``, ascending, popped from a heap
     over its factorization; only the ``limit`` smallest when a positive
     ``limit`` is given, found without listing the rest."""
-    if value < 1:
-        raise InputError(f"divisors are defined for positive integers, got {value}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"divisors are defined for positive integers, got {value!r}")
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
+        raise InputError(f"the divisor limit must be an integer, got {limit!r}")
     if limit is not None and limit < 1:
         raise InputError(f"the divisor limit must be positive, got {limit}")
     factors = _factorization(value)
@@ -505,28 +492,27 @@ class InvariantReport(NamedTuple):
 
 def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
     """Every derived invariant of a tuple (length >= 2), from its
-    :class:`Facts` record (L, sigma, T_n membership, the lcm-critical mask
-    and the coordinate gcds) and one gcd pass."""
+    :class:`Facts` record (L, sigma, T_n membership, the lcm-critical
+    indices and the coordinate gcds) and one gcd pass."""
     from fractions import Fraction
 
     entries = as_exponents(values, minimum_length=2)
     facts = Facts(entries)
-    total_gcd, _, gcd_mask = _gcd_pass(entries)
-    total_lcm, lcm_mask, coord = facts.lcm, facts.mask, facts.floors
-    lcm_critical = _mask_to_indices(lcm_mask)
+    total_gcd, _, gcd_critical = _gcd_pass(entries)
+    total_lcm, lcm_critical, coord = facts.lcm, facts.critical, facts.floors
     return InvariantReport(
         exponents=entries,
         total_lcm=total_lcm,
         total_gcd=total_gcd,
         normalization=tuple(v // total_gcd for v in entries),
         degrees=tuple(total_lcm // v for v in entries),
-        type=gcd_mask.bit_count(),
+        type=len(gcd_critical),
         cotype=len(lcm_critical),
-        gcd_critical=_mask_to_indices(gcd_mask),
-        lcm_critical=lcm_critical,
-        lcm_stable=_unmasked_indices(lcm_mask, facts.n),
+        gcd_critical=frozenset(gcd_critical),
+        lcm_critical=frozenset(lcm_critical),
+        lcm_stable=_stable(lcm_critical, facts.n),
         coordinate_gcds=coord,
         in_tn=facts.in_tn,
-        critical_lcm_drop=_drop(entries, coord, facts.critical),
+        critical_lcm_drop=_drop(entries, coord, lcm_critical),
         reciprocal_sum=Fraction(facts.sigma, total_lcm),
     )

@@ -82,9 +82,9 @@ def test_exact_kernel_matches_the_omit_one_definition(entries):
 @with_fixed_tuples
 @given(st.lists(kernel_entries, min_size=2, max_size=9).map(tuple))
 def test_lean_kernel_matches_its_definition(entries):
-    # c_i = gcd(a_i, lcm of the others), and bit i is set exactly when
-    # c_i != a_i
-    floors, mask = backend.invariant_core(entries)
+    # c_i = gcd(a_i, lcm of the others), and the 1-based index i is listed,
+    # ascending, exactly when c_i != a_i
+    floors, critical = backend.invariant_core(entries)
     others = [lcm(*entries[:i], *entries[i + 1 :]) for i in range(len(entries))]
     assert floors == tuple(gcd(value, other) for value, other in zip(entries, others))
-    assert mask == sum(1 << i for i, (value, floor) in enumerate(zip(entries, floors)) if floor != value)
+    assert critical == tuple(i for i, (value, floor) in enumerate(zip(entries, floors), 1) if floor != value)

@@ -408,16 +408,27 @@ class TestLargeBudgets:
         assert "status: UNKNOWN" in completed.stdout
 
 
+HUGE_BUDGET = ("--depth", 100000, "--max-witnesses", 1000)
+
+
 class TestHugeEntries:
     """DESCEND lists the witnesses of an entry from its factorization, so an
     entry near 2^60 finishes quickly: 4e17 is 4 times a prime, 2^60 a power
-    of 2."""
+    of 2.  So do entries of hundreds of digits under a huge budget."""
 
-    @pytest.mark.parametrize("extra", [("400000000000000012",), ("1152921504606846976", "--depth", "400")])
-    def test_exits_zero_within_five_seconds(self, capsys, extra):
+    @pytest.mark.parametrize("argv", [
+        (2, 3, 3, 400000000000000012),
+        (2, 3, 3, 2**60, "--depth", 400),
+        (2, 3, 3, 2**400, *HUGE_BUDGET),
+        (2, 3, 5, 60**100, *HUGE_BUDGET),
+        (3, 3, 4, 2**300 * 3**200, *HUGE_BUDGET),
+        (2, 3, 3, 4, 2**500, *HUGE_BUDGET),
+        (6, 3, 10, 7647185, *HUGE_BUDGET),
+    ])
+    def test_exits_zero_within_five_seconds(self, capsys, argv):
         tp.divisors.cache_clear()
         start = time.perf_counter()
-        code, out, _ = run(capsys, "classify", "2", "3", "3", *extra)
+        code, out, _ = run(capsys, "classify", *map(str, argv))
         assert time.perf_counter() - start < 5
         assert code == 0
         assert "status: UNKNOWN" in out

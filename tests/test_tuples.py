@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brieskorn as bk
 from brieskorn import tuples as tp
 from brieskorn.errors import InputError
 
@@ -245,6 +246,23 @@ class TestDivisors:
             tp.divisors(0)
         with pytest.raises(InputError):
             tp.divisors(12, 0)
+
+    @pytest.mark.parametrize("args", [(10.0,), (12, 4.0), (True,), (12, True), ("12",), (None,)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(InputError):
+            tp.divisors(*args)
+
+    def test_a_float_call_leaves_the_cache_clean(self):
+        # DESCEND at index 4 of (2, 3, 3, 20) asks for divisors(10, 33), and
+        # 10.0 == 10 hashes alike: a float call used to be cached under that
+        # key, and the classification then raised TypeError
+        tp.divisors.cache_clear()
+        with pytest.raises(InputError):
+            tp.divisors(10.0, 33)
+        assert bk.classify((2, 3, 3, 20)).status is bk.Status.UNKNOWN
+        assert tp.divisors(10, 33) == (1, 2, 5, 10)
+        with pytest.raises(InputError):  # a cached int key does not serve it
+            tp.divisors(10.0, 33)
 
 
 def trial_divisors(value):
