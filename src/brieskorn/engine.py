@@ -77,6 +77,8 @@ cases (such as (2,3,3,4)) must stay UNKNOWN.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -242,10 +244,27 @@ def classify(exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None 
     then reads instead of building its own (a census row reads it too).
     """
     entries = tp.as_exponents(exponents, minimum_length=3)
-    if facts is not None and facts.entries != entries:
-        raise InputError(f"facts of {facts.entries} given for the tuple {entries}")
-    kb = KnowledgeBase() if kb is None else kb
+    if facts is not None:
+        tp._facts_of(entries, facts)  # a check: on a memo hit no record is needed
+    return _classify_valid(entries, KnowledgeBase() if kb is None else kb, facts)
+
+
+def _classify_valid(entries: Exponents, kb: KnowledgeBase, facts: Facts | None = None) -> Classification:
+    """:func:`classify` without its checks, for ``entries`` already validated
+    (by the census spec or ``proj_classes``) and their own ``facts``."""
     return _decide(entries, kb.budget.max_depth, kb, facts)[0]
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, process state, for the ``with``
+    block; then restore the caller's setting, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def _decide(
@@ -498,12 +517,15 @@ class KernelBound(NamedTuple):
         return bool(self.undecided)
 
 
-def kernel_degree_bound(exponents, kb: KnowledgeBase | None = None) -> KernelBound:
+def kernel_degree_bound(
+    exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None = None
+) -> KernelBound:
     """Compute the bound for a tuple of length >= 4 by classifying every
-    omit-one subtuple at a critical index."""
+    omit-one subtuple at a critical index.  ``facts``, when given, is the
+    tuple's :class:`~brieskorn.tuples.Facts` record."""
     entries = tp.as_exponents(exponents, minimum_length=4)
     kb = KnowledgeBase() if kb is None else kb
-    facts = Facts(entries)
+    facts = tp._facts_of(entries, facts)
     rigid = set()
     undecided = set()
     for index in facts.critical:

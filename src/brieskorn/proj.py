@@ -17,6 +17,15 @@ entries is ``lcm(*rest)`` throughout the group.  The cost is one pass
 per slot, plus the pairs of distinct values present in each group, plus
 one edge for each member pair of a value pair that passes the divisor
 test.  No step depends on the size of an entry.
+
+A slot enters its bucket with two tables, built once per (stable
+argsort, position p), so once per p in a non-decreasing universe: the
+rank of each position among the others in stable value order, p ranked
+last, and the positions (1-based) in that order.  An edge's alignment is
+the target's positions indexed by the source's ranks, one O(n) step that
+sends the i-th copy of a value to its i-th copy.  Components come from a
+union-find over a dict where the smaller root wins, so each class's root
+is its least member, found once per member in ascending order.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from typing import NamedTuple
 
 from . import tuples as tp
 from .certificates import Status, _wrap
-from .engine import KnowledgeBase, classify
+from .engine import KnowledgeBase, _classify_valid, _collector_paused
+from .engine import classify  # noqa: F401  (not called here; perfbench's tracer wraps proj.classify)
 from .errors import InputError
 from .tuples import Exponents
 
@@ -119,24 +129,6 @@ def _validate_universe(universe) -> list[Exponents]:
     return members
 
 
-def _alignment(source: Exponents, target: Exponents, p: int, q: int) -> tuple[int, ...]:
-    """Permutation of ``target`` matching ``source`` outside position ``p``
-    (0-based here), sending position ``p`` to ``target[q]``."""
-    used = [False] * len(target)
-    used[q] = True
-    perm = []
-    for j, value in enumerate(source):
-        if j == p:
-            perm.append(q + 1)
-            continue
-        for u, candidate in enumerate(target):
-            if not used[u] and candidate == value:
-                used[u] = True
-                perm.append(u + 1)
-                break
-    return tuple(perm)
-
-
 def proj_edges(universe) -> list[ProjEdge]:
     """All divisor-order edges between distinct universe members, up to
     coordinate permutation.
@@ -144,16 +136,9 @@ def proj_edges(universe) -> list[ProjEdge]:
     Members equal as multisets are never connected (the step would be the
     identity embedding), which keeps the edge relation antisymmetric.
     One edge is emitted per ordered pair, chosen at the lexicographically
-    smallest removal positions.
-
-    Slots (member, position) are grouped by the sorted remainder ``rest``
-    and then by entry value.  Inside one group two slots name the same
-    multiset exactly when their values are equal, and the lcm of a
-    target's other entries is ``lcm(*rest)``.  So the search makes one
-    pass per slot, then tests each pair of distinct values present in a
-    group (``small < large``, ``large % small == 0`` and ``small %
-    gcd(large, lcm(*rest)) == 0``), and builds edges only for the
-    members of the value pairs that pass.
+    smallest removal positions.  The search is described in the module
+    docstring: a value pair of a group passes when ``small < large``,
+    ``large % small == 0`` and ``small % gcd(large, lcm(*rest)) == 0``.
     """
     return _edges(_validate_universe(universe))
 
@@ -163,13 +148,22 @@ def _edges(members: list[Exponents]) -> list[ProjEdge]:
     # one position, so an ordered pair lies in exactly one group and one
     # pair of values.  A member's slots of equal value share their
     # remainder, so each member enters a value bucket once.
-    groups: dict[tuple[int, ...], dict[int, list[Exponents]]] = {}
+    tables: dict[tuple[tuple[int, ...], int], tuple] = {}
+    groups: dict[tuple[int, ...], dict[int, list]] = {}
     for member in members:
+        positions = range(len(member))
+        order = tuple(sorted(positions, key=member.__getitem__))
         for p, value in enumerate(member):
             if member.index(value) == p:
-                rest = tuple(sorted(member[:p] + member[p + 1 :]))
-                groups.setdefault(rest, {}).setdefault(value, []).append(member)
-    found: dict[tuple[Exponents, Exponents], ProjEdge] = {}
+                table = tables.get((order, p))
+                if table is None:
+                    kept = tuple(i for i in order if i != p)
+                    ranked = kept + (p,)
+                    table = kept, tuple(map(ranked.index, positions)), tuple(i + 1 for i in ranked)
+                    tables[order, p] = table
+                rest = tuple(map(member.__getitem__, table[0]))
+                groups.setdefault(rest, {}).setdefault(value, []).append((member, table))
+    edges: list[ProjEdge] = []
     for rest, buckets in groups.items():
         rest_lcm = lcm(*rest)
         values = sorted(buckets)
@@ -178,32 +172,16 @@ def _edges(members: list[Exponents]) -> list[ProjEdge]:
                 if large % small or small % gcd(large, rest_lcm):
                     continue
                 # The test fails when ``large`` divides ``rest_lcm``, so a
-                # target holds ``large`` once; the smallest index wins.
+                # target holds ``large`` once, where the source's p (ranked
+                # last) is sent.
                 step = large // small
-                for source in buckets[small]:
-                    p = source.index(small)
-                    for target in buckets[large]:
-                        alignment = _alignment(source, target, p, target.index(large))
-                        found[source, target] = ProjEdge(source, target, p + 1, step, alignment)
-    return [found[pair] for pair in sorted(found)]
-
-
-class _DisjointSets:
-    def __init__(self, items):
-        self._parent = {item: item for item in items}
-
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
+                for source, (_, rank, slots) in buckets[small]:
+                    for target, (_, _, target_slots) in buckets[large]:
+                        # tuple.__new__ skips the named tuple's __new__
+                        alignment = tuple(map(target_slots.__getitem__, rank))
+                        edges.append(tuple.__new__(ProjEdge, (source, target, slots[-1], step, alignment)))
+    edges.sort()  # each ordered pair is found once, so no tie reaches the rest
+    return edges
 
 
 def _mixed(statuses: set[Status]) -> bool:
@@ -215,34 +193,45 @@ def _mixed(statuses: set[Status]) -> bool:
 
 def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:
     """Connected components of the edge graph, each member annotated with
-    its classification status and the class flagged when statuses mix."""
-    members = _validate_universe(universe)
-    edges = _edges(members)
-    kb = KnowledgeBase() if kb is None else kb
-    sets = _DisjointSets(members)
-    for edge in edges:
-        sets.union(edge.source, edge.target)
-    grouped: dict[Exponents, list[Exponents]] = {}
-    for member in members:
-        grouped.setdefault(sets.find(member), []).append(member)
-    # Both ends of an edge share a root, so one pass buckets every edge
-    # into its component while keeping the edge list's order.
-    grouped_edges: dict[Exponents, list[ProjEdge]] = {}
-    for edge in edges:
-        grouped_edges.setdefault(sets.find(edge.source), []).append(edge)
-    classes = []
-    for root in sorted(grouped):
-        component = tuple(sorted(grouped[root]))
-        component_edges = tuple(grouped_edges.get(root, ()))
-        statuses = tuple(
-            (member, classify(member, kb).status) for member in component
-        )
-        classes.append(
-            ProjClass(
-                members=component,
-                edges=component_edges,
-                statuses=statuses,
-                mixed=_mixed({status for _, status in statuses}),
+    its classification status and the class flagged when statuses mix.
+
+    The call builds no reference cycles, so it pauses the cyclic garbage
+    collector, a process-wide state, and leaves it as the caller had it,
+    also when the call raises."""
+    with _collector_paused():
+        members = _validate_universe(universe)
+        edges = _edges(members)
+        kb = KnowledgeBase() if kb is None else kb
+        # The smaller root wins, so a parent is less than its child.
+        parent: dict[Exponents, Exponents] = {}
+        for a, b, _, _, _ in edges:
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        # In ascending order each parent's root is known before its
+        # children's, and classes and their members come out sorted.
+        root: dict[Exponents, Exponents] = {}
+        grouped: dict[Exponents, list[Exponents]] = {}
+        for member in members:
+            top = root[member] = root[parent[member]] if member in parent else member
+            grouped.setdefault(top, []).append(member)
+        # Both ends of an edge share a root, so one pass buckets every edge
+        # into its component while keeping the edge list's order.
+        grouped_edges: dict[Exponents, list[ProjEdge]] = {}
+        for edge in edges:
+            grouped_edges.setdefault(root[edge[0]], []).append(edge)
+        classes = []
+        for top, component in grouped.items():
+            statuses = tuple((member, _classify_valid(member, kb).status) for member in component)
+            classes.append(
+                ProjClass(
+                    members=tuple(component),
+                    edges=tuple(grouped_edges.get(top, ())),
+                    statuses=statuses,
+                    mixed=_mixed({status for _, status in statuses}),
+                )
             )
-        )
-    return classes
+        return classes

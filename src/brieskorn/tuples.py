@@ -267,8 +267,9 @@ def in_tn(entries: Exponents) -> bool:
 class Facts:
     """What the rules' side conditions read about one tuple, computed once
     per search node.  A census row reuses the record of its root node: the
-    census builds it, passes it to :func:`~brieskorn.engine.classify` and
-    reads the row's cotype, T_n membership and reciprocal sum from it.
+    census builds it, passes it to the search and reads the row's cotype,
+    T_n membership and reciprocal sum from it.  ``invariants`` builds one
+    for the report and the kernel bound to share.
 
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
     L/a_i) are set on construction.  The lcm-critical indices ``critical``,
@@ -301,6 +302,15 @@ class Facts:
     @property
     def floors(self) -> Exponents:
         return (self._kernel or self._run_kernel())[0]
+
+
+def _facts_of(entries: Exponents, facts: Facts | None) -> Facts:
+    """``facts`` if it is the record of ``entries`` (else InputError), or a new one."""
+    if facts is None:
+        return Facts(entries)
+    if facts.entries != entries:
+        raise InputError(f"facts of {facts.entries} given for the tuple {entries}")
+    return facts
 
 
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
@@ -490,14 +500,15 @@ class InvariantReport(NamedTuple):
         }
 
 
-def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
+def invariant_report(values: Sequence[int] | Iterable[int], *, facts: Facts | None = None) -> InvariantReport:
     """Every derived invariant of a tuple (length >= 2), from its
     :class:`Facts` record (L, sigma, T_n membership, the lcm-critical
-    indices and the coordinate gcds) and one gcd pass."""
+    indices and the coordinate gcds) and one gcd pass.  ``facts``, when
+    given, is that record; otherwise the report builds it."""
     from fractions import Fraction
 
     entries = as_exponents(values, minimum_length=2)
-    facts = Facts(entries)
+    facts = _facts_of(entries, facts)
     total_gcd, _, gcd_critical = _gcd_pass(entries)
     total_lcm, lcm_critical, coord = facts.lcm, facts.critical, facts.floors
     return InvariantReport(

@@ -190,14 +190,14 @@ class TestForkedChunks:
         monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def raise_on(self, monkeypatch, target, action):
-        classify = census.classify
+        classify = census._classify_valid
 
-        def stub(entries, kb, **kwargs):
+        def stub(entries, *args):
             if entries == target:
                 action()
-            return classify(entries, kb, **kwargs)
+            return classify(entries, *args)
 
-        monkeypatch.setattr(census, "classify", stub)
+        monkeypatch.setattr(census, "_classify_valid", stub)
 
     @pytest.mark.parametrize(
         "error",

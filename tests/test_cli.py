@@ -530,10 +530,10 @@ class TestInvariantsKernelPasses:
         code, out, _ = run(capsys, "invariants", "2", "3", "3", "4", "5")
         assert code == 0
         assert out == self.EXPECTED
-        # the report's gcd pass and its record's lean pass, the bound's
-        # record of (2,3,3,4,5), then the search of the subtuple (2,3,3,4);
-        # that of (2,3,3,5) reads no kernel
-        assert passes == [("gcd", 5), ("core", 5), ("core", 5), ("core", 4)]
+        # the report's gcd pass and the lean pass of the one record that
+        # the report and the bound share, then the search of the subtuple
+        # (2,3,3,4); that of (2,3,3,5) reads no kernel
+        assert passes == [("gcd", 5), ("core", 5), ("core", 4)]
 
 
 class TestKernelNotSelectable:

@@ -1,5 +1,6 @@
 """Rule catalogue and classifier behavior."""
 
+import gc
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -793,7 +794,69 @@ def test_classify_takes_the_facts_of_its_own_tuple_only():
         bk.classify((4, 4, 4, 12), facts=tp.Facts((4, 4, 12, 4)))
 
 
+def test_report_and_bound_take_the_facts_of_their_own_tuple_only():
+    facts = tp.Facts((2, 3, 3, 4, 5))
+    assert bk.invariant_report((2, 3, 3, 4, 5), facts=facts) == bk.invariant_report((2, 3, 3, 4, 5))
+    assert bk.kernel_degree_bound((2, 3, 3, 4, 5), facts=facts) == bk.kernel_degree_bound((2, 3, 3, 4, 5))
+    other = tp.Facts((2, 3, 3, 5, 4))
+    with pytest.raises(InputError, match="given for the tuple"):
+        bk.invariant_report((2, 3, 3, 4, 5), facts=other)
+    with pytest.raises(InputError, match="given for the tuple"):
+        bk.kernel_degree_bound((2, 3, 3, 4, 5), facts=other)
+
+
 @pytest.mark.parametrize("entries", [(7, 11468800, 2, 8), (12, 18, 8, 9, 5, 7, 11, 13), tuple(range(2, 12))])
 def test_facts_critical_indices_are_the_omit_one_definition(entries):
     facts = tp.Facts(entries)
     assert facts.critical == tuple(_critical(entries))
+
+
+class TestCollectorPaused:
+    """``proj_classes`` and ``run_census`` pause the cyclic collector and
+    leave it as the caller had it, also when they raise; they build no
+    reference cycles, so a collection right after finds nothing."""
+
+    BULK = {
+        "proj": lambda n, top: bk.proj_classes(
+            bk.census.enumerate_universe(bk.CensusSpec(length=n, max_exponent=top))
+        ),
+        "census-w1": lambda n, top: bk.run_census(bk.CensusSpec(length=n, max_exponent=top)),
+        "census-w2": lambda n, top: bk.run_census(bk.CensusSpec(length=n, max_exponent=top), workers=2),
+    }
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("call", sorted(BULK))
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, collector, call, enabled):
+        (gc.enable if enabled else gc.disable)()
+        self.BULK[call](3, 8)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("call", sorted(BULK))
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_the_call_raises(self, collector, monkeypatch, call, enabled):
+        decide, calls = engine._decide, []
+
+        def failing(*args):
+            calls.append(args[0])
+            if len(calls) == 50:
+                raise RuntimeError("search failed")
+            return decide(*args)
+
+        monkeypatch.setattr(engine, "_decide", failing)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="search failed"):
+            self.BULK[call](3, 8)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("call", sorted(BULK))
+    @pytest.mark.parametrize("n, top", [(3, 30), (4, 10), (5, 5)])
+    def test_no_cycles_are_left(self, call, n, top):
+        gc.collect()
+        self.BULK[call](n, top)
+        assert gc.collect() == 0

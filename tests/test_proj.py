@@ -14,7 +14,7 @@ from brieskorn import tuples as tp
 from brieskorn.certificates import Status
 from brieskorn.census import CensusSpec, enumerate_universe
 from brieskorn.errors import InputError
-from brieskorn.proj import ProjEdge, _alignment, classes_to_json
+from brieskorn.proj import ProjEdge, classes_to_json
 
 CHAIN_UNIVERSE = [(2, 3, 3, 2), (2, 3, 3, 4), (10, 3, 3, 4)]
 
@@ -71,6 +71,25 @@ class TestEdges:
         }]
 
 
+def greedy_alignment(source, target, p: int, q: int) -> tuple[int, ...]:
+    """Reference: the permutation of ``target`` matching ``source`` outside
+    position ``p`` (0-based), sending ``p`` to ``target[q]``, with each
+    entry of ``source`` taking the first unused equal entry of ``target``."""
+    used = [False] * len(target)
+    used[q] = True
+    perm = []
+    for j, value in enumerate(source):
+        if j == p:
+            perm.append(q + 1)
+            continue
+        for u, candidate in enumerate(target):
+            if not used[u] and candidate == value:
+                used[u] = True
+                perm.append(u + 1)
+                break
+    return tuple(perm)
+
+
 def naive_edges(universe) -> list[ProjEdge]:
     """Reference: try every ordered pair of (member, position) slots that
     share a sorted remainder, keeping the smallest (index, alignment)."""
@@ -98,7 +117,7 @@ def naive_edges(universe) -> list[ProjEdge]:
                     target=target,
                     index=p + 1,
                     veronese_index=large // small,
-                    alignment=_alignment(source, target, p, q),
+                    alignment=greedy_alignment(source, target, p, q),
                 )
                 kept = found.get(pair)
                 if kept is None or (edge.index, edge.alignment) < (kept.index, kept.alignment):
