@@ -6,7 +6,9 @@ derives every other omit-one invariant from it or from its own gcd pass.
 The pass takes O(n) steps that each pair a running lcm with one entry,
 so a tuple of thousands of large coprime entries costs a fraction of a
 second.  Nothing here is cached: a search node keeps its kernel result
-in its own :class:`~brieskorn.tuples.Facts` record.
+in its own :class:`~brieskorn.tuples.Facts` record, and a DESCEND
+witness child's record takes its parent's result with no pass of its
+own (the witness-record rule in :mod:`brieskorn.engine`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ predicates replay also evaluates.  Then come the recursive search rules
 Each search node builds one :class:`~brieskorn.tuples.Facts` record that
 the leaf rules, the soundness check and both recursive rules share; the
 root node takes the caller's record when :func:`classify` is given one,
-so a census row and its search read the same record.
+so a census row and its search read the same record, and a DESCEND
+witness child's record takes its parent's kernel result (below).
 The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
@@ -62,6 +63,40 @@ dividing k: a few steps per witness, not one per earlier sibling.  No
 answer, certificate, cut bit or memo entry changes; the skipped
 lookups would all have been hits.
 
+A witness child C, the parent P with a_i replaced by w = f * k, needs no
+kernel pass of its own (the *witness-record rule*): C has exactly P's
+coordinate gcds.  Prime by prime, with m the largest exponent of p among
+the entries other than a_i: if v_p(a_i) <= m, p does not divide a_i / f,
+so v_p(w) = v_p(a_i); otherwise v_p(w) >= v_p(f) = m.  Either way no
+min(v_p(a_j), max of v_p over the other entries) changes, for any index
+j.  So C's lcm-critical indices are P's, less i exactly when k = 1
+(w = f), and C's record is built from P's floors and that tuple, only
+once the memo has missed on C.
+
+When the search reaches C from P's cascade, every leaf rule has failed on
+P, and C's cascade walks only :data:`_WITNESS_LEAF_RULES`: NOT_IN_TN,
+N4_THREE_THREES, N4_EVEN_GCD and EQUAL_EXPONENTS, in ``LEAF_RULES``
+order.  P failed NOT_IN_TN, so it is in T_n, and N3_T3 or N3_STABLE
+holds on every length-3 tuple in T_n, so n >= 4.  The other seven rules
+cannot newly hold on C:
+
+* N3_T3 and N3_STABLE: C has P's length n >= 4;
+* LOW_SUM: w < a_i, so C's reciprocal sum exceeds P's, which exceeds
+  1/(n-2);
+* N4_COPRIME: gcd(a*b*c, d) = 1 exactly when d's coordinate gcd is 1;
+  for n = 4 P passed the rule's gate, so no coordinate gcd of P is 1,
+  and C has P's;
+* COTYPE_GE_2_N4 and COTYPE_GE_NMINUS2: P is in T_n with n >= 4, so its
+  cotype is below both bounds, and C's cotype is at most P's;
+* I_SUM: i is critical in P, so C's lcm-stable indices include P's with
+  the same entries there, and C's stable reciprocal sum is at least P's,
+  which is at least 1/(n-2).
+
+A pruned cascade that fails is a full one that fails, so the rule holds
+on C's own witness children.  :func:`rule_descend` never ran its tuple's
+cascade, so its witness children walk every leaf rule, and take only the
+kernel result.  Replay checks every node in full.
+
 The recursion is bounded by the tuple itself.  Each recursive step either
 shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
 keeps at least three) or replaces an entry by a proper divisor (DESCEND).
@@ -99,6 +134,18 @@ from .tuples import Exponents, Facts
 
 #: Firing order of the rule catalogue (first match wins).
 RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND)
+
+#: The leaf rules a DESCEND witness child can satisfy when its parent has
+#: failed every leaf rule (the witness-record rule in the module docstring).
+_WITNESS_LEAF_RULES = tuple(
+    leaf
+    for leaf in LEAF_RULES
+    if leaf.rule in (RuleId.NOT_IN_TN, RuleId.N4_THREE_THREES, RuleId.N4_EVEN_GCD, RuleId.EQUAL_EXPONENTS)
+)
+
+# What a search node that no DESCEND parent reached inherits (see _descend):
+# no index (indices start at 1), no kernel result, and every leaf rule.
+_NO_PARENT = (0, -1, None, LEAF_RULES)
 
 # Reorders a length-4 tuple by a permutation, as tp.apply_permutation does.
 _REORDER = {permutation: itemgetter(*(i - 1 for i in permutation)) for permutation in PERMS4}
@@ -272,7 +319,7 @@ def _decide(
     depth: int,
     kb: KnowledgeBase,
     facts: Facts | None = None,
-    inherited: tuple[int, int] | None = None,
+    inherited: tuple = _NO_PARENT,
 ) -> Entry:
     canonical = tuple(sorted(entries))
     entry = kb.lookup(canonical, depth)
@@ -284,7 +331,7 @@ def _decide(
     # coordinate order: its certificate is rebuilt for this order (children
     # resolve via the memo), so that certificates always root at the tuple
     # as classified.
-    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb, inherited)
+    searched = _run_cascade(Facts(entries, inherited[2]) if facts is None else facts, depth, kb, inherited)
     if entry is None:
         kb.store(canonical, depth, searched)
     elif searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
@@ -295,10 +342,8 @@ def _decide(
     return searched
 
 
-def _run_cascade(
-    facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple[int, int] | None
-) -> Entry:
-    certificate = _first_leaf(facts, LEAF_RULES)
+def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple) -> Entry:
+    certificate = _first_leaf(facts, inherited[3])
     height: int | None = 0
     if certificate is None:
         if not facts.critical:  # the recursive rules act on lcm-critical indices
@@ -307,7 +352,7 @@ def _run_cascade(
             return Classification(Status.UNKNOWN, None, True), None
         heights: list[int | None] = []
         certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
-            facts, depth, kb, heights, inherited
+            facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
         )
         height = None if None in heights else max(heights, default=-1) + 1
         if certificate is None:
@@ -388,25 +433,34 @@ def _descend(
     depth: int,
     kb: KnowledgeBase,
     heights: list[int | None],
-    inherited: tuple[int, int] | None = None,
+    inherited: tuple = _NO_PARENT,
+    child_rules: tuple[LeafRule, ...] = LEAF_RULES,
 ) -> Certificate | None:
     """Replaces one critical coordinate by a smaller compatible divisor and
     inherits rigidity from below (one-directional, so only RIGID comes
     back up).  The search height of each witness visited goes to ``heights``.
 
-    ``inherited`` is given to a witness child: the index it was reached at,
-    and the greatest height of its siblings as its parent folded them (the
-    sibling rule in the module docstring).  That index's witnesses are not
-    visited again; their folded height goes to ``heights`` instead."""
-    entries, floors = facts.entries, facts.floors
+    ``inherited`` is what a witness child gets: the index it was reached at,
+    the greatest height of its siblings as its parent folded them (the
+    sibling rule in the module docstring), the child's ``(floors,
+    critical)`` and the leaf rules its cascade walks (the witness-record
+    rule).  That index's witnesses are not visited again; their folded
+    height goes to ``heights`` instead.  ``child_rules`` are the leaf rules
+    this node's witness children walk: all of them unless this node's own
+    cascade failed."""
+    entries, floors, critical = facts.entries, facts.floors, facts.critical
+    kept = floors, critical
     cap = kb.budget.max_divisor_witnesses
-    for index in facts.critical:
-        if inherited is not None and inherited[0] == index:
+    for position, index in enumerate(critical):
+        if inherited[0] == index:
             height = inherited[1]
             heights.append(height if height < depth else None)
             continue
         value = entries[index - 1]
         floor = floors[index - 1]
+        # The children's kernel results (the witness-record rule): index is
+        # critical in each but the one at floor itself.
+        dropped = floors, critical[:position] + critical[position + 1 :]
         # The witnesses are the proper divisors of the entry that floor
         # divides, the smallest max_divisor_witnesses of them: floor times
         # each divisor of value // floor but the last.  They come in
@@ -425,7 +479,9 @@ def _descend(
                 below.append(folded[1])
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            result, height = _decide(witness_tuple, depth - 1, kb, None, (index, siblings))
+            result, height = _decide(
+                witness_tuple, depth - 1, kb, None, (index, siblings, kept if k > 1 else dropped, child_rules)
+            )
             heights.append(height)
             if result.status.implies_rigid:
                 return Certificate(
@@ -491,6 +547,11 @@ def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Cert
 
 
 def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
+    """DESCEND on its own.  Its witness children walk every leaf rule: the
+    tuple's own cascade never ran, so the pruned cascade of the search does
+    not apply.  Pruned, (2, 3, 4, 8) and (2, 3, 5, 8) would lose their
+    certificates, whose children (2, 3, 4, 4) and (2, 3, 5, 4) N4_COPRIME
+    decides.  The children still take the tuple's kernel result."""
     facts = Facts(tp.as_exponents(exponents, minimum_length=3))
     kb = KnowledgeBase() if kb is None else kb
     return _descend(facts, kb.budget.max_depth, kb, [])

@@ -12,7 +12,8 @@ lean kernel :func:`brieskorn.backend.invariant_core`, and the gcds and
 the gcd-critical set from one gcd pass each way (:func:`_gcd_pass`).
 Both passes give their critical indices as an ascending tuple, and the
 public helpers give them as frozensets.  Neither pass is cached: a search
-node keeps its own in its :class:`Facts` record, and
+node keeps its kernel result in its :class:`Facts` record (a DESCEND
+witness child's record takes its parent's), and
 :func:`invariant_report` reads one such record plus one gcd pass.
 
 Terminology used throughout:
@@ -273,7 +274,10 @@ class Facts:
 
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
     L/a_i) are set on construction.  The lcm-critical indices ``critical``,
-    ascending, and the coordinate gcds ``floors`` come from one lean kernel
+    ascending, and the coordinate gcds ``floors`` are ``kernel``, the
+    ``(floors, critical)`` pair, when one is given: a DESCEND witness child
+    takes it from its parent (the witness-record rule in
+    :mod:`brieskorn.engine`).  Otherwise they come from one lean kernel
     pass (:func:`brieskorn.backend.invariant_core`), run on the first read
     of either and kept in the record, not in any process-wide cache.  No
     length-3 search node reads them, so classifying a length-3 tuple runs
@@ -282,14 +286,14 @@ class Facts:
 
     __slots__ = ("entries", "n", "in_tn", "lcm", "sigma", "_kernel")
 
-    def __init__(self, entries: Exponents):
+    def __init__(self, entries: Exponents, kernel: tuple[Exponents, tuple[int, ...]] | None = None):
         self.entries = entries
         self.n = len(entries)
         self.in_tn = in_tn(entries)
         self.lcm = total = lcm(*entries)
         # one quotient L/a_i, nearly as large as L, is held at a time
         self.sigma = sum(map(total.__floordiv__, entries))
-        self._kernel = None
+        self._kernel = kernel
 
     def _run_kernel(self) -> tuple[Exponents, tuple[int, ...]]:
         kernel = self._kernel = backend.invariant_core(self.entries)
@@ -398,15 +402,28 @@ def _rho(n: int) -> int:
             return g
 
 
-def _factorization(value: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of ``value``, by ascending prime."""
-    found: dict[int, int] = {}
+def _trial_division(value: int) -> tuple[list[tuple[int, int]], int]:
+    """(prime, exponent) pairs of the primes below 2**10 that divide
+    ``value``, by ascending prime, and the cofactor they leave.  A cofactor
+    of 2**20 or more has no prime factor below 2**10: trial division stops
+    early only once p * p exceeds what is left."""
+    found = []
     for p in _SMALL_PRIMES:
         if p * p > value:
             break
-        while value % p == 0:
-            value //= p
-            found[p] = found.get(p, 0) + 1
+        if not value % p:
+            exponent = 0
+            while not value % p:
+                value //= p
+                exponent += 1
+            found.append((p, exponent))
+    return found, value
+
+
+def _cofactor_factorization(value: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs, by ascending prime, of a cofactor that
+    :func:`_trial_division` left."""
+    found: dict[int, int] = {}
     pending = [value] if value > 1 else []
     while pending:
         n = pending.pop()
@@ -415,23 +432,13 @@ def _factorization(value: int) -> tuple[tuple[int, int], ...]:
         else:
             factor = _rho(n)
             pending += (factor, n // factor)
-    return tuple(sorted(found.items()))
+    return sorted(found.items())
 
 
-# typed: a float or bool argument never shares a key with an int, so it
-# reaches the checks below, and an exception is never cached
-@lru_cache(maxsize=1 << 10, typed=True)
-def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
-    """The positive divisors of ``value``, ascending, popped from a heap
-    over its factorization; only the ``limit`` smallest when a positive
-    ``limit`` is given, found without listing the rest."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InputError(f"divisors are defined for positive integers, got {value!r}")
-    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
-        raise InputError(f"the divisor limit must be an integer, got {limit!r}")
-    if limit is not None and limit < 1:
-        raise InputError(f"the divisor limit must be positive, got {limit}")
-    factors = _factorization(value)
+def _smallest_divisors(factors: list[tuple[int, int]], limit: int | None) -> tuple[int, ...]:
+    """The divisors of the product of the (prime, exponent) pairs
+    ``factors`` (by ascending prime), ascending, popped from a heap; only
+    the ``limit`` smallest unless ``limit`` is None."""
     # Each divisor d > 1 is pushed once, from d / p with p its largest
     # prime factor, and d / p < d, so the heap pops them in ascending order.
     # An item is (divisor, index of its largest prime, that prime's exponent).
@@ -445,6 +452,32 @@ def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
         for j in range(i + 1, len(factors)):
             heappush(heap, (d * factors[j][0], j, 1))
     return tuple(smallest)
+
+
+# typed: a float or bool argument never shares a key with an int, so it
+# reaches the checks below, and an exception is never cached
+@lru_cache(maxsize=1 << 10, typed=True)
+def divisors(value: int, limit: int | None = None) -> tuple[int, ...]:
+    """The positive divisors of ``value``, ascending, from its
+    factorization; only the ``limit`` smallest when a positive ``limit``
+    is given, found without listing the rest."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"divisors are defined for positive integers, got {value!r}")
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
+        raise InputError(f"the divisor limit must be an integer, got {limit!r}")
+    if limit is not None and limit < 1:
+        raise InputError(f"the divisor limit must be positive, got {limit}")
+    factors, cofactor = _trial_division(value)
+    if limit is not None and cofactor >= _TRIAL_LIMIT:
+        # Every divisor that a prime factor of the cofactor divides exceeds
+        # 2**10.  So when the trial-divided part has ``limit`` divisors below
+        # 2**10, they are the smallest of ``value``, and the cofactor is not
+        # factored: rho's time grows with the square root of its
+        # second-largest prime factor.
+        smallest = _smallest_divisors(factors, limit)
+        if len(smallest) == limit and smallest[-1] < 1 << 10:
+            return smallest
+    return _smallest_divisors(factors + _cofactor_factorization(cofactor), limit)
 
 
 def apply_permutation(entries: Exponents, permutation: Sequence[int]) -> Exponents:

@@ -414,7 +414,10 @@ HUGE_BUDGET = ("--depth", 100000, "--max-witnesses", 1000)
 class TestHugeEntries:
     """DESCEND lists the witnesses of an entry from its factorization, so an
     entry near 2^60 finishes quickly: 4e17 is 4 times a prime, 2^60 a power
-    of 2.  So do entries of hundreds of digits under a huge budget."""
+    of 2.  So do entries of hundreds of digits under a huge budget, and
+    2^10 * 3^6 * p * q with p and q the primes just above 2^50, whose 33
+    smallest divisors over its floor 6 are those of the smooth part, so
+    rho never factors p * q."""
 
     @pytest.mark.parametrize("argv", [
         (2, 3, 3, 400000000000000012),
@@ -424,6 +427,7 @@ class TestHugeEntries:
         (3, 3, 4, 2**300 * 3**200, *HUGE_BUDGET),
         (2, 3, 3, 4, 2**500, *HUGE_BUDGET),
         (6, 3, 10, 7647185, *HUGE_BUDGET),
+        (2, 3, 3, 2**10 * 3**6 * (2**50 + 55) * (2**50 + 99)),
     ])
     def test_exits_zero_within_five_seconds(self, capsys, argv):
         tp.divisors.cache_clear()

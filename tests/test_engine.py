@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
-from brieskorn import engine
+from brieskorn import backend, engine
 from brieskorn import tuples as tp
 from brieskorn.certificates import LEAF_RULES, RuleId, Status, recursive_subsets
 from brieskorn.engine import RULE_PRIORITY, _decide
@@ -624,6 +624,74 @@ def test_descend_asks_the_memo_once_per_witness(monkeypatch, entries, cap, calls
     outcome = bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_divisor_witnesses=cap)))
     assert outcome.status is Status.UNKNOWN and outcome.budget_hit
     assert len(decided) == calls
+
+
+# --- the witness-record rule ---------------------------------------------------
+#
+# A DESCEND witness child takes its parent's kernel result, and when its
+# parent failed every leaf rule it walks only engine._WITNESS_LEAF_RULES
+# (module docstring of engine).  Both lemmas are checked on the first 64
+# witnesses f * k of each critical index, against a fresh kernel pass and
+# the full cascade.
+
+
+def witness_children(entries, floors, critical):
+    """(index, k, child) for each critical index and each of its first 64
+    witnesses."""
+    for index in critical:
+        floor = floors[index - 1]
+        quotient = entries[index - 1] // floor
+        for k in tp.divisors(quotient, 64):
+            if k < quotient:
+                yield index, k, entries[: index - 1] + (floor * k,) + entries[index:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_searches())
+def test_a_witness_child_has_its_parents_kernel_result(search):
+    entries = search[0]
+    floors, critical = backend.invariant_core(entries)
+    for index, k, child in witness_children(entries, floors, critical):
+        expected = tuple(j for j in critical if j != index) if k == 1 else critical
+        assert backend.invariant_core(child) == (floors, expected), (entries, child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_searches())
+# the witness 4 of the parent's 12 satisfies EQUAL_EXPONENTS
+@example(((4, 4, 4, 12), 0, 1))
+def test_a_witness_child_of_a_failed_cascade_walks_only_the_witness_rules(search):
+    entries = search[0]
+    facts = tp.Facts(entries)
+    if engine._first_leaf(facts, LEAF_RULES) is not None:
+        return  # DESCEND never runs on this tuple
+    for index, k, child in witness_children(entries, facts.floors, facts.critical):
+        kernel = facts.floors, tuple(j for j in facts.critical if j != index or k > 1)
+        pruned = engine._first_leaf(tp.Facts(child, kernel), engine._WITNESS_LEAF_RULES)
+        assert pruned == engine._first_leaf(tp.Facts(child), LEAF_RULES), (entries, child)
+
+
+def test_witness_children_run_no_kernel_pass(monkeypatch):
+    # 13 witness children, every one a memo miss, and no kernel pass but
+    # the root's (14 before witness children took their parent's result);
+    # each record still holds its own tuple's kernel result
+    passes, searched = [], []
+    kernel, run_cascade = backend.invariant_core, engine._run_cascade
+
+    def counted_kernel(entries):
+        passes.append(entries)
+        return kernel(entries)
+
+    def counted_cascade(*args):
+        searched.append(args[0])
+        return run_cascade(*args)
+
+    monkeypatch.setattr(backend, "invariant_core", counted_kernel)
+    monkeypatch.setattr(engine, "_run_cascade", counted_cascade)
+    assert bk.classify((6, 3, 10, 7647185)).status is Status.UNKNOWN
+    assert len(searched) == 14 and passes == [(6, 3, 10, 7647185)]
+    for facts in searched:
+        assert (facts.floors, facts.critical) == kernel(facts.entries), facts.entries
 
 
 # --- one Facts record per search node ------------------------------------------

@@ -128,3 +128,25 @@ def test_standalone_rule_digests():
 def test_forged_leaf_replay_digests():
     for name, universe in UNIVERSES.items():
         assert _digest(_forged_lines(universe)) == RECORDED[("forged", name)], name
+
+
+# rule_descend never ran its tuple's leaf cascade, so its witness children
+# walk every leaf rule: here N4_COPRIME, which the search's pruned cascade
+# for witness children leaves out, decides the child.
+DESCEND_TO_COPRIME = {
+    (2, 3, 4, 8): (
+        '{"children":[{"children":[],"permutation":[1,3,4,2],"rule":"N4_COPRIME","status":"RIGID",'
+        '"tuple":[2,3,4,4],"witness":null}],"permutation":[1,2,3,4],"rule":"DESCEND","status":"RIGID",'
+        '"tuple":[2,3,4,8],"witness":{"index":4,"tuple":[2,3,4,4]}}'
+    ),
+    (2, 3, 5, 8): (
+        '{"children":[{"children":[],"permutation":[1,2,4,3],"rule":"N4_COPRIME","status":"RIGID",'
+        '"tuple":[2,3,5,4],"witness":null}],"permutation":[1,2,3,4],"rule":"DESCEND","status":"RIGID",'
+        '"tuple":[2,3,5,8],"witness":{"index":4,"tuple":[2,3,5,4]}}'
+    ),
+}
+
+
+def test_rule_descend_children_walk_every_leaf_rule():
+    for entries, text in DESCEND_TO_COPRIME.items():
+        assert bk.certificate_to_json(bk.rule_descend(entries)) == text, entries

@@ -265,6 +265,43 @@ class TestDivisors:
             tp.divisors(10.0, 33)
 
 
+    def test_smooth_divisors_skip_rho(self, monkeypatch):
+        # p and q are the primes just above 2^50: rho on p * q would take
+        # seconds.  Every prime factor rho could find exceeds 2^10, and the
+        # 33 smallest divisors of the smooth part are all below 2^10 (the
+        # largest is 486), so they are the 33 smallest of the value.
+        p, q = 2**50 + 55, 2**50 + 99
+        value = 2**10 * 3**6 * p * q
+
+        def no_rho(n):
+            raise AssertionError(f"rho ran on {n}")
+
+        tp.divisors.cache_clear()
+        monkeypatch.setattr(tp, "_rho", no_rho)
+        smallest = tp.divisors(value, 33)
+        assert smallest == tuple(sorted(d for d in trial_divisors(2**10 * 3**6) if d <= 486))
+        assert len(smallest) == 33
+
+    @pytest.mark.parametrize("smooth,limit", [
+        (2**10 * 3**6, None),  # uncapped
+        (4, 33),  # the smooth part has 3 divisors
+        (2**10 * 3**6, 41),  # it has 40 below 2^10
+    ])
+    def test_divisors_past_the_smooth_part_run_rho(self, monkeypatch, smooth, limit):
+        p, q = 2**31 - 1, 2**31 + 11
+        rho, factored = tp._rho, []
+
+        def counted(n):
+            factored.append(n)
+            return rho(n)
+
+        tp.divisors.cache_clear()
+        monkeypatch.setattr(tp, "_rho", counted)
+        expected = sorted(d * e for d in trial_divisors(smooth) for e in (1, p, q, p * q))
+        assert tp.divisors(smooth * p * q, limit) == tuple(expected[:limit])
+        assert factored == [p * q]
+
+
 def trial_divisors(value):
     """Every divisor of ``value``, by trial division up to its square root."""
     small = [d for d in range(1, isqrt(value) + 1) if value % d == 0]
