@@ -6,16 +6,15 @@ exponent tuple is non-rigid, rigid, or stably rigid, or reports UNKNOWN
 when no implemented criterion applies.  Every decision comes with a
 certificate tree whose side conditions can be re-verified independently.
 
-Importing the package loads the core modules only (``backend``,
-``certificates``, ``engine``, ``errors`` and ``tuples``), which is all
-that classifying a tuple runs.  The ``census`` and ``proj`` submodules and
-the names exported from them load on first access, through the module
+Importing the package loads the core modules only (``certificates``,
+``engine``, ``errors`` and ``tuples``), which is all that classifying a
+tuple runs.  The ``census`` and ``proj`` submodules and the names
+exported from them load on first access, through the module
 ``__getattr__`` below (PEP 562).
 """
 
 from importlib import import_module as _import_module
 
-from .backend import active_backend
 from .certificates import (
     Certificate,
     RuleId,
@@ -47,9 +46,11 @@ from .engine import (
     rule_recursive_subtuples,
 )
 from .errors import BrieskornError, CertificateError, InputError, SoundnessError
+from . import tuples
 from .tuples import (
     Exponents,
     InvariantReport,
+    active_backend,
     as_exponents,
     coordinate_gcd,
     coordinate_gcds,
@@ -77,6 +78,11 @@ from .tuples import (
 )
 
 __version__ = "0.1.0"
+
+# The benchmark's tracer wraps ``brieskorn.backend.invariant_core``.  The
+# alias is the tuples module itself, so the wrap replaces the function that
+# Facts and the helpers call.  ROADMAP item 1 deletes it.
+backend = tuples
 
 #: The submodule each lazily loaded name lives in; a submodule's own name
 #: maps to itself.

@@ -52,7 +52,9 @@ from .certificates import (
     certificate_from_json,
     certificate_id,
 )
-from .engine import _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record
+from .engine import (
+    _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record, _require_int
+)
 from .engine import _collector_paused, classify  # noqa: F401  (perfbench's tracer wraps census.classify)
 from .errors import InputError
 from .tuples import Exponents, Facts
@@ -80,6 +82,9 @@ class CensusSpec(_Record):
         self, length: int, max_exponent: int, min_exponent: int = 1, budget: Budget = _DEFAULT_BUDGET
     ):
         self._set(length=length, max_exponent=max_exponent, min_exponent=min_exponent, budget=budget)
+        self._check_ints("length", "max_exponent", "min_exponent")
+        if not isinstance(budget, Budget):
+            raise InputError(f"CensusSpec.budget must be a Budget, got {budget!r}")
         if length < 3:
             raise InputError(f"census tuples need length >= 3, got {length}")
         if min_exponent < 1:
@@ -304,12 +309,14 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     first.  Classification is a pure function of tuple and budget, so the
     rows, joined in chunk order, are those of a serial run.  Every child
     is reaped before this returns or raises, and a child's exception is
-    raised here.  ``workers`` below 1 is an InputError.
+    raised here.  ``workers`` that is not an integer, or is below 1, is an
+    InputError.
 
     The census builds no reference cycles, so it pauses the cyclic
     garbage collector, a process-wide state that its children inherit,
     and leaves it as the caller had it, also when the call raises.
     """
+    _require_int("workers", workers)
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
     with _collector_paused():

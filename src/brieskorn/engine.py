@@ -74,11 +74,10 @@ j.  So C's lcm-critical indices are P's, less i exactly when k = 1
 once the memo has missed on C.
 
 When the search reaches C from P's cascade, every leaf rule has failed on
-P, and C's cascade walks only :data:`_WITNESS_LEAF_RULES`: NOT_IN_TN,
-N4_THREE_THREES, N4_EVEN_GCD and EQUAL_EXPONENTS, in ``LEAF_RULES``
-order.  P failed NOT_IN_TN, so it is in T_n, and N3_T3 or N3_STABLE
-holds on every length-3 tuple in T_n, so n >= 4.  The other seven rules
-cannot newly hold on C:
+P, and C's cascade walks only :data:`_WITNESS_LEAF_RULES`: NOT_IN_TN and
+EQUAL_EXPONENTS, in ``LEAF_RULES`` order.  P failed NOT_IN_TN, so it is
+in T_n, and N3_T3 or N3_STABLE holds on every length-3 tuple in T_n, so
+n >= 4.  The other nine rules cannot newly hold on C:
 
 * N3_T3 and N3_STABLE: C has P's length n >= 4;
 * LOW_SUM: w < a_i, so C's reciprocal sum exceeds P's, which exceeds
@@ -90,7 +89,19 @@ cannot newly hold on C:
   cotype is below both bounds, and C's cotype is at most P's;
 * I_SUM: i is critical in P, so C's lcm-stable indices include P's with
   the same entries there, and C's stable reciprocal sum is at least P's,
-  which is at least 1/(n-2).
+  which is at least 1/(n-2);
+* N4_THREE_THREES (n = 4): P has no three 3s, so C's three 3s force
+  w = 3 and P = {3, 3, x, a_i} with 3 | a_i.  P's cotype is at most 1,
+  so x is not critical and divides a_i.  Then f = gcd(a_i, lcm(3, x)) =
+  lcm(3, x), and f divides w = 3, so x is 1 (P is outside T_n) or 3 (P
+  has three 3s);
+* N4_EVEN_GCD (n = 4), under the permutation that C satisfies: if w is
+  in slot a, then w = 2 and slot d's floor is 2 in C, so also in P.  So
+  d >= 3 is critical in P besides i, and COTYPE_GE_2_N4 held on P.  If
+  w is in slot b, c or d, P meets every clause under the same
+  permutation: a_i > w >= 3, a_i is even when w is, w | a_i so the gcds
+  can only grow, and the last clause is slot d's floor, which P and C
+  share.
 
 A pruned cascade that fails is a full one that fails, so the rule holds
 on C's own witness children.  :func:`rule_descend` never ran its tuple's
@@ -126,6 +137,7 @@ from .certificates import (
     RuleId,
     Status,
     Witness,
+    _ints,
     permutable,
     recursive_subsets,
 )
@@ -140,7 +152,7 @@ RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBT
 _WITNESS_LEAF_RULES = tuple(
     leaf
     for leaf in LEAF_RULES
-    if leaf.rule in (RuleId.NOT_IN_TN, RuleId.N4_THREE_THREES, RuleId.N4_EVEN_GCD, RuleId.EQUAL_EXPONENTS)
+    if leaf.rule in (RuleId.NOT_IN_TN, RuleId.EQUAL_EXPONENTS)
 )
 
 # What a search node that no DESCEND parent reached inherits (see _descend):
@@ -151,12 +163,21 @@ _NO_PARENT = (0, -1, None, LEAF_RULES)
 _REORDER = {permutation: itemgetter(*(i - 1 for i in permutation)) for permutation in PERMS4}
 
 
+def _require_int(what: str, value) -> None:
+    """InputError naming ``what`` unless ``value`` is an int and not a bool,
+    the type rule of the certificate parser."""
+    if not _ints((value,)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 class _Record:
     """Base of the records that validate their fields on construction.
 
     A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and sets each once through ``_set``.  The
-    record is then immutable, equal to a record of its own type with equal
+    ``__init__`` parameters, and sets each once through ``_set``; it
+    checks the type of each field before its value, ``_check_ints`` for
+    the integer ones, so that a wrong type is an InputError naming the
+    field.  The record is then immutable, equal to a record of its own type with equal
     fields (never to a plain tuple), hashed as the tuple of its fields,
     shown as ``Name(field=value, ...)``, and pickled through its
     constructor, so an unpickled record is validated again.
@@ -170,6 +191,10 @@ class _Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _check_ints(self, *names: str) -> None:
+        for name in names:
+            _require_int(f"{type(self).__name__}.{name}", getattr(self, name))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -200,6 +225,7 @@ class Budget(_Record):
 
     def __init__(self, max_depth: int = 6, max_divisor_witnesses: int = 32):
         self._set(max_depth=max_depth, max_divisor_witnesses=max_divisor_witnesses)
+        self._check_ints(*self.__slots__)
         if max_depth < 0 or max_divisor_witnesses < 1:
             raise InputError(f"invalid budget {self!r}")
 
@@ -241,7 +267,11 @@ class KnowledgeBase:
     """
 
     def __init__(self, budget: Budget | None = None):
-        self.budget = budget or _DEFAULT_BUDGET
+        if budget is None:
+            budget = _DEFAULT_BUDGET
+        elif not isinstance(budget, Budget):
+            raise InputError(f"KnowledgeBase.budget must be a Budget, got {budget!r}")
+        self.budget = budget
         self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
         self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
         self._decided: dict[Exponents, bool] = {}  # canonical -> implies_rigid

@@ -8,8 +8,8 @@ sums.  Index sets and ``index`` arguments are 1-based, matching reports
 and certificates.  All arithmetic is exact (ints and Fractions, never
 floats).  Each helper runs only the pass it reads: the coordinate gcds,
 the lcm-critical set and the omit-one lcms (L / a_i) * c_i come from the
-lean kernel :func:`brieskorn.backend.invariant_core`, and the gcds and
-the gcd-critical set from one gcd pass each way (:func:`_gcd_pass`).
+kernel pass :func:`invariant_core`, and the gcds and the gcd-critical set
+from one gcd pass each way (:func:`_gcd_pass`).
 Both passes give their critical indices as an ascending tuple, and the
 public helpers give them as frozensets.  Neither pass is cached: a search
 node keeps its kernel result in its :class:`Facts` record (a DESCEND
@@ -35,7 +35,6 @@ from heapq import heappop, heappush
 from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import backend
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -148,11 +147,52 @@ def _gcd_pass(entries: Exponents) -> tuple[int, Exponents, tuple[int, ...]]:
     return total_gcd, tuple(omitted), tuple(critical)
 
 
+def active_backend() -> str:
+    """The kernel in use, recorded with every benchmark run: ``"python"``."""
+    return "python"
+
+
+def invariant_core(entries: Exponents) -> tuple[Exponents, tuple[int, ...]]:
+    """``(coordinate_gcds, lcm_critical)`` of a tuple of positive ints
+    (length >= 2), exact for arbitrary integers: the kernel pass.
+
+    ``coordinate_gcds[i]`` is c_i = gcd(a_i, O_i), with O_i the lcm of the
+    entries other than a_i, and ``lcm_critical`` holds, ascending, the
+    1-based indices i with c_i != a_i: the lcm-critical ones.
+
+    Write P_i and S_i for the lcms of the entries before and after a_i.
+    Since gcd distributes over lcm, c_i = lcm(gcd(a_i, P_i), gcd(a_i, S_i)).
+    So one pass each way, in which every big-integer step pairs a running
+    lcm with one entry, gives both parts: O(n) such steps, where joining
+    prefix and suffix lcms would take n big x big lcms.  A tuple of
+    thousands of large coprime entries costs a fraction of a second.
+    """
+    n = len(entries)
+    before = []  # gcd(a_i, P_i)
+    running = 1
+    for value in entries:
+        g = gcd(value, running)
+        before.append(g)
+        running = running // g * value
+    floors = [0] * n
+    critical = []  # descending until reversed
+    running = 1
+    for i in range(n - 1, -1, -1):
+        value = entries[i]
+        g = gcd(value, running)
+        floor = floors[i] = lcm(before[i], g)
+        if floor != value:
+            critical.append(i + 1)
+        running = running // g * value
+    critical.reverse()
+    return tuple(floors), tuple(critical)
+
+
 def omitted_lcms(entries: Exponents) -> Exponents:
     """lcm of all entries except the i-th, for each i.  Since L =
     lcm(a_i, O_i) = a_i * O_i / c_i, with c_i the coordinate gcd, the lcm
     of the others is O_i = (L // a_i) * c_i."""
-    total, floors = lcm(*entries), backend.invariant_core(entries)[0]
+    total, floors = lcm(*entries), invariant_core(entries)[0]
     return tuple([total // value * floor for value, floor in zip(entries, floors)])
 
 
@@ -164,13 +204,13 @@ def omitted_gcds(entries: Exponents) -> Exponents:
 def lcm_critical_indices(entries: Exponents) -> IndexSet:
     """Indices whose removal strictly lowers the lcm (a_i does not divide
     the lcm of the others)."""
-    return frozenset(backend.invariant_core(entries)[1])
+    return frozenset(invariant_core(entries)[1])
 
 
 def lcm_stable_indices(entries: Exponents) -> IndexSet:
     """Complement of :func:`lcm_critical_indices`: a_i divides the lcm of
     the others."""
-    return _stable(backend.invariant_core(entries)[1], len(entries))
+    return _stable(invariant_core(entries)[1], len(entries))
 
 
 def gcd_critical_indices(entries: Exponents) -> IndexSet:
@@ -181,7 +221,7 @@ def gcd_critical_indices(entries: Exponents) -> IndexSet:
 
 def cotype_sets(entries: Exponents) -> tuple[IndexSet, IndexSet, int]:
     """(lcm-critical set, its complement, cotype)."""
-    critical = backend.invariant_core(entries)[1]
+    critical = invariant_core(entries)[1]
     return frozenset(critical), _stable(critical, len(entries)), len(critical)
 
 
@@ -192,7 +232,7 @@ def type_set(entries: Exponents) -> tuple[IndexSet, int]:
 
 
 def cotype(entries: Exponents) -> int:
-    return len(backend.invariant_core(entries)[1])
+    return len(invariant_core(entries)[1])
 
 
 def type_size(entries: Exponents) -> int:
@@ -207,7 +247,7 @@ def coordinate_gcd(entries: Exponents, index: int) -> int:
 
 
 def coordinate_gcds(entries: Exponents) -> Exponents:
-    return backend.invariant_core(entries)[0]
+    return invariant_core(entries)[0]
 
 
 def leq_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
@@ -256,7 +296,7 @@ def lcm_drop(entries: Exponents, indices: Iterable[int]) -> int:
     chosen = _check_index_set(entries, indices)
     if not chosen:
         return 1
-    return _drop(entries, backend.invariant_core(entries)[0], chosen)
+    return _drop(entries, invariant_core(entries)[0], chosen)
 
 
 def in_tn(entries: Exponents) -> bool:
@@ -277,9 +317,9 @@ class Facts:
     ascending, and the coordinate gcds ``floors`` are ``kernel``, the
     ``(floors, critical)`` pair, when one is given: a DESCEND witness child
     takes it from its parent (the witness-record rule in
-    :mod:`brieskorn.engine`).  Otherwise they come from one lean kernel
-    pass (:func:`brieskorn.backend.invariant_core`), run on the first read
-    of either and kept in the record, not in any process-wide cache.  No
+    :mod:`brieskorn.engine`).  Otherwise they come from one kernel pass
+    (:func:`invariant_core`), run on the first read of either and kept in
+    the record, not in any process-wide cache.  No
     length-3 search node reads them, so classifying a length-3 tuple runs
     no kernel pass.
     """
@@ -296,7 +336,7 @@ class Facts:
         self._kernel = kernel
 
     def _run_kernel(self) -> tuple[Exponents, tuple[int, ...]]:
-        kernel = self._kernel = backend.invariant_core(self.entries)
+        kernel = self._kernel = invariant_core(self.entries)
         return kernel
 
     @property

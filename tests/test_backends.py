@@ -6,13 +6,34 @@ from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brieskorn import active_backend, backend
 from brieskorn import tuples as tp
 
 
 def test_the_exact_passes_are_the_only_kernel():
     # perfbench records this name with every run
-    assert active_backend() == "python"
+    assert tp.active_backend() == "python"
+
+
+def test_the_tracers_alias_wraps_every_kernel_read(monkeypatch):
+    # The benchmark's tracer wraps brieskorn.backend.invariant_core with
+    # setattr; the alias is the tuples module, so every reader of the kernel
+    # goes through the wrapper.  This test goes with the alias.
+    import brieskorn
+
+    assert brieskorn.backend is tp
+    passes = []
+    original = brieskorn.backend.invariant_core
+
+    def wrapper(*args, **kwargs):
+        passes.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(brieskorn.backend, "invariant_core", wrapper)
+    assert tp.Facts((4, 6, 9, 10)).critical == (1, 3, 4) and passes == [(4, 6, 9, 10)]
+    assert tp.lcm_drop((4, 6, 9), {3}) == 3 and passes[-1] == (4, 6, 9)
+    assert tp.coordinate_gcds((4, 6, 10)) == (2, 2, 2) and passes[-1] == (4, 6, 10)
+    brieskorn.classify((6, 3, 10, 7647185))
+    assert passes[-1] == (6, 3, 10, 7647185) and len(passes) == 4
 
 
 def omit_one_core(entries):
@@ -84,7 +105,7 @@ def test_exact_kernel_matches_the_omit_one_definition(entries):
 def test_lean_kernel_matches_its_definition(entries):
     # c_i = gcd(a_i, lcm of the others), and the 1-based index i is listed,
     # ascending, exactly when c_i != a_i
-    floors, critical = backend.invariant_core(entries)
+    floors, critical = tp.invariant_core(entries)
     others = [lcm(*entries[:i], *entries[i + 1 :]) for i in range(len(entries))]
     assert floors == tuple(gcd(value, other) for value, other in zip(entries, others))
     assert critical == tuple(i for i, (value, floor) in enumerate(zip(entries, floors), 1) if floor != value)

@@ -517,10 +517,8 @@ class TestInvariantsKernelPasses:
     )
 
     def test_every_pass_of_the_report_and_the_bound(self, capsys, monkeypatch):
-        from brieskorn import backend
-
         passes = []
-        core, gcds = backend.invariant_core, tp._gcd_pass
+        core, gcds = tp.invariant_core, tp._gcd_pass
 
         def counted(kernel, kind):
             def wrapper(entries):
@@ -529,7 +527,7 @@ class TestInvariantsKernelPasses:
 
             return wrapper
 
-        monkeypatch.setattr(backend, "invariant_core", counted(core, "core"))
+        monkeypatch.setattr(tp, "invariant_core", counted(core, "core"))
         monkeypatch.setattr(tp, "_gcd_pass", counted(gcds, "gcd"))
         code, out, _ = run(capsys, "invariants", "2", "3", "3", "4", "5")
         assert code == 0
@@ -556,7 +554,8 @@ class TestKernelNotSelectable:
 class TestColdStart:
     """``classify`` loads only the core modules: a one-tuple call in a
     fresh interpreter imports neither the census nor proj modules, nor the
-    standard-library modules only they (or other commands) need."""
+    standard-library modules only they (or other commands) need, and there
+    is no ``brieskorn.backend`` module to load."""
 
     def test_classify_imports_only_the_core(self):
         script = (
@@ -578,8 +577,8 @@ class TestColdStart:
         assert code == "0"
         assert "brieskorn.engine" in loaded
         unwanted = {
-            "brieskorn.census", "brieskorn.proj", "multiprocessing", "json", "fractions",
-            "dataclasses", "inspect",
+            "brieskorn.backend", "brieskorn.census", "brieskorn.proj", "multiprocessing", "json",
+            "fractions", "dataclasses", "inspect",
         }
         assert unwanted.isdisjoint(loaded)
 

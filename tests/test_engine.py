@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brieskorn as bk
-from brieskorn import backend, engine
+from brieskorn import engine
 from brieskorn import tuples as tp
 from brieskorn.certificates import LEAF_RULES, RuleId, Status, recursive_subsets
 from brieskorn.engine import RULE_PRIORITY, _decide
@@ -650,16 +650,18 @@ def witness_children(entries, floors, critical):
 @given(smooth_searches())
 def test_a_witness_child_has_its_parents_kernel_result(search):
     entries = search[0]
-    floors, critical = backend.invariant_core(entries)
+    floors, critical = tp.invariant_core(entries)
     for index, k, child in witness_children(entries, floors, critical):
         expected = tuple(j for j in critical if j != index) if k == 1 else critical
-        assert backend.invariant_core(child) == (floors, expected), (entries, child)
+        assert tp.invariant_core(child) == (floors, expected), (entries, child)
 
 
 @settings(max_examples=200, deadline=None)
 @given(smooth_searches())
 # the witness 4 of the parent's 12 satisfies EQUAL_EXPONENTS
 @example(((4, 4, 4, 12), 0, 1))
+# the witness 2 of the parent's 4 meets another 2: NOT_IN_TN decides it
+@example(((2, 3, 3, 4), 0, 1))
 def test_a_witness_child_of_a_failed_cascade_walks_only_the_witness_rules(search):
     entries = search[0]
     facts = tp.Facts(entries)
@@ -676,7 +678,7 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
     # the root's (14 before witness children took their parent's result);
     # each record still holds its own tuple's kernel result
     passes, searched = [], []
-    kernel, run_cascade = backend.invariant_core, engine._run_cascade
+    kernel, run_cascade = tp.invariant_core, engine._run_cascade
 
     def counted_kernel(entries):
         passes.append(entries)
@@ -686,7 +688,7 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
         searched.append(args[0])
         return run_cascade(*args)
 
-    monkeypatch.setattr(backend, "invariant_core", counted_kernel)
+    monkeypatch.setattr(tp, "invariant_core", counted_kernel)
     monkeypatch.setattr(engine, "_run_cascade", counted_cascade)
     assert bk.classify((6, 3, 10, 7647185)).status is Status.UNKNOWN
     assert len(searched) == 14 and passes == [(6, 3, 10, 7647185)]
@@ -788,8 +790,6 @@ def test_first_leaf_matches_the_tuple_predicates(entries):
 def test_classifying_a_length_3_tuple_runs_no_kernel_pass(monkeypatch):
     # The length-3 rules need no kernel value, so neither the lean pass
     # nor the gcd pass runs; a counter on each shows it.
-    from brieskorn import backend
-
     passes = []
 
     def counted(kernel):
@@ -799,8 +799,8 @@ def test_classifying_a_length_3_tuple_runs_no_kernel_pass(monkeypatch):
 
         return count
 
-    for module, name in ((backend, "invariant_core"), (tp, "_gcd_pass")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for name in ("invariant_core", "_gcd_pass"):
+        monkeypatch.setattr(tp, name, counted(getattr(tp, name)))
     assert tp.cotype((4, 6, 9)) == 2 and passes == [(4, 6, 9)]  # the counters see each pass
     assert tp.type_size((4, 6, 9)) == 2 and passes == [(4, 6, 9)] * 2
     passes.clear()

@@ -190,9 +190,33 @@ class TestValidation:
     @pytest.mark.parametrize(
         "fields, message",
         [
+            (dict(max_depth=1.5), "Budget.max_depth must be an integer, got 1.5"),
+            (dict(max_depth=True), "Budget.max_depth must be an integer, got True"),
+            (dict(max_depth="3"), "Budget.max_depth must be an integer, got '3'"),
+            (dict(max_divisor_witnesses=None), "Budget.max_divisor_witnesses must be an integer, got None"),
+            (dict(max_divisor_witnesses=2.0), "Budget.max_divisor_witnesses must be an integer, got 2.0"),
+        ],
+    )
+    def test_budget_type_messages(self, fields, message):
+        with pytest.raises(InputError) as excinfo:
+            bk.Budget(**fields)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
             (dict(length=2, max_exponent=5), "census tuples need length >= 3, got 2"),
             (dict(length=3, max_exponent=5, min_exponent=0), "minimum exponent must be >= 1, got 0"),
             (dict(length=3, max_exponent=2, min_exponent=5), "empty exponent range [5, 2]"),
+            (dict(length=3.0, max_exponent=4), "CensusSpec.length must be an integer, got 3.0"),
+            (dict(length=3, max_exponent=4.5), "CensusSpec.max_exponent must be an integer, got 4.5"),
+            (
+                dict(length=3, max_exponent=4, min_exponent=2.0),
+                "CensusSpec.min_exponent must be an integer, got 2.0",
+            ),
+            (dict(length=True, max_exponent=4), "CensusSpec.length must be an integer, got True"),
+            (dict(length=3, max_exponent=4, budget=None), "CensusSpec.budget must be a Budget, got None"),
+            (dict(length=3, max_exponent=4, budget=5), "CensusSpec.budget must be a Budget, got 5"),
         ],
     )
     def test_census_spec_messages(self, fields, message):
@@ -200,7 +224,36 @@ class TestValidation:
             bk.CensusSpec(**fields)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (1.5, "workers must be an integer, got 1.5"),
+            (True, "workers must be an integer, got True"),
+            (0, "workers must be >= 1, got 0"),
+        ],
+    )
+    def test_run_census_workers_messages(self, workers, message):
+        with pytest.raises(InputError) as excinfo:
+            bk.run_census(bk.CensusSpec(length=3, max_exponent=4), workers=workers)
+        assert str(excinfo.value) == message
+
+    def test_knowledge_base_budget(self):
+        assert bk.KnowledgeBase(None).budget == bk.KnowledgeBase().budget == bk.Budget()
+        for budget in ("x", 5, bk.CensusSpec(length=3, max_exponent=4)):
+            with pytest.raises(InputError) as excinfo:
+                bk.KnowledgeBase(budget)
+            assert str(excinfo.value) == f"KnowledgeBase.budget must be a Budget, got {budget!r}"
+
     def test_unpickling_goes_through_the_constructor(self):
         for record in (bk.Budget(max_depth=1), bk.CensusSpec(length=3, max_exponent=4)):
             build, args = record.__reduce__()
             assert build is type(record) and build(*args) == record
+
+    def test_a_pickled_field_of_the_wrong_type_is_rejected_on_loading(self):
+        class Tampered:
+            def __reduce__(self):
+                return bk.Budget, (3.0, 32)
+
+        data = pickle.dumps(Tampered())
+        with pytest.raises(InputError, match=r"^Budget\.max_depth must be an integer, got 3\.0$"):
+            pickle.loads(data)
