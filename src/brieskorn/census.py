@@ -53,7 +53,7 @@ from .certificates import (
     certificate_id,
 )
 from .engine import (
-    _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record, _require_int
+    _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record, _require_int, _require_type,
 )
 from .engine import _collector_paused, classify  # noqa: F401  (perfbench's tracer wraps census.classify)
 from .errors import InputError
@@ -83,8 +83,7 @@ class CensusSpec(_Record):
     ):
         self._set(length=length, max_exponent=max_exponent, min_exponent=min_exponent, budget=budget)
         self._check_ints("length", "max_exponent", "min_exponent")
-        if not isinstance(budget, Budget):
-            raise InputError(f"CensusSpec.budget must be a Budget, got {budget!r}")
+        _require_type("CensusSpec.budget", budget, Budget)
         if length < 3:
             raise InputError(f"census tuples need length >= 3, got {length}")
         if min_exponent < 1:
@@ -173,14 +172,16 @@ class CensusResult(NamedTuple):
 
 def enumerate_universe(spec: CensusSpec):
     """Non-decreasing tuples over the range, in lexicographic order."""
+    _require_type("spec", spec, CensusSpec)
     values = range(spec.min_exponent, spec.max_exponent + 1)
-    yield from combinations_with_replacement(values, spec.length)
+    return combinations_with_replacement(values, spec.length)
 
 
 def universe_size(spec: CensusSpec) -> int:
     """Closed form: multiset coefficient of the enumeration."""
     from math import comb
 
+    _require_type("spec", spec, CensusSpec)
     choices = spec.max_exponent - spec.min_exponent + 1
     return comb(choices + spec.length - 1, spec.length)
 
@@ -316,6 +317,7 @@ def run_census(spec: CensusSpec, workers: int = 1) -> CensusResult:
     garbage collector, a process-wide state that its children inherit,
     and leaves it as the caller had it, also when the call raises.
     """
+    _require_type("spec", spec, CensusSpec)
     _require_int("workers", workers)
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
@@ -365,6 +367,7 @@ def _summarize(spec: CensusSpec, rows) -> CensusSummary:
 
 def write_census_files(result: CensusResult, out_dir) -> dict[str, Path]:
     """Write census.csv, summary.txt and certificates.json under ``out_dir``."""
+    _require_type("result", result, CensusResult)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {

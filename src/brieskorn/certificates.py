@@ -43,9 +43,9 @@ raises :class:`CertificateError`, as does a tree nested more than
 :data:`MAX_NESTING` levels deep, or too deeply for the JSON decoder.
 Every ``int`` above is a plain integer: an ``int`` and never a ``bool``,
 which Python counts as one and which would render as ``True``.  Replay
-applies the same rule (:func:`_ints`) to the entries, the permutation and
-every witness value, so a certificate built in memory that replays
-renders to text that parses back.
+applies the same rule (:func:`~brieskorn.tuples._ints`) to the entries,
+the permutation and every witness value, so a certificate built in
+memory that replays renders to text that parses back.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from . import tuples as tp
 from .errors import CertificateError
-from .tuples import Exponents, Facts
+from .tuples import _IDENTITY, Exponents, Facts, _ints
 
 
 class Status(enum.Enum):
@@ -220,18 +220,6 @@ def certificate_id(certificate: Certificate, text: str | None = None) -> str:
     rendering of ``certificate`` that the caller already holds."""
     compact = certificate_to_json(certificate) if text is None else "".join(text.split())
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
-
-
-_INT = frozenset({int})
-
-
-def _ints(values: Iterable[Any]) -> bool:
-    """Whether every entry of the sequence ``values`` is an int and none a
-    bool: the one type rule of the parser and of replay, so that an entry
-    renders as a JSON integer (a bool would render as ``True``).  One type
-    pass decides the common case; the test per entry runs only when it
-    fails, and accepts int subclasses other than bool."""
-    return _INT.issuperset(map(type, values)) or all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 def _int_list(raw: Any, what: str, path: str) -> tuple[int, ...]:
@@ -472,6 +460,32 @@ def _need_positive(entries: Exponents, what: str, path: str) -> None:
         _fail(f"{what} must be positive integers: {entries!r}", path)
 
 
+def _need_node(node: Any, path: str) -> None:
+    """``node`` is a Certificate, before replay reads any of its fields."""
+    if not isinstance(node, Certificate):
+        _fail(f"certificate node must be a Certificate, got {type(node).__name__}", path)
+
+
+def _need_children(node: Certificate, path: str) -> tuple:
+    if type(node.children) is not tuple:
+        _fail(f"children must be a tuple, got {node.children!r}", path)
+    return node.children
+
+
+def _need_rigid_child(child: Any, path: str, status_path: str) -> None:
+    """``child`` is a node (failing at ``path``) whose status establishes
+    rigidity (failing at ``status_path``)."""
+    _need_node(child, path)
+    status = child.status
+    if type(status) is not Status or not status.implies_rigid:
+        _fail(f"child status {_shown(status)} does not establish rigidity", status_path)
+
+
+def _shown(value: Any) -> str:
+    """A rule or status by its wire name, anything else by its repr."""
+    return value.value if isinstance(value, enum.Enum) else repr(value)
+
+
 def _need_witness(node: Certificate, path: str) -> Witness:
     if node.witness is None:
         _fail(f"{node.rule.value} requires a witness", path)
@@ -492,27 +506,33 @@ def _need_int_witness(witness: Witness, path: str) -> None:
         _need_int_index(index, path)
     if exponents is not None and not _ints(exponents):
         _fail(f"witness tuple must be a list of integers, got {exponents!r}", path)
-    if subsets is not None and not all(map(_ints, subsets)):
+    if subsets is not None and (type(subsets) is not tuple or not all(map(_ints, subsets))):
         _fail(f"witness subsets must be lists of integers, got {subsets!r}", path)
 
 
-# The identity permutation of each length below 16.
-_IDENTITY = tuple(tuple(range(1, n + 1)) for n in range(16))
-
-
 def _replay_node(node: Certificate, path: str) -> None:
+    if type(node) is not Certificate:  # the root: a parent checks each child before reading it
+        _need_node(node, path)
     entries = node.exponents
+    if type(entries) is not tuple and not isinstance(entries, list):
+        _fail(f"entries must be a tuple of positive integers, got {entries!r}", path)
     n = len(entries)
     if n < 3:
         _fail(f"classified tuples need length >= 3, got {n}", path)
     _need_positive(entries, "entries", path)
     permutation = node.permutation
-    identity = _IDENTITY[n] if n < len(_IDENTITY) else tuple(range(1, n + 1))
+    identity = _IDENTITY[n] if n < len(_IDENTITY) else tp.identity_permutation(n)
     # A bool equals 0 or 1, so the type test cannot wait for a mismatch.
     if not _ints(permutation) or permutation != identity and tuple(sorted(permutation)) != identity:
         _fail(f"invalid permutation {permutation!r}", path)
+    witness = node.witness
+    if witness is not None and not isinstance(witness, Witness):
+        _fail(f"witness must be a Witness or None, got {witness!r}", path)
     rule = node.rule
-    leaf = _LEAF_BY_ID.get(rule)
+    try:
+        leaf = _LEAF_BY_ID.get(rule)
+    except TypeError:  # an unhashable rule, which the last branch below names
+        leaf = None
     derived: Status
 
     if leaf is not None:
@@ -531,13 +551,13 @@ def _replay_node(node: Certificate, path: str) -> None:
         derived = _replay_recursive(node, path)
     elif rule is RuleId.DESCEND:
         derived = _replay_descend(node, path)
-    else:  # pragma: no cover - exhaustive over RuleId
+    else:
         _fail(f"no replay check for rule {rule!r}", path)
 
     if node.status is not derived:
-        _fail(f"recorded status {node.status.value} but side conditions derive {derived.value}", path)
-    if node.witness is not None:
-        _need_int_witness(node.witness, path)
+        _fail(f"recorded status {_shown(node.status)} but side conditions derive {derived.value}", path)
+    if witness is not None:
+        _need_int_witness(witness, path)
 
 
 def _replay_recursive(node: Certificate, path: str) -> Status:
@@ -548,22 +568,22 @@ def _replay_recursive(node: Certificate, path: str) -> Status:
     witness = _need_witness(node, path)
     if witness.subsets != required:
         _fail(f"witness subsets {witness.subsets!r} differ from the required subsets {required!r}", path)
-    if len(node.children) != len(required):
-        _fail(f"expected {len(required)} children, found {len(node.children)}", path)
-    for k, (subset, child) in enumerate(zip(required, node.children)):
+    children = _need_children(node, path)
+    if len(children) != len(required):
+        _fail(f"expected {len(required)} children, found {len(children)}", path)
+    for k, (subset, child) in enumerate(zip(required, children)):
         child_path = f"{path}.children[{k}]"
+        _need_rigid_child(child, child_path, child_path)
         expected = tp.subtuple(entries, subset)
         if child.exponents != expected:
             _fail(f"child tuple {child.exponents!r} is not the subtuple {expected!r}", child_path)
-        if not child.status.implies_rigid:
-            _fail(f"child status {child.status.value} does not establish rigidity", child_path)
         _replay_node(child, child_path)
     return Status.RIGID
 
 
 def _replay_descend(node: Certificate, path: str) -> Status:
     witness = _need_witness(node, path)
-    if witness.index is None or witness.exponents is None:
+    if witness.index is None or type(witness.exponents) is not tuple:
         _fail("descend witness needs an index and a witness tuple", path)
     n = len(node.exponents)
     _need_int_index(witness.index, path)
@@ -572,21 +592,21 @@ def _replay_descend(node: Certificate, path: str) -> Status:
     if len(witness.exponents) != n:
         _fail(f"witness tuple {witness.exponents!r} does not have length {n}", path)
     _need_positive(witness.exponents, "witness entries", path)
-    if len(node.children) != 1:
+    if len(_need_children(node, path)) != 1:
         _fail("descend carries exactly one child", path)
     child = node.children[0]
+    _need_rigid_child(child, f"{path}.children[0]", path)
     if child.exponents != witness.exponents:
         _fail("child tuple differs from the witness tuple", path)
     if not tp.lt_at(witness.exponents, node.exponents, witness.index):
         _fail("witness tuple is not strictly below in the coordinate divisor order", path)
-    if not child.status.implies_rigid:
-        _fail(f"child status {child.status.value} does not establish rigidity", path)
     _replay_node(child, f"{path}.children[0]")
     return Status.RIGID
 
 
 def verify_certificate(certificate: Certificate) -> None:
-    """Re-check every arithmetic side condition; raises CertificateError."""
+    """Re-check every arithmetic side condition; raises CertificateError,
+    also for a node built in memory with a field of the wrong type."""
     _replay_node(certificate, "root")
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from . import tuples as tp
 from .certificates import Certificate
-from .engine import Budget, KnowledgeBase, classify, kernel_degree_bound
+from .engine import Budget, KnowledgeBase, _classify_valid, _kernel_bound
 from .errors import BrieskornError, InputError
 
 if TYPE_CHECKING:
@@ -94,7 +94,7 @@ def _cmd_classify(args) -> int:
     entries = _parse_exponents(args.exponents)
     kb = KnowledgeBase(_build_budget(args))
     facts = tp.Facts(entries)
-    outcome = classify(entries, kb, facts=facts)
+    outcome = _classify_valid(entries, kb, facts)
     cert = outcome.certificate
     if args.format == "structured":
         import json
@@ -131,9 +131,9 @@ def _cmd_classify(args) -> int:
 def _cmd_invariants(args) -> int:
     entries = _parse_exponents(args.exponents)
     facts = tp.Facts(entries)
-    report = tp.invariant_report(entries, facts=facts)
+    report = tp._invariant_report(entries, facts)
     kb = KnowledgeBase(_build_budget(args))
-    bound = kernel_degree_bound(entries, kb, facts=facts) if len(entries) >= 4 else None
+    bound = _kernel_bound(entries, kb, facts) if len(entries) >= 4 else None
     if args.format == "structured":
         import json
 

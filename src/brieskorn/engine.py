@@ -5,11 +5,12 @@ The cheap purely-arithmetic rules run first: the cascade walks the
 leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
-Each search node builds one :class:`~brieskorn.tuples.Facts` record that
-the leaf rules, the soundness check and both recursive rules share; the
-root node takes the caller's record when :func:`classify` is given one,
-so a census row and its search read the same record, and a DESCEND
-witness child's record takes its parent's kernel result (below).
+Each search node reads one :class:`~brieskorn.tuples.Facts` record that
+the leaf rules, the soundness check and both recursive rules share.  A
+node is handed its record or builds it from the tuple: a census row hands
+its record to the root node, so the row and its search read the same
+record, and DESCEND hands each witness child a record built with the
+parent's kernel result (below).
 The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and every answer is a pure function of the tuple and the
 budget: warm and cold caches, any call order, and any number of census
@@ -70,8 +71,7 @@ the entries other than a_i: if v_p(a_i) <= m, p does not divide a_i / f,
 so v_p(w) = v_p(a_i); otherwise v_p(w) >= v_p(f) = m.  Either way no
 min(v_p(a_j), max of v_p over the other entries) changes, for any index
 j.  So C's lcm-critical indices are P's, less i exactly when k = 1
-(w = f), and C's record is built from P's floors and that tuple, only
-once the memo has missed on C.
+(w = f), and P hands C a record built from P's floors and that tuple.
 
 When the search reaches C from P's cascade, every leaf rule has failed on
 P, and C's cascade walks only :data:`_WITNESS_LEAF_RULES`: NOT_IN_TN and
@@ -137,12 +137,11 @@ from .certificates import (
     RuleId,
     Status,
     Witness,
-    _ints,
     permutable,
     recursive_subsets,
 )
 from .errors import InputError, SoundnessError
-from .tuples import Exponents, Facts
+from .tuples import Exponents, Facts, _ints
 
 #: Firing order of the rule catalogue (first match wins).
 RULE_PRIORITY = tuple(leaf.rule for leaf in LEAF_RULES) + (RuleId.RECURSIVE_SUBTUPLES, RuleId.DESCEND)
@@ -156,8 +155,8 @@ _WITNESS_LEAF_RULES = tuple(
 )
 
 # What a search node that no DESCEND parent reached inherits (see _descend):
-# no index (indices start at 1), no kernel result, and every leaf rule.
-_NO_PARENT = (0, -1, None, LEAF_RULES)
+# no index (indices start at 1), and every leaf rule.
+_NO_PARENT = (0, -1, LEAF_RULES)
 
 # Reorders a length-4 tuple by a permutation, as tp.apply_permutation does.
 _REORDER = {permutation: itemgetter(*(i - 1 for i in permutation)) for permutation in PERMS4}
@@ -168,6 +167,12 @@ def _require_int(what: str, value) -> None:
     the type rule of the certificate parser."""
     if not _ints((value,)):
         raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_type(what: str, value, kind: type) -> None:
+    """InputError naming ``what`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 class _Record:
@@ -269,8 +274,7 @@ class KnowledgeBase:
     def __init__(self, budget: Budget | None = None):
         if budget is None:
             budget = _DEFAULT_BUDGET
-        elif not isinstance(budget, Budget):
-            raise InputError(f"KnowledgeBase.budget must be a Budget, got {budget!r}")
+        _require_type("KnowledgeBase.budget", budget, Budget)
         self.budget = budget
         self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
         self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
@@ -311,24 +315,31 @@ class KnowledgeBase:
             )
 
 
-def classify(exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None = None) -> Classification:
+def _memo(kb: KnowledgeBase | None) -> KnowledgeBase:
+    """The ``kb`` argument of a public entry point: a fresh memo with the
+    default budget when it is None, else a KnowledgeBase (else InputError)."""
+    if kb is None:
+        return KnowledgeBase()
+    _require_type("kb", kb, KnowledgeBase)
+    return kb
+
+
+def classify(exponents, kb: KnowledgeBase | None = None) -> Classification:
     """Classify a tuple (length >= 3, positive entries).
 
     Deterministic: rules fire in :data:`RULE_PRIORITY` order and the
     first match wins; UNKNOWN is returned when nothing fires within the
-    budget.  ``facts``, when given, is the tuple's
-    :class:`~brieskorn.tuples.Facts` record, which the root search node
-    then reads instead of building its own (a census row reads it too).
+    budget.
     """
     entries = tp.as_exponents(exponents, minimum_length=3)
-    if facts is not None:
-        tp._facts_of(entries, facts)  # a check: on a memo hit no record is needed
-    return _classify_valid(entries, KnowledgeBase() if kb is None else kb, facts)
+    return _classify_valid(entries, _memo(kb))
 
 
 def _classify_valid(entries: Exponents, kb: KnowledgeBase, facts: Facts | None = None) -> Classification:
     """:func:`classify` without its checks, for ``entries`` already validated
-    (by the census spec or ``proj_classes``) and their own ``facts``."""
+    (by the census spec, ``proj_classes`` or the CLI).  ``facts``, when
+    given, is the record of ``entries`` that the root search node reads
+    (a census row, or the CLI's CSV row, reads it too)."""
     return _decide(entries, kb.budget.max_depth, kb, facts)[0]
 
 
@@ -361,7 +372,7 @@ def _decide(
     # coordinate order: its certificate is rebuilt for this order (children
     # resolve via the memo), so that certificates always root at the tuple
     # as classified.
-    searched = _run_cascade(Facts(entries, inherited[2]) if facts is None else facts, depth, kb, inherited)
+    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb, inherited)
     if entry is None:
         kb.store(canonical, depth, searched)
     elif searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
@@ -373,7 +384,7 @@ def _decide(
 
 
 def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple) -> Entry:
-    certificate = _first_leaf(facts, inherited[3])
+    certificate = _first_leaf(facts, inherited[2])
     height: int | None = 0
     if certificate is None:
         if not facts.critical:  # the recursive rules act on lcm-critical indices
@@ -470,14 +481,14 @@ def _descend(
     inherits rigidity from below (one-directional, so only RIGID comes
     back up).  The search height of each witness visited goes to ``heights``.
 
-    ``inherited`` is what a witness child gets: the index it was reached at,
-    the greatest height of its siblings as its parent folded them (the
-    sibling rule in the module docstring), the child's ``(floors,
-    critical)`` and the leaf rules its cascade walks (the witness-record
-    rule).  That index's witnesses are not visited again; their folded
-    height goes to ``heights`` instead.  ``child_rules`` are the leaf rules
-    this node's witness children walk: all of them unless this node's own
-    cascade failed."""
+    Each witness child is handed its record, built with its kernel result
+    (the witness-record rule in the module docstring), and ``inherited``:
+    the index it was reached at, the greatest height of its siblings as
+    this node folded them (the sibling rule) and the leaf rules its cascade
+    walks.  A node's own ``inherited`` index is not visited again; the
+    folded height of its witnesses goes to ``heights`` instead.
+    ``child_rules`` are the leaf rules this node's witness children walk:
+    all of them unless this node's own cascade failed."""
     entries, floors, critical = facts.entries, facts.floors, facts.critical
     kept = floors, critical
     cap = kb.budget.max_divisor_witnesses
@@ -509,9 +520,8 @@ def _descend(
                 below.append(folded[1])
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            result, height = _decide(
-                witness_tuple, depth - 1, kb, None, (index, siblings, kept if k > 1 else dropped, child_rules)
-            )
+            record = Facts(witness_tuple, kept if k > 1 else dropped)
+            result, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
             heights.append(height)
             if result.status.implies_rigid:
                 return Certificate(
@@ -572,7 +582,7 @@ def rule_cotype_high(exponents) -> Certificate | None:
 
 def rule_recursive_subtuples(exponents, kb: KnowledgeBase | None = None) -> Certificate | None:
     facts = Facts(tp.as_exponents(exponents, minimum_length=3))
-    kb = KnowledgeBase() if kb is None else kb
+    kb = _memo(kb)
     return _recursive_subtuples(facts, kb.budget.max_depth, kb, [])
 
 
@@ -583,7 +593,7 @@ def rule_descend(exponents, kb: KnowledgeBase | None = None) -> Certificate | No
     certificates, whose children (2, 3, 4, 4) and (2, 3, 5, 4) N4_COPRIME
     decides.  The children still take the tuple's kernel result."""
     facts = Facts(tp.as_exponents(exponents, minimum_length=3))
-    kb = KnowledgeBase() if kb is None else kb
+    kb = _memo(kb)
     return _descend(facts, kb.budget.max_depth, kb, [])
 
 
@@ -608,15 +618,17 @@ class KernelBound(NamedTuple):
         return bool(self.undecided)
 
 
-def kernel_degree_bound(
-    exponents, kb: KnowledgeBase | None = None, *, facts: Facts | None = None
-) -> KernelBound:
+def kernel_degree_bound(exponents, kb: KnowledgeBase | None = None) -> KernelBound:
     """Compute the bound for a tuple of length >= 4 by classifying every
-    omit-one subtuple at a critical index.  ``facts``, when given, is the
-    tuple's :class:`~brieskorn.tuples.Facts` record."""
+    omit-one subtuple at a critical index."""
     entries = tp.as_exponents(exponents, minimum_length=4)
-    kb = KnowledgeBase() if kb is None else kb
-    facts = tp._facts_of(entries, facts)
+    return _kernel_bound(entries, _memo(kb), Facts(entries))
+
+
+def _kernel_bound(entries: Exponents, kb: KnowledgeBase, facts: Facts) -> KernelBound:
+    """:func:`kernel_degree_bound` without its checks, for validated
+    ``entries`` of length >= 4 and their record ``facts``, which the CLI
+    shares with the invariant report."""
     rigid = set()
     undecided = set()
     for index in facts.critical:

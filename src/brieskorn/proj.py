@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from . import tuples as tp
 from .certificates import Status, _wrap
-from .engine import KnowledgeBase, _classify_valid, _collector_paused
+from .engine import KnowledgeBase, _classify_valid, _collector_paused, _memo
 from .engine import classify  # noqa: F401  (not called here; perfbench's tracer wraps proj.classify)
 from .errors import InputError
 from .tuples import Exponents
@@ -198,10 +198,10 @@ def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:
     The call builds no reference cycles, so it pauses the cyclic garbage
     collector, a process-wide state, and leaves it as the caller had it,
     also when the call raises."""
+    kb = _memo(kb)
     with _collector_paused():
         members = _validate_universe(universe)
         edges = _edges(members)
-        kb = KnowledgeBase() if kb is None else kb
         # The smaller root wins, so a parent is less than its child.
         parent: dict[Exponents, Exponents] = {}
         for a, b, _, _, _ in edges:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, isqrt, lcm, prod
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -67,15 +67,42 @@ def as_exponents(values: Sequence[int] | Iterable[int], *, minimum_length: int =
     return entries
 
 
+_INT = frozenset({int})
+
+
+def _ints(values: Any) -> bool:
+    """Whether every entry of the sequence ``values`` is an int and none a
+    bool: the one integer rule of index arguments, the certificate parser
+    and replay, so that an entry renders as a JSON integer (a bool would
+    render as ``True``).  One type pass decides the common case; the test
+    per entry runs only when it fails, and accepts int subclasses other
+    than bool.  A value that is not iterable, such as None, fails."""
+    try:
+        return _INT.issuperset(map(type, values)) or all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+    except TypeError:  # not iterable
+        return False
+
+
 def _check_index(entries: Exponents, index: int) -> None:
+    if type(index) is not int and not _ints((index,)):
+        raise InputError(f"index must be an integer, got {index!r}")
     if not 1 <= index <= len(entries):
         raise InputError(f"index {index} out of range for a tuple of length {len(entries)}")
 
 
 def _check_index_set(entries: Exponents, indices: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(indices))
-    for index in out:
-        _check_index(entries, index)
+    """The distinct ``indices``, ascending, each checked by :func:`_check_index`."""
+    try:
+        chosen = tuple(indices)
+    except TypeError:
+        raise InputError(f"indices must be a collection of integers, got {indices!r}") from None
+    if not _INT.issuperset(map(type, chosen)):  # before set(), which merges a bool with its int
+        for index in chosen:
+            _check_index(entries, index)
+    out = sorted(set(chosen))
+    if out and not (1 <= out[0] and out[-1] <= len(entries)):
+        for index in out:
+            _check_index(entries, index)  # raises at the least index out of range
     return tuple(out)
 
 
@@ -98,7 +125,7 @@ def subtuple(entries: Exponents, removed: Iterable[int]) -> Exponents:
     gone = set(_check_index_set(entries, removed))
     if len(gone) == len(entries):
         raise InputError("cannot remove every index from a tuple")
-    return tuple(value for i, value in enumerate(entries, start=1) if i not in gone)
+    return tuple([value for i, value in enumerate(entries, start=1) if i not in gone])
 
 
 def omit(entries: Exponents, index: int) -> Exponents:
@@ -261,12 +288,13 @@ def leq_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
         raise InputError(
             f"tuples must have equal length, got {len(smaller)} and {len(larger)}"
         )
-    _check_index(smaller, index)
-    if omit(smaller, index) != omit(larger, index):
+    _check_index(smaller, index)  # once: the slices below take it as valid
+    i = index - 1
+    if smaller[:i] != larger[:i] or smaller[index:] != larger[index:]:
         return False
-    a_small = smaller[index - 1]
-    a_large = larger[index - 1]
-    g = coordinate_gcd(larger, index)
+    a_small = smaller[i]
+    a_large = larger[i]
+    g = gcd(a_large, lcm(*larger[:i], *larger[index:]))  # the coordinate gcd of larger at index
     return a_small % g == 0 and a_large % a_small == 0
 
 
@@ -307,17 +335,19 @@ def in_tn(entries: Exponents) -> bool:
 
 class Facts:
     """What the rules' side conditions read about one tuple, computed once
-    per search node.  A census row reuses the record of its root node: the
-    census builds it, passes it to the search and reads the row's cotype,
-    T_n membership and reciprocal sum from it.  ``invariants`` builds one
-    for the report and the kernel bound to share.
+    per search node.  Records stay inside the package: no public function
+    takes one.  A census row reuses the record of its root node: the census
+    builds it, hands it to the search and reads the row's cotype, T_n
+    membership and reciprocal sum from it.  The CLI's ``classify --format
+    csv`` does the same for one row, and ``invariants`` builds one for the
+    report and the kernel bound to share.
 
     ``entries``, ``n``, ``in_tn``, ``lcm`` (L) and ``sigma`` (the sum of
     L/a_i) are set on construction.  The lcm-critical indices ``critical``,
     ascending, and the coordinate gcds ``floors`` are ``kernel``, the
-    ``(floors, critical)`` pair, when one is given: a DESCEND witness child
-    takes it from its parent (the witness-record rule in
-    :mod:`brieskorn.engine`).  Otherwise they come from one kernel pass
+    ``(floors, critical)`` pair, when one is given: DESCEND builds each
+    witness child's record with its parent's pair (the witness-record rule
+    in :mod:`brieskorn.engine`).  Otherwise they come from one kernel pass
     (:func:`invariant_core`), run on the first read of either and kept in
     the record, not in any process-wide cache.  No
     length-3 search node reads them, so classifying a length-3 tuple runs
@@ -346,15 +376,6 @@ class Facts:
     @property
     def floors(self) -> Exponents:
         return (self._kernel or self._run_kernel())[0]
-
-
-def _facts_of(entries: Exponents, facts: Facts | None) -> Facts:
-    """``facts`` if it is the record of ``entries`` (else InputError), or a new one."""
-    if facts is None:
-        return Facts(entries)
-    if facts.entries != entries:
-        raise InputError(f"facts of {facts.entries} given for the tuple {entries}")
-    return facts
 
 
 def reciprocal_sum(entries: Exponents, indices: Iterable[int] | None = None) -> Fraction:
@@ -527,7 +548,15 @@ def apply_permutation(entries: Exponents, permutation: Sequence[int]) -> Exponen
     return tuple(entries[p - 1] for p in permutation)
 
 
+# The identity permutation of each length below 16, built once.
+_IDENTITY = tuple(tuple(range(1, n + 1)) for n in range(16))
+
+
 def identity_permutation(length: int) -> tuple[int, ...]:
+    """(1, ..., length): the permutation of a certificate whose rule read
+    the tuple as it is.  One shared tuple per length below 16."""
+    if 0 <= length < len(_IDENTITY):
+        return _IDENTITY[length]
     return tuple(range(1, length + 1))
 
 
@@ -573,15 +602,19 @@ class InvariantReport(NamedTuple):
         }
 
 
-def invariant_report(values: Sequence[int] | Iterable[int], *, facts: Facts | None = None) -> InvariantReport:
+def invariant_report(values: Sequence[int] | Iterable[int]) -> InvariantReport:
     """Every derived invariant of a tuple (length >= 2), from its
     :class:`Facts` record (L, sigma, T_n membership, the lcm-critical
-    indices and the coordinate gcds) and one gcd pass.  ``facts``, when
-    given, is that record; otherwise the report builds it."""
+    indices and the coordinate gcds) and one gcd pass."""
+    entries = as_exponents(values, minimum_length=2)
+    return _invariant_report(entries, Facts(entries))
+
+
+def _invariant_report(entries: Exponents, facts: Facts) -> InvariantReport:
+    """:func:`invariant_report` without its checks, for validated ``entries``
+    and their record ``facts``, which the CLI shares with the kernel bound."""
     from fractions import Fraction
 
-    entries = as_exponents(values, minimum_length=2)
-    facts = _facts_of(entries, facts)
     total_gcd, _, gcd_critical = _gcd_pass(entries)
     total_lcm, lcm_critical, coord = facts.lcm, facts.critical, facts.floors
     return InvariantReport(

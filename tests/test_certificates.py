@@ -533,6 +533,43 @@ ERROR_PINS = [
      "root: recorded status UNKNOWN but side conditions derive NON_RIGID", "root"),
     ("replay-recursive-status", forged(lambda: recursive_node()._replace(status=Status.STABLY_RIGID)),
      "root: recorded status STABLY_RIGID but side conditions derive RIGID", "root"),
+    # nodes built in memory with a field of the wrong type
+    ("replay-root-not-a-node", forged(lambda: "x"),
+     "root: certificate node must be a Certificate, got str", "root"),
+    ("replay-unhashable-rule", forged(lambda: leaf(["NOT_IN_TN"], (2, 3, 3, 2), Status.NON_RIGID)),
+     "root: no replay check for rule ['NOT_IN_TN']", "root"),
+    ("replay-rule-by-name", forged(lambda: leaf("NOT_IN_TN", (2, 3, 3, 2), Status.NON_RIGID)),
+     "root: no replay check for rule 'NOT_IN_TN'", "root"),
+    ("replay-null-entries", forged(lambda: leaf(RuleId.NOT_IN_TN, None, Status.NON_RIGID, (1, 2, 3))),
+     "root: entries must be a tuple of positive integers, got None", "root"),
+    ("replay-set-entries", forged(lambda: leaf(RuleId.NOT_IN_TN, {2, 3, 5, 7}, Status.NON_RIGID, (1, 2, 3, 4))),
+     "root: entries must be a tuple of positive integers, got {2, 3, 5, 7}", "root"),
+    ("replay-null-permutation", forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 3, 3, 2))._replace(permutation=None)),
+     "root: invalid permutation None", "root"),
+    ("replay-status-by-name", forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 3, 3, 2), "NON_RIGID")),
+     "root: recorded status 'NON_RIGID' but side conditions derive NON_RIGID", "root"),
+    ("replay-leaf-witness-dict",
+     forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 3, 3, 2), Status.NON_RIGID, witness={"index": 1})),
+     "root: witness must be a Witness or None, got {'index': 1}", "root"),
+    ("replay-leaf-subsets-not-tuple",
+     forged(lambda: leaf(RuleId.NOT_IN_TN, (2, 3, 3, 2), Status.NON_RIGID, witness=Witness(subsets=5))),
+     "root: witness subsets must be lists of integers, got 5", "root"),
+    ("replay-null-children", forged(lambda: recursive_node()._replace(children=None)),
+     "root: children must be a tuple, got None", "root"),
+    ("replay-child-not-a-node", forged(lambda: recursive_node()._replace(children=("x", "y", "z"))),
+     "root.children[0]: certificate node must be a Certificate, got str", "root.children[0]"),
+    ("replay-child-status-by-name", forged(lambda: with_child(recursive_node(), 1, status="RIGID")),
+     "root.children[1]: child status 'RIGID' does not establish rigidity", "root.children[1]"),
+    ("descend-plain-tuple-witness", forged(lambda: descend_node()._replace(witness=tuple(descend_node().witness))),
+     "root: witness must be a Witness or None, got (4, (4, 4, 4, 4), None)", "root"),
+    ("descend-witness-tuple-not-a-tuple", forged(lambda: with_witness(descend_node(), exponents=4)),
+     "root: descend witness needs an index and a witness tuple", "root"),
+    ("descend-null-children", forged(lambda: descend_node()._replace(children=None)),
+     "root: children must be a tuple, got None", "root"),
+    ("descend-child-not-a-node", forged(lambda: descend_node()._replace(children=("x",))),
+     "root.children[0]: certificate node must be a Certificate, got str", "root.children[0]"),
+    ("descend-child-status-by-name", forged(lambda: with_child(descend_node(), 0, status="RIGID")),
+     "root: child status 'RIGID' does not establish rigidity", "root"),
     # _replay_recursive
     ("recursive-on-length-3", forged(lambda: leaf(RuleId.RECURSIVE_SUBTUPLES, (2, 3, 5), witness=Witness())),
      "root: recursive rule needs length >= 4 and at least two lcm-critical indices", "root"),

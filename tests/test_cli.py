@@ -329,7 +329,7 @@ class TestBudgetPlumbing:
             ("proj-classes", "--n", "3", "--max", "4"),
         ]
         with monkeypatch.context() as patched:
-            for name in ("classify", "kernel_degree_bound"):
+            for name in ("_classify_valid", "_kernel_bound"):
                 patched.setattr(brieskorn.cli, name, no_work)
             for name in ("run_census", "enumerate_universe"):
                 patched.setattr(brieskorn.census, name, no_work)

@@ -1,6 +1,7 @@
 """Rule catalogue and classifier behavior."""
 
 import gc
+import inspect
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -856,21 +857,22 @@ def test_a_search_at_the_potential_depth_is_never_cut(entries):
 
 
 def test_classify_takes_the_facts_of_its_own_tuple_only():
+    # the private entry the census and the CLI hand their record to
     facts = tp.Facts((4, 4, 4, 12))
-    assert bk.classify((4, 4, 4, 12), facts=facts) == bk.classify((4, 4, 4, 12))
-    with pytest.raises(InputError):
-        bk.classify((4, 4, 4, 12), facts=tp.Facts((4, 4, 12, 4)))
+    assert engine._classify_valid((4, 4, 4, 12), bk.KnowledgeBase(), facts) == bk.classify((4, 4, 4, 12))
 
 
 def test_report_and_bound_take_the_facts_of_their_own_tuple_only():
+    # the private entries that share the CLI's one record
     facts = tp.Facts((2, 3, 3, 4, 5))
-    assert bk.invariant_report((2, 3, 3, 4, 5), facts=facts) == bk.invariant_report((2, 3, 3, 4, 5))
-    assert bk.kernel_degree_bound((2, 3, 3, 4, 5), facts=facts) == bk.kernel_degree_bound((2, 3, 3, 4, 5))
-    other = tp.Facts((2, 3, 3, 5, 4))
-    with pytest.raises(InputError, match="given for the tuple"):
-        bk.invariant_report((2, 3, 3, 4, 5), facts=other)
-    with pytest.raises(InputError, match="given for the tuple"):
-        bk.kernel_degree_bound((2, 3, 3, 4, 5), facts=other)
+    assert tp._invariant_report((2, 3, 3, 4, 5), facts) == bk.invariant_report((2, 3, 3, 4, 5))
+    bound = engine._kernel_bound((2, 3, 3, 4, 5), bk.KnowledgeBase(), facts)
+    assert bound == bk.kernel_degree_bound((2, 3, 3, 4, 5))
+
+
+def test_no_public_function_takes_a_facts_record():
+    for function in (bk.classify, bk.invariant_report, bk.kernel_degree_bound):
+        assert "facts" not in inspect.signature(function).parameters, function.__name__
 
 
 @pytest.mark.parametrize("entries", [(7, 11468800, 2, 8), (12, 18, 8, 9, 5, 7, 11, 13), tuple(range(2, 12))])

@@ -244,6 +244,40 @@ class TestValidation:
                 bk.KnowledgeBase(budget)
             assert str(excinfo.value) == f"KnowledgeBase.budget must be a Budget, got {budget!r}"
 
+    # Every public entry point that takes a memo; None still means a
+    # fresh memo with the default budget.
+    MEMO_CALLS = {
+        "classify": lambda kb: bk.classify((2, 3, 4), kb),
+        "kernel_degree_bound": lambda kb: bk.kernel_degree_bound((2, 3, 3, 4), kb),
+        "rule_recursive_subtuples": lambda kb: bk.rule_recursive_subtuples((2, 5, 7, 3, 3, 3), kb),
+        "rule_descend": lambda kb: bk.rule_descend((4, 4, 4, 12), kb),
+        "proj_classes": lambda kb: bk.proj_classes([(2, 3, 4), (2, 3, 8)], kb),
+    }
+
+    @pytest.mark.parametrize("call", sorted(MEMO_CALLS))
+    def test_a_memo_of_the_wrong_type_is_named(self, call):
+        run = self.MEMO_CALLS[call]
+        assert run(None) == run(bk.KnowledgeBase())
+        for kb in (bk.Budget(), "x", 5):
+            with pytest.raises(InputError) as excinfo:
+                run(kb)
+            assert str(excinfo.value) == f"kb must be a KnowledgeBase, got {kb!r}"
+
+    @pytest.mark.parametrize("call", [bk.run_census, bk.enumerate_universe, bk.universe_size])
+    def test_a_census_spec_of_the_wrong_type_is_named(self, call):
+        for spec in ((3, 4), None, bk.Budget()):
+            with pytest.raises(InputError) as excinfo:
+                call(spec)
+            assert str(excinfo.value) == f"spec must be a CensusSpec, got {spec!r}"
+
+    def test_census_files_of_a_wrong_result_leave_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        for result in ("x", census_result().rows):
+            with pytest.raises(InputError) as excinfo:
+                bk.write_census_files(result, out)
+            assert str(excinfo.value) == f"result must be a CensusResult, got {result!r}"
+        assert not out.exists()
+
     def test_unpickling_goes_through_the_constructor(self):
         for record in (bk.Budget(max_depth=1), bk.CensusSpec(length=3, max_exponent=4)):
             build, args = record.__reduce__()

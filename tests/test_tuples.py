@@ -359,6 +359,52 @@ class TestPermutations:
         with pytest.raises(InputError):
             tp.apply_permutation((5, 6, 7), (1, 1, 2))
 
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 15, 16, 40])
+    def test_identity(self, length):
+        identity = tp.identity_permutation(length)
+        assert identity == tuple(range(1, length + 1))
+        # one shared tuple per length below 16, the search's and replay's
+        assert (identity is tp.identity_permutation(length)) is (length < 16)
+
+
+# Index arguments take the integer rule of the certificate parser: an int,
+# and never a bool, which equals the index it stands for.
+INDEX_CALLS = {
+    "omit": lambda index: tp.omit((2, 3, 4), index),
+    "coordinate_gcd": lambda index: tp.coordinate_gcd((2, 3, 4), index),
+    "leq_at": lambda index: tp.leq_at((2, 3, 4), (2, 3, 8), index),
+    "lt_at": lambda index: tp.lt_at((2, 3, 4), (2, 3, 8), index),
+    "subtuple": lambda index: tp.subtuple((2, 3, 4), [index]),
+    "lcm_drop": lambda index: tp.lcm_drop((2, 3, 4), [index]),
+    "reciprocal_sum": lambda index: tp.reciprocal_sum((2, 3, 4), [index]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("index", [True, False, 1.0, 3.0, "1", None])
+def test_an_index_must_be_an_integer(call, index):
+    with pytest.raises(InputError) as excinfo:
+        INDEX_CALLS[call](index)
+    assert str(excinfo.value) == f"index must be an integer, got {index!r}"
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+def test_an_index_out_of_range_keeps_its_message(call):
+    with pytest.raises(InputError) as excinfo:
+        INDEX_CALLS[call](4)
+    assert str(excinfo.value) == "index 4 out of range for a tuple of length 3"
+
+
+def test_index_sets_check_types_before_merging_equal_indices():
+    # {True, 1} is {True}: the type test comes before the set is taken
+    for indices in ([1, True], (True, 1), [2, 1.0]):
+        with pytest.raises(InputError, match="^index must be an integer, got "):
+            tp.subtuple((2, 3, 4), indices)
+    assert tp.subtuple((2, 3, 4), [3, 1, 3]) == (3,)
+    with pytest.raises(InputError) as excinfo:
+        tp.lcm_drop((2, 3, 4), 5)
+    assert str(excinfo.value) == "indices must be a collection of integers, got 5"
+
 
 @settings(max_examples=300, deadline=None)
 @given(exponent_tuples)
