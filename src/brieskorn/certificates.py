@@ -58,7 +58,7 @@ from math import gcd, lcm
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import tuples as tp
-from .errors import CertificateError
+from .errors import CertificateError, InputError
 from .tuples import _IDENTITY, Exponents, Facts, _ints
 
 
@@ -210,6 +210,9 @@ def certificate_to_json(certificate: Certificate, *, indent: int | None = None) 
 
     The compact text is the indented text with its whitespace removed: no
     key, rule or status name holds whitespace."""
+    _need_node(certificate, "root")
+    if indent is not None and not _ints((indent,)):
+        raise InputError(f"indent must be an integer or None, got {indent!r}")
     text = _render(certificate, " " * (indent or 0))
     return text if indent is not None else "".join(text.split())
 
@@ -218,6 +221,7 @@ def certificate_id(certificate: Certificate, text: str | None = None) -> str:
     """Stable content-derived identifier (used to key census sidecar files):
     a hash of the compact text.  ``text``, when given, is an indented
     rendering of ``certificate`` that the caller already holds."""
+    _need_node(certificate, "root")
     compact = certificate_to_json(certificate) if text is None else "".join(text.split())
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
 
@@ -314,6 +318,8 @@ def _node_from_dict(raw: Any, path: str, levels: int) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     import json
 
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise CertificateError(f"certificate text must be a str, bytes or bytearray, got {type(text).__name__}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -3,8 +3,9 @@
 Subcommands: ``classify``, ``invariants``, ``census``, ``proj-classes``.
 Numbers are always printed exactly (integers and p/q rationals, never
 floats).  Exit code 0 covers every successful run including UNKNOWN
-verdicts (an open case is an answer, not a failure); exit code 2 is
-reserved for usage and input errors.
+verdicts (an open case is an answer, not a failure) and output cut short
+by a reader that closed the pipe; exit code 2 is reserved for usage and
+input errors.
 
 Search budgets default to depth=6, witnesses=32 and come from the
 ``--depth/--max-witnesses`` flags only.  A non-empty ``BRIESKORN_BUDGET``
@@ -312,10 +313,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except BrieskornError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout and has what it read.  Point stdout at
+        # devnull so that the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ depth stays rigid at every greater one.  Two depth rules follow:
 
 * an uncut search of height h (the height of its explored tree, 0 when
   a leaf rule decided it) explores the same tree at every depth >= h, so
-  its answer and certificate are stored once with h and serve every such
-  depth;
+  its certificate (None for UNKNOWN) is stored once with h and serves
+  every such depth;
 * an UNKNOWN answer at depth d is UNKNOWN at every depth d' <= d, and
   the search there is cut (were it uncut at d', it would be the same
   uncut search at d).  So one UNKNOWN entry per sorted tuple, with the
@@ -236,12 +236,16 @@ class Budget(_Record):
 
 
 class Classification(NamedTuple):
-    """Outcome of classifying one tuple.
+    """Outcome of classifying one tuple, built once per call.
 
     ``certificate`` is None exactly when the status is UNKNOWN.
-    ``budget_hit`` is set on an UNKNOWN answer exactly when the tuple has
-    an lcm-critical index, i.e. when the recursive rules had candidates
-    to try; it does not record whether a budget cap actually cut them.
+    ``budget_hit`` is set on an UNKNOWN answer whose search height is not
+    0: exactly when the tuple has an lcm-critical index, so the recursive
+    rules had candidates (a budget cap need not have cut them).  Without
+    one the search stops at height 0.  With one it is cut (height None) or
+    reaches DESCEND at each critical index i, adding a height: a_i / f >= 2
+    puts f * 1 among the witnesses, and an inherited index adds a folded
+    sibling height >= 0.  A memo hit returns its stored height, or None.
     """
 
     status: Status
@@ -253,13 +257,13 @@ class Classification(NamedTuple):
 #: immutable, so one instance serves them all).
 _DEFAULT_BUDGET = Budget()
 
-#: A memo entry: an answer and the height of the search that found it,
-#: None when that search was cut.
-Entry = tuple[Classification, "int | None"]
+#: A memo entry: the certificate of an answer, None for UNKNOWN, and the
+#: height of the search that found it, None when that search was cut.
+Entry = tuple["Certificate | None", "int | None"]
 
 
 class KnowledgeBase:
-    """Two memo tables keyed by the sorted tuple, plus budget.
+    """Memo tables of (certificate, height) entries by sorted tuple, plus budget.
 
     Sorting the key is valid because the defining polynomial is symmetric
     in the (variable, exponent) pairs, so every status is invariant under
@@ -276,8 +280,8 @@ class KnowledgeBase:
             budget = _DEFAULT_BUDGET
         _require_type("KnowledgeBase.budget", budget, Budget)
         self.budget = budget
-        self._saturated: dict[Exponents, Entry] = {}  # canonical -> (answer, height)
-        self._unknown: dict[Exponents, tuple[Entry, int]] = {}  # canonical -> ((answer, None), depth)
+        self._saturated: dict[Exponents, Entry] = {}  # canonical -> (certificate, height)
+        self._unknown: dict[Exponents, int] = {}  # canonical -> depth of a cut UNKNOWN
         self._decided: dict[Exponents, bool] = {}  # canonical -> implies_rigid
 
     def __len__(self) -> int:
@@ -288,22 +292,21 @@ class KnowledgeBase:
         if entry is not None:
             if entry[1] <= depth:
                 return entry
-            if entry[0].status is Status.UNKNOWN:
-                return entry[0], None
-        unknown = self._unknown.get(canonical)
-        if unknown is not None and depth <= unknown[1]:
-            return unknown[0]
+            if entry[0] is None:
+                return None, None
+        if depth <= self._unknown.get(canonical, -1):
+            return None, None
         return None
 
     def store(self, canonical: Exponents, depth: int, entry: Entry) -> None:
-        result, height = entry
-        if result.status is not Status.UNKNOWN:
-            self._register(canonical, result.status)
+        certificate, height = entry
+        if certificate is not None:
+            self._register(canonical, certificate.status)
         if height is not None:
             self._saturated.setdefault(canonical, entry)
-        elif result.status is Status.UNKNOWN:
+        elif certificate is None:
             # stored after a lookup missed, so depth exceeds any depth held
-            self._unknown[canonical] = entry, depth
+            self._unknown[canonical] = depth
 
     def _register(self, canonical: Exponents, status: Status) -> None:
         rigid = status.implies_rigid
@@ -340,7 +343,10 @@ def _classify_valid(entries: Exponents, kb: KnowledgeBase, facts: Facts | None =
     (by the census spec, ``proj_classes`` or the CLI).  ``facts``, when
     given, is the record of ``entries`` that the root search node reads
     (a census row, or the CLI's CSV row, reads it too)."""
-    return _decide(entries, kb.budget.max_depth, kb, facts)[0]
+    certificate, height = _decide(entries, kb.budget.max_depth, kb, facts)
+    if certificate is None:
+        return Classification(Status.UNKNOWN, None, height != 0)
+    return Classification(certificate.status, certificate)
 
 
 @contextmanager
@@ -366,7 +372,7 @@ def _decide(
     entry = kb.lookup(canonical, depth)
     if entry is not None:
         cached = entry[0]
-        if cached.certificate is None or cached.certificate.exponents == entries:
+        if cached is None or cached.exponents == entries:
             return entry
     # A miss is searched.  So is a hit on the same canonical tuple in another
     # coordinate order: its certificate is rebuilt for this order (children
@@ -375,11 +381,8 @@ def _decide(
     searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb, inherited)
     if entry is None:
         kb.store(canonical, depth, searched)
-    elif searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
-        raise SoundnessError(
-            f"status for {entries} changed under reordering: "
-            f"{cached.status.value} vs {searched[0].status.value}"
-        )
+    elif searched[0] is None or searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
+        raise SoundnessError(f"status for {entries} changed under reordering from {cached.status.value}")
     return searched
 
 
@@ -388,18 +391,18 @@ def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple) 
     height: int | None = 0
     if certificate is None:
         if not facts.critical:  # the recursive rules act on lcm-critical indices
-            return Classification(Status.UNKNOWN, None, False), 0
+            return None, 0
         if depth <= 0:  # the depth limit cuts the search here
-            return Classification(Status.UNKNOWN, None, True), None
+            return None, None
         heights: list[int | None] = []
         certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
             facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
         )
         height = None if None in heights else max(heights, default=-1) + 1
         if certificate is None:
-            return Classification(Status.UNKNOWN, None, True), height
+            return None, height
     _assert_sound(facts, certificate)
-    return Classification(certificate.status, certificate), height
+    return certificate, height
 
 
 def _assert_sound(facts: Facts, certificate: Certificate) -> None:
@@ -454,11 +457,11 @@ def _recursive_subtuples(
     entries = facts.entries
     children = []
     for subset in subsets:
-        result, height = _decide(tp.subtuple(entries, subset), depth - 1, kb)
+        child, height = _decide(tp.subtuple(entries, subset), depth - 1, kb)
         heights.append(height)
-        if not result.status.implies_rigid:
+        if child is None or not child.status.implies_rigid:
             return None
-        children.append(result.certificate)
+        children.append(child)
     return Certificate(
         RuleId.RECURSIVE_SUBTUPLES,
         entries,
@@ -521,16 +524,16 @@ def _descend(
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
             record = Facts(witness_tuple, kept if k > 1 else dropped)
-            result, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
+            child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
             heights.append(height)
-            if result.status.implies_rigid:
+            if child is not None and child.status.implies_rigid:
                 return Certificate(
                     RuleId.DESCEND,
                     entries,
                     Status.RIGID,
                     tp.identity_permutation(facts.n),
                     Witness(index=index, exponents=witness_tuple),
-                    (result.certificate,),
+                    (child,),
                 )
             folded[k] = max(siblings, depth - 1 if height is None else height)
     return None
@@ -632,11 +635,11 @@ def _kernel_bound(entries: Exponents, kb: KnowledgeBase, facts: Facts) -> Kernel
     rigid = set()
     undecided = set()
     for index in facts.critical:
-        result = _decide(tp.omit(entries, index), kb.budget.max_depth, kb)[0]
-        if result.status.implies_rigid:
-            rigid.add(index)
-        elif result.status is Status.UNKNOWN:
+        certificate = _decide(tp.omit(entries, index), kb.budget.max_depth, kb)[0]
+        if certificate is None:
             undecided.add(index)
+        elif certificate.status.implies_rigid:
+            rigid.add(index)
     return KernelBound(
         value=tp._drop(entries, facts.floors, rigid),
         rigid_critical=frozenset(rigid),

@@ -122,6 +122,10 @@ def classes_to_json(classes) -> str:
 
 
 def _validate_universe(universe) -> list[Exponents]:
+    try:
+        universe = iter(universe)
+    except TypeError:
+        raise InputError(f"universe must be a collection of tuples, got {universe!r}") from None
     members = sorted({tp.as_exponents(member, minimum_length=3) for member in universe})
     lengths = {len(member) for member in members}
     if len(lengths) > 1:
@@ -185,10 +189,7 @@ def _edges(members: list[Exponents]) -> list[ProjEdge]:
 
 
 def _mixed(statuses: set[Status]) -> bool:
-    has_rigid = Status.RIGID in statuses or Status.STABLY_RIGID in statuses
-    if Status.NON_RIGID in statuses and has_rigid:
-        return True
-    return Status.UNKNOWN in statuses and len(statuses) > 1
+    return len({Status.RIGID if status.implies_rigid else status for status in statuses}) > 1
 
 
 def proj_classes(universe, kb: KnowledgeBase | None = None) -> list[ProjClass]:

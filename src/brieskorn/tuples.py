@@ -129,9 +129,9 @@ def subtuple(entries: Exponents, removed: Iterable[int]) -> Exponents:
 
 
 def omit(entries: Exponents, index: int) -> Exponents:
-    """Entries with the single 1-based ``index`` omitted."""
+    """Entries with the single 1-based ``index`` omitted, as a tuple."""
     _check_index(entries, index)
-    return entries[: index - 1] + entries[index:]
+    return (*entries[: index - 1], *entries[index:])
 
 
 def normalization(entries: Exponents) -> Exponents:
@@ -270,6 +270,10 @@ def coordinate_gcd(entries: Exponents, index: int) -> int:
     """gcd(a_i, lcm of the other entries): the floor of coordinate ``index``
     in the divisor order."""
     _check_index(entries, index)
+    return _floor(entries, index)
+
+
+def _floor(entries: Exponents, index: int) -> int:
     return gcd(entries[index - 1], lcm(*entries[: index - 1], *entries[index:]))
 
 
@@ -289,18 +293,17 @@ def leq_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
             f"tuples must have equal length, got {len(smaller)} and {len(larger)}"
         )
     _check_index(smaller, index)  # once: the slices below take it as valid
+    smaller, larger = tuple(smaller), tuple(larger)  # compared by value: a list never equals a tuple
     i = index - 1
     if smaller[:i] != larger[:i] or smaller[index:] != larger[index:]:
         return False
     a_small = smaller[i]
-    a_large = larger[i]
-    g = gcd(a_large, lcm(*larger[:i], *larger[index:]))  # the coordinate gcd of larger at index
-    return a_small % g == 0 and a_large % a_small == 0
+    return a_small % _floor(larger, index) == 0 and larger[i] % a_small == 0
 
 
 def lt_at(smaller: Exponents, larger: Exponents, index: int) -> bool:
     """Strict variant of :func:`leq_at`."""
-    return smaller != larger and leq_at(smaller, larger, index)
+    return tuple(smaller) != tuple(larger) and leq_at(smaller, larger, index)
 
 
 def _drop(entries: Exponents, floors: Exponents, chosen: Iterable[int]) -> int:

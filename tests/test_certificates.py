@@ -23,7 +23,7 @@ from brieskorn.certificates import (
     certificate_id,
     certificate_to_json,
 )
-from brieskorn.errors import CertificateError
+from brieskorn.errors import CertificateError, InputError
 
 
 def classified(entries):
@@ -337,6 +337,14 @@ class TestReplay:
         bad = cert._replace(children=cert.children[:2])
         assert not bk.replay(bad)
 
+    @pytest.mark.parametrize("build", [lambda: classified((4, 4, 4, 12)), lambda: chain_node()], ids=["descend", "chain"])
+    def test_a_descend_node_with_list_entries_replays(self, build):
+        node = build()
+        assert node.rule is RuleId.DESCEND
+        listed = node._replace(exponents=list(node.exponents))
+        assert bk.replay(listed)
+        bk.verify_certificate(listed)
+
     def test_unknown_status_never_replays(self):
         cert = Certificate(
             RuleId.NOT_IN_TN, (2, 3, 3, 2), Status.UNKNOWN, (1, 2, 3, 4)
@@ -349,6 +357,38 @@ class TestReplay:
             RuleId.EQUAL_EXPONENTS, (3, 3, 3, 3), Status.RIGID, (1, 2, 3, 4)
         )
         assert not bk.replay(cert)
+
+
+class TestArgumentTypes:
+    """A wrong-typed argument to the text helpers is an error that names it."""
+
+    CALLS = {
+        "to_json": certificate_to_json,
+        "id": certificate_id,
+        "id-with-text": lambda node: certificate_id(node, "{}"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_a_non_certificate_is_named(self, call):
+        for node in (None, 5, classified((4, 4, 4, 12)).to_dict()):
+            with pytest.raises(CertificateError) as excinfo:
+                self.CALLS[call](node)
+            assert str(excinfo.value) == f"root: certificate node must be a Certificate, got {type(node).__name__}"
+
+    def test_certificate_text_of_the_wrong_type_is_named(self):
+        cert = classified((4, 4, 4, 12))
+        assert certificate_from_json(certificate_to_json(cert).encode()) == cert
+        for text in (5, None, cert.to_dict()):
+            with pytest.raises(CertificateError) as excinfo:
+                certificate_from_json(text)
+            assert str(excinfo.value) == f"root: certificate text must be a str, bytes or bytearray, got {type(text).__name__}"
+
+    def test_an_indent_of_the_wrong_type_is_named(self):
+        cert = classified((4, 4, 4, 12))
+        for indent in ("x", 1.5, True):
+            with pytest.raises(InputError) as excinfo:
+                certificate_to_json(cert, indent=indent)
+            assert str(excinfo.value) == f"indent must be an integer or None, got {indent!r}"
 
 
 # --- every parser and replay error, byte for byte ---------------------------

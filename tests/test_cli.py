@@ -229,6 +229,38 @@ class TestProjClasses:
         assert {"members", "edges", "statuses", "mixed", "relative_to_universe"} == set(payload[0])
 
 
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with exit 0 and an
+    empty stderr, whether the output is written as it is printed or at
+    exit: about 1 MB of classes after one line is read, and a short
+    classification into a pipe closed before it starts."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            pytest.param(("proj-classes", "--n", "3", "--max", "30"), 1, id="proj-classes"),
+            pytest.param(("classify", "--format", "structured", "4", "4", "4", "12"), 0, id="classify"),
+        ],
+    )
+    def test_exit_zero_and_nothing_on_stderr(self, argv, lines, unbuffered):
+        package_root = os.path.dirname(os.path.dirname(brieskorn.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root, PYTHONUNBUFFERED=unbuffered)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "brieskorn", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        try:
+            for _ in range(lines):
+                assert child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=60)
+            stderr = child.stderr.read()
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert (code, stderr) == (0, b"")
+
+
 class TestUniverseCap:
     """Universes above ``MAX_UNIVERSE`` are refused before any is listed."""
 

@@ -3,7 +3,7 @@
 import gc
 import inspect
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
 
 import pytest
@@ -254,7 +254,7 @@ class TestClassify:
         kb = bk.KnowledgeBase()
         first = bk.classify((10, 3, 3, 4), kb)
         again = bk.classify((10, 3, 3, 4), kb)
-        assert again is first
+        assert again == first and again.certificate is first.certificate
         reordered = bk.classify((3, 3, 4, 10), kb)
         assert reordered.status is first.status
         assert reordered.certificate.exponents == (3, 3, 4, 10)
@@ -370,6 +370,15 @@ def cold(entries, depth):
     return verdict(bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_depth=depth))))
 
 
+def entry_verdict(entry):
+    """The verdict of a search's (certificate, height) pair, as
+    ``_classify_valid`` reads it."""
+    certificate, height = entry
+    if certificate is None:
+        return Status.UNKNOWN, height != 0, None
+    return certificate.status, False, bk.certificate_id(certificate)
+
+
 # Entries rich in shared divisors, so that the searches recurse, get cut,
 # and meet the same canonical tuples in other orders and at other depths.
 # Verdicts that change with the depth are rare among such tuples (20 of
@@ -398,7 +407,7 @@ def mixed_depth_queries(draw):
 def test_warm_memo_at_mixed_depths_answers_as_cold(queries):
     kb = bk.KnowledgeBase()
     for entries, depth in queries:
-        assert verdict(_decide(entries, depth, kb)[0]) == cold(entries, depth), (entries, depth)
+        assert entry_verdict(_decide(entries, depth, kb)) == cold(entries, depth), (entries, depth)
 
 
 def test_uncut_verdicts_hold_at_every_greater_depth():
@@ -407,13 +416,14 @@ def test_uncut_verdicts_hold_at_every_greater_depth():
     heights = set()
     for depth in range(0, 4):
         for entries in universe:
-            outcome, height = _decide(entries, depth, bk.KnowledgeBase(bk.Budget(max_depth=depth)))
+            outcome = _decide(entries, depth, bk.KnowledgeBase(bk.Budget(max_depth=depth)))
+            height = outcome[1]
             heights.add(height)
             if height is None:
                 continue
             assert height <= depth
             for deeper in range(depth + 1, 7):
-                assert cold(entries, deeper) == verdict(outcome), (entries, depth, deeper)
+                assert cold(entries, deeper) == entry_verdict(outcome), (entries, depth, deeper)
     # both tables and recursive heights occur, so the check is not vacuous
     assert {None, 0, 1, 2} <= heights
 
@@ -431,9 +441,25 @@ def test_unknown_entry_answers_every_lower_depth_as_cut(monkeypatch, top):
 
     monkeypatch.setattr(engine, "_run_cascade", no_search)
     for depth in range(top):
-        outcome, height = _decide(entries, depth, kb)
-        assert height is None
-        assert verdict(outcome) == expected[depth]
+        outcome = _decide(entries, depth, kb)
+        assert outcome[1] is None
+        assert entry_verdict(outcome) == expected[depth]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_budget_hit_is_having_a_critical_index(depth):
+    # _classify_valid reads budget_hit from the search height; here it is
+    # checked against its definition, through one memo per depth
+    kb = bk.KnowledgeBase(bk.Budget(max_depth=depth))
+    seen = set()
+    for n in (4, 5):
+        for entries in combinations_with_replacement(range(1, 11), n):
+            outcome = bk.classify(entries, kb)
+            expected = outcome.status is Status.UNKNOWN and bool(tp.Facts(entries).critical)
+            assert outcome.budget_hit is expected, (entries, depth)
+            if outcome.status is Status.UNKNOWN:
+                seen.add(expected)
+    assert seen == {False, True}
 
 
 # UNKNOWN tuples and the number of sorted tuples a classify call searches.
@@ -469,7 +495,7 @@ def test_len_counts_entries_in_every_table():
     store = kb.store
 
     def recording(canonical, depth, entry):
-        stored.append((canonical, depth, entry[0].status, entry[1]))
+        stored.append((canonical, depth, Status.UNKNOWN if entry[0] is None else entry[0].status, entry[1]))
         store(canonical, depth, entry)
 
     kb.store = recording
@@ -477,8 +503,8 @@ def test_len_counts_entries_in_every_table():
     # searched again deeper, each cut UNKNOWN tuple is stored at a second
     # depth but held once
     entries = (6, 3, 10, 7647185)
-    assert _decide(entries, 3, kb)[0].status is Status.UNKNOWN
-    assert _decide(entries, 5, kb)[0].status is Status.UNKNOWN
+    assert _decide(entries, 3, kb)[0] is None  # UNKNOWN
+    assert _decide(entries, 5, kb)[0] is None
     saturated = {canonical for canonical, _, _, height in stored if height is not None}
     cut_unknown = [canonical for canonical, _, status, height in stored
                    if height is None and status is Status.UNKNOWN]
@@ -489,12 +515,12 @@ def test_len_counts_entries_in_every_table():
     # again; none occurs in the census universes, so one is stored directly
     rigid = bk.classify((2, 3, 4, 5))
     assert rigid.status is Status.RIGID and (2, 3, 4, 5) not in saturated | set(cut_unknown)
-    kb.store((2, 3, 4, 5), 1, (rigid, None))
+    kb.store((2, 3, 4, 5), 1, (rigid.certificate, None))
     assert kb.lookup((2, 3, 4, 5), 1) is None
     assert len(kb) == len(saturated) + len(set(cut_unknown))
     # its status is still registered against a contradictory one
     with pytest.raises(SoundnessError, match="contradictory statuses"):
-        kb.store((2, 3, 4, 5), 2, (bk.Classification(Status.NON_RIGID, None), None))
+        kb.store((2, 3, 4, 5), 2, (bk.rule_not_in_tn((2, 2, 3, 3)), None))
 
 
 # --- DESCEND's sibling rule ----------------------------------------------------
@@ -510,7 +536,7 @@ def reference_decide(entries, depth, kb):
     entry = kb.lookup(canonical, depth)
     if entry is not None:
         cached = entry[0]
-        if cached.certificate is None or cached.certificate.exponents == entries:
+        if cached is None or cached.exponents == entries:
             return entry
     searched = reference_run_cascade(tp.Facts(entries), depth, kb)
     if entry is None:
@@ -523,17 +549,17 @@ def reference_run_cascade(facts, depth, kb):
     height = 0
     if certificate is None:
         if not facts.critical:
-            return bk.Classification(Status.UNKNOWN, None, False), 0
+            return None, 0
         if depth <= 0:
-            return bk.Classification(Status.UNKNOWN, None, True), None
+            return None, None
         heights = []
         certificate = reference_subtuples(facts, depth, kb, heights) or reference_descend(
             facts, depth, kb, heights
         )
         height = None if None in heights else max(heights, default=-1) + 1
         if certificate is None:
-            return bk.Classification(Status.UNKNOWN, None, True), height
-    return bk.Classification(certificate.status, certificate), height
+            return None, height
+    return certificate, height
 
 
 def reference_subtuples(facts, depth, kb, heights):
@@ -542,11 +568,11 @@ def reference_subtuples(facts, depth, kb, heights):
         return None
     children = []
     for subset in subsets:
-        result, height = reference_decide(tp.subtuple(facts.entries, subset), depth - 1, kb)
+        child, height = reference_decide(tp.subtuple(facts.entries, subset), depth - 1, kb)
         heights.append(height)
-        if not result.status.implies_rigid:
+        if child is None or not child.status.implies_rigid:
             return None
-        children.append(result.certificate)
+        children.append(child)
     return bk.Certificate(
         RuleId.RECURSIVE_SUBTUPLES, facts.entries, Status.RIGID,
         tp.identity_permutation(facts.n), bk.Witness(subsets=subsets), tuple(children),
@@ -559,12 +585,12 @@ def reference_descend(facts, depth, kb, heights):
         floor = floors[index - 1]
         for k in tp.divisors(entries[index - 1] // floor, kb.budget.max_divisor_witnesses + 1)[:-1]:
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            result, height = reference_decide(witness_tuple, depth - 1, kb)
+            child, height = reference_decide(witness_tuple, depth - 1, kb)
             heights.append(height)
-            if result.status.implies_rigid:
+            if child is not None and child.status.implies_rigid:
                 return bk.Certificate(
                     RuleId.DESCEND, entries, Status.RIGID, tp.identity_permutation(facts.n),
-                    bk.Witness(index=index, exponents=witness_tuple), (result.certificate,),
+                    bk.Witness(index=index, exponents=witness_tuple), (child,),
                 )
     return None
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -14,7 +15,7 @@ from brieskorn import tuples as tp
 from brieskorn.certificates import Status
 from brieskorn.census import CensusSpec, enumerate_universe
 from brieskorn.errors import InputError
-from brieskorn.proj import ProjEdge, classes_to_json
+from brieskorn.proj import ProjEdge, _mixed, classes_to_json
 
 CHAIN_UNIVERSE = [(2, 3, 3, 2), (2, 3, 3, 4), (10, 3, 3, 4)]
 
@@ -188,6 +189,16 @@ class TestClasses:
         classes = bk.proj_classes([(4, 4, 4, 4), (4, 4, 4, 8)])
         assert len(classes) == 1
         assert not classes[0].mixed
+
+    @pytest.mark.parametrize(
+        "statuses", [set(chosen) for size in range(1, 5) for chosen in combinations(Status, size)], ids=str
+    )
+    def test_mixed_is_more_than_one_kind_of_verdict(self, statuses):
+        # rigid and stably rigid are one kind; NON_RIGID and UNKNOWN are
+        # each their own
+        rigid = Status.RIGID in statuses or Status.STABLY_RIGID in statuses
+        expected = (rigid and Status.NON_RIGID in statuses) or (Status.UNKNOWN in statuses and len(statuses) > 1)
+        assert _mixed(statuses) is expected
 
     def test_to_dict_shape(self):
         payload = bk.proj_classes(CHAIN_UNIVERSE)[0].to_dict()

@@ -270,6 +270,13 @@ class TestValidation:
                 call(spec)
             assert str(excinfo.value) == f"spec must be a CensusSpec, got {spec!r}"
 
+    @pytest.mark.parametrize("call", [bk.proj_classes, bk.proj_edges])
+    def test_a_universe_that_is_not_a_collection_is_named(self, call):
+        for universe in (5, None):
+            with pytest.raises(InputError) as excinfo:
+                call(universe)
+            assert str(excinfo.value) == f"universe must be a collection of tuples, got {universe!r}"
+
     def test_census_files_of_a_wrong_result_leave_no_directory(self, tmp_path):
         out = tmp_path / "out"
         for result in ("x", census_result().rows):

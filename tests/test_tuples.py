@@ -64,6 +64,11 @@ class TestSubtuples:
         assert tp.subtuple((10, 3, 3, 4), {4}) == (10, 3, 3)
         assert tp.omit((10, 3, 3, 4), 1) == (3, 3, 4)
 
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_omit_returns_a_tuple(self, kind):
+        assert tp.omit(kind((2, 3, 4)), 1) == (3, 4) == tp.subtuple(kind((2, 3, 4)), [1])
+        assert type(tp.omit(kind((2, 3, 4)), 2)) is tuple
+
     def test_subtuple_rejects_full_removal(self):
         with pytest.raises(InputError):
             tp.subtuple((2, 3, 4), {1, 2, 3})
@@ -137,6 +142,19 @@ class TestDivisorOrder:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             tp.leq_at((2, 3, 4), (2, 3, 4, 5), 1)
+
+    @pytest.mark.parametrize("smaller_kind, larger_kind", [(tuple, list), (list, tuple), (list, list)])
+    def test_lists_compare_by_value(self, smaller_kind, larger_kind):
+        def both(smaller, larger):
+            return smaller_kind(smaller), larger_kind(larger)
+
+        assert tp.leq_at(*both((2, 3, 4), (2, 3, 8)), 3)
+        assert tp.lt_at(*both((2, 3, 4), (2, 3, 8)), 3)
+        assert tp.leq_at(*both((2, 3, 3, 4), (10, 3, 3, 4)), 1)
+        assert tp.leq_at(*both((2, 3, 4), (2, 3, 4)), 3)
+        assert not tp.lt_at(*both((2, 3, 4), (2, 3, 4)), 3)
+        assert not tp.leq_at(*both((2, 3, 3, 2), (2, 3, 5, 4)), 4)
+        assert not tp.leq_at(*both((3, 4, 2), (3, 4, 6)), 3)
 
 
 class TestLcmDrop:
