@@ -53,7 +53,7 @@ from .certificates import (
     certificate_id,
 )
 from .engine import (
-    _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _Record, _require_int, _require_type,
+    _DEFAULT_BUDGET, Budget, Classification, KnowledgeBase, _classify_valid, _require_int, _require_type,
 )
 from .engine import _collector_paused, classify  # noqa: F401  (perfbench's tracer wraps census.classify)
 from .errors import InputError
@@ -73,16 +73,25 @@ SUMMARY_SIBLINGS_FIELD = "siblings=16"
 MIN_ROWS_PER_PROCESS = 1_000
 
 
-class CensusSpec(_Record):
-    """Universe description plus budget overrides."""
+class _CensusSpecFields(NamedTuple):
+    length: int
+    max_exponent: int
+    min_exponent: int
+    budget: Budget
 
-    __slots__ = ("length", "max_exponent", "min_exponent", "budget")
 
-    def __init__(
-        self, length: int, max_exponent: int, min_exponent: int = 1, budget: Budget = _DEFAULT_BUDGET
+class CensusSpec(_CensusSpecFields):
+    """Universe description plus budget overrides, validated as
+    :class:`~brieskorn.engine.Budget` is."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, length: int, max_exponent: int, min_exponent: int = 1, budget: Budget = _DEFAULT_BUDGET
     ):
-        self._set(length=length, max_exponent=max_exponent, min_exponent=min_exponent, budget=budget)
-        self._check_ints("length", "max_exponent", "min_exponent")
+        _require_int("CensusSpec.length", length)
+        _require_int("CensusSpec.max_exponent", max_exponent)
+        _require_int("CensusSpec.min_exponent", min_exponent)
         _require_type("CensusSpec.budget", budget, Budget)
         if length < 3:
             raise InputError(f"census tuples need length >= 3, got {length}")
@@ -90,6 +99,14 @@ class CensusSpec(_Record):
             raise InputError(f"minimum exponent must be >= 1, got {min_exponent}")
         if min_exponent > max_exponent:
             raise InputError(f"empty exponent range [{min_exponent}, {max_exponent}]")
+        return super().__new__(cls, length, max_exponent, min_exponent, budget)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class CensusRow(NamedTuple):

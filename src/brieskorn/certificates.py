@@ -222,6 +222,8 @@ def certificate_id(certificate: Certificate, text: str | None = None) -> str:
     a hash of the compact text.  ``text``, when given, is an indented
     rendering of ``certificate`` that the caller already holds."""
     _need_node(certificate, "root")
+    if text is not None and not isinstance(text, str):
+        raise InputError(f"text must be a str or None, got {type(text).__name__}")
     compact = certificate_to_json(certificate) if text is None else "".join(text.split())
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:12]
 
@@ -492,6 +494,13 @@ def _shown(value: Any) -> str:
     return value.value if isinstance(value, enum.Enum) else repr(value)
 
 
+def _entries(node: Certificate) -> Any:
+    """The entries of ``node`` as a tuple when they are a list, which replay
+    takes at every node, so that a parent compares them by value."""
+    entries = node.exponents
+    return tuple(entries) if isinstance(entries, list) else entries
+
+
 def _need_witness(node: Certificate, path: str) -> Witness:
     if node.witness is None:
         _fail(f"{node.rule.value} requires a witness", path)
@@ -581,7 +590,7 @@ def _replay_recursive(node: Certificate, path: str) -> Status:
         child_path = f"{path}.children[{k}]"
         _need_rigid_child(child, child_path, child_path)
         expected = tp.subtuple(entries, subset)
-        if child.exponents != expected:
+        if _entries(child) != expected:
             _fail(f"child tuple {child.exponents!r} is not the subtuple {expected!r}", child_path)
         _replay_node(child, child_path)
     return Status.RIGID
@@ -602,7 +611,7 @@ def _replay_descend(node: Certificate, path: str) -> Status:
         _fail("descend carries exactly one child", path)
     child = node.children[0]
     _need_rigid_child(child, f"{path}.children[0]", path)
-    if child.exponents != witness.exponents:
+    if _entries(child) != witness.exponents:
         _fail("child tuple differs from the witness tuple", path)
     if not tp.lt_at(witness.exponents, node.exponents, witness.index):
         _fail("witness tuple is not strictly below in the coordinate divisor order", path)

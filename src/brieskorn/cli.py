@@ -311,8 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # argparse printed its help or a usage error and exits: flush
+            # now, so that a closed pipe is handled below, not at exit.
+            sys.stdout.flush()
+            raise
         status = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return status

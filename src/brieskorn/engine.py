@@ -5,6 +5,10 @@ The cheap purely-arithmetic rules run first: the cascade walks the
 leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
+One function, :func:`_decide`, runs each search node: the memo lookup,
+the leaf cascade, both recursive rules, the soundness check and the
+store, so each level of recursion takes two stack frames, it and the
+recursive rule that reached the node.
 Each search node reads one :class:`~brieskorn.tuples.Facts` record that
 the leaf rules, the soundness check and both recursive rules share.  A
 node is handed its record or builds it from the tuple: a census row hands
@@ -175,64 +179,32 @@ def _require_type(what: str, value, kind: type) -> None:
         raise InputError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
-class _Record:
-    """Base of the records that validate their fields on construction.
+class _BudgetFields(NamedTuple):
+    max_depth: int
+    max_divisor_witnesses: int
 
-    A subclass names its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and sets each once through ``_set``; it
-    checks the type of each field before its value, ``_check_ints`` for
-    the integer ones, so that a wrong type is an InputError naming the
-    field.  The record is then immutable, equal to a record of its own type with equal
-    fields (never to a plain tuple), hashed as the tuple of its fields,
-    shown as ``Name(field=value, ...)``, and pickled through its
-    constructor, so an unpickled record is validated again.
-    """
+
+class Budget(_BudgetFields):
+    """Search limits for the recursive rules.  The constructor checks the
+    type of each field, then the ranges, and ``_make`` (so ``_replace``) and
+    ``__reduce__`` (so ``copy`` and unpickling) build through it."""
 
     __slots__ = ()
 
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def _check_ints(self, *names: str) -> None:
-        for name in names:
-            _require_int(f"{type(self).__name__}.{name}", getattr(self, name))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Budget(_Record):
-    """Search limits for the recursive rules."""
-
-    __slots__ = ("max_depth", "max_divisor_witnesses")
-
-    def __init__(self, max_depth: int = 6, max_divisor_witnesses: int = 32):
-        self._set(max_depth=max_depth, max_divisor_witnesses=max_divisor_witnesses)
-        self._check_ints(*self.__slots__)
+    def __new__(cls, max_depth: int = 6, max_divisor_witnesses: int = 32):
+        _require_int("Budget.max_depth", max_depth)
+        _require_int("Budget.max_divisor_witnesses", max_divisor_witnesses)
+        self = super().__new__(cls, max_depth, max_divisor_witnesses)
         if max_depth < 0 or max_divisor_witnesses < 1:
             raise InputError(f"invalid budget {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class Classification(NamedTuple):
@@ -378,30 +350,24 @@ def _decide(
     # coordinate order: its certificate is rebuilt for this order (children
     # resolve via the memo), so that certificates always root at the tuple
     # as classified.
-    searched = _run_cascade(Facts(entries) if facts is None else facts, depth, kb, inherited)
-    if entry is None:
-        kb.store(canonical, depth, searched)
-    elif searched[0] is None or searched[0].status is not cached.status:  # pragma: no cover - permutation invariance
-        raise SoundnessError(f"status for {entries} changed under reordering from {cached.status.value}")
-    return searched
-
-
-def _run_cascade(facts: Facts, depth: int, kb: KnowledgeBase, inherited: tuple) -> Entry:
+    facts = Facts(entries) if facts is None else facts
     certificate = _first_leaf(facts, inherited[2])
     height: int | None = 0
-    if certificate is None:
-        if not facts.critical:  # the recursive rules act on lcm-critical indices
-            return None, 0
-        if depth <= 0:  # the depth limit cuts the search here
-            return None, None
-        heights: list[int | None] = []
-        certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
-            facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
-        )
-        height = None if None in heights else max(heights, default=-1) + 1
-        if certificate is None:
-            return None, height
-    _assert_sound(facts, certificate)
+    if certificate is None and facts.critical:  # the recursive rules act on lcm-critical indices
+        height = None  # cut here by the depth limit, or below by a cut child
+        if depth > 0:
+            heights: list[int | None] = []
+            certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
+                facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
+            )
+            if None not in heights:
+                height = max(heights, default=-1) + 1
+    if certificate is not None:
+        _assert_sound(facts, certificate)
+    if entry is None:
+        kb.store(canonical, depth, (certificate, height))
+    elif certificate is None or certificate.status is not cached.status:  # pragma: no cover - permutation invariance
+        raise SoundnessError(f"status for {entries} changed under reordering from {cached.status.value}")
     return certificate, height
 
 

@@ -345,6 +345,17 @@ class TestReplay:
         assert bk.replay(listed)
         bk.verify_certificate(listed)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: descend_node(), lambda: recursive_node(), lambda: chain_node()],
+        ids=["descend", "recursive", "chain"],
+    )
+    def test_children_with_list_entries_replay(self, build):
+        node = listed(build())
+        assert isinstance(node.children[0].exponents, list)
+        assert bk.replay(node)
+        bk.verify_certificate(node)
+
     def test_unknown_status_never_replays(self):
         cert = Certificate(
             RuleId.NOT_IN_TN, (2, 3, 3, 2), Status.UNKNOWN, (1, 2, 3, 4)
@@ -382,6 +393,14 @@ class TestArgumentTypes:
             with pytest.raises(CertificateError) as excinfo:
                 certificate_from_json(text)
             assert str(excinfo.value) == f"root: certificate text must be a str, bytes or bytearray, got {type(text).__name__}"
+
+    def test_certificate_id_text_of_the_wrong_type_is_named(self):
+        cert = classified((4, 4, 4, 12))
+        assert certificate_id(cert, certificate_to_json(cert, indent=2)) == certificate_id(cert, None)
+        for text in (5, b"{}", ["{}"]):
+            with pytest.raises(InputError) as excinfo:
+                certificate_id(cert, text)
+            assert str(excinfo.value) == f"text must be a str or None, got {type(text).__name__}"
 
     def test_an_indent_of_the_wrong_type_is_named(self):
         cert = classified((4, 4, 4, 12))
@@ -449,6 +468,11 @@ def with_child(node, k, **changes):
     children = list(node.children)
     children[k] = children[k]._replace(**changes)
     return node._replace(children=tuple(children))
+
+
+def listed(node):
+    """``node`` with its entries and those of every node below it as lists."""
+    return node._replace(exponents=list(node.exponents), children=tuple(map(listed, node.children)))
 
 
 def with_witness(node, **changes):

@@ -191,6 +191,14 @@ class TestCensus:
         assert code == 2
         assert err.startswith("error: cannot write census files") and err.count("\n") == 1
 
+    def test_a_census_file_that_cannot_be_written_exits_two(self, capsys, tmp_path):
+        # --out exists, but census.csv under it is a directory
+        (tmp_path / "census.csv").mkdir()
+        code, out, err = run(capsys, "census", "--n", "3", "--max", "3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write census files under {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exits_two_without_classifying(
         self, capsys, tmp_path, monkeypatch, workers
@@ -233,7 +241,7 @@ class TestClosedPipe:
     """A reader that closes stdout early ends the run with exit 0 and an
     empty stderr, whether the output is written as it is printed or at
     exit: about 1 MB of classes after one line is read, and a short
-    classification into a pipe closed before it starts."""
+    classification or argparse's help into a pipe closed before it starts."""
 
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
@@ -241,6 +249,8 @@ class TestClosedPipe:
         [
             pytest.param(("proj-classes", "--n", "3", "--max", "30"), 1, id="proj-classes"),
             pytest.param(("classify", "--format", "structured", "4", "4", "4", "12"), 0, id="classify"),
+            pytest.param(("--help",), 0, id="help"),
+            pytest.param(("classify", "--help"), 0, id="classify-help"),
         ],
     )
     def test_exit_zero_and_nothing_on_stderr(self, argv, lines, unbuffered):

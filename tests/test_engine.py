@@ -439,7 +439,7 @@ def test_unknown_entry_answers_every_lower_depth_as_cut(monkeypatch, top):
     def no_search(*args):
         raise AssertionError("searched a tuple the memo holds")
 
-    monkeypatch.setattr(engine, "_run_cascade", no_search)
+    monkeypatch.setattr(engine, "_first_leaf", no_search)
     for depth in range(top):
         outcome = _decide(entries, depth, kb)
         assert outcome[1] is None
@@ -478,13 +478,13 @@ SEARCHED_ONCE = {
 @pytest.mark.parametrize("entries", SEARCHED_ONCE)
 def test_each_sorted_tuple_is_searched_once_per_call(monkeypatch, entries):
     searched = []
-    run_cascade = engine._run_cascade
+    first_leaf = engine._first_leaf
 
-    def recording(facts, depth, kb, inherited):
+    def recording(facts, rules):
         searched.append(tuple(sorted(facts.entries)))
-        return run_cascade(facts, depth, kb, inherited)
+        return first_leaf(facts, rules)
 
-    monkeypatch.setattr(engine, "_run_cascade", recording)
+    monkeypatch.setattr(engine, "_first_leaf", recording)
     assert bk.classify(entries).status is Status.UNKNOWN
     assert len(searched) == len(set(searched)) == SEARCHED_ONCE[entries]
 
@@ -705,18 +705,18 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
     # the root's (14 before witness children took their parent's result);
     # each record still holds its own tuple's kernel result
     passes, searched = [], []
-    kernel, run_cascade = tp.invariant_core, engine._run_cascade
+    kernel, first_leaf = tp.invariant_core, engine._first_leaf
 
     def counted_kernel(entries):
         passes.append(entries)
         return kernel(entries)
 
-    def counted_cascade(*args):
-        searched.append(args[0])
-        return run_cascade(*args)
+    def counted_leaf(facts, rules):
+        searched.append(facts)
+        return first_leaf(facts, rules)
 
     monkeypatch.setattr(tp, "invariant_core", counted_kernel)
-    monkeypatch.setattr(engine, "_run_cascade", counted_cascade)
+    monkeypatch.setattr(engine, "_first_leaf", counted_leaf)
     assert bk.classify((6, 3, 10, 7647185)).status is Status.UNKNOWN
     assert len(searched) == 14 and passes == [(6, 3, 10, 7647185)]
     for facts in searched:

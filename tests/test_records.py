@@ -2,6 +2,7 @@
 value, shown with its class and field names, and unchanged by a pickle
 round trip (census children send their rows back that way)."""
 
+import copy
 import pickle
 
 import pytest
@@ -10,6 +11,11 @@ import brieskorn as bk
 from brieskorn import tuples as tp
 from brieskorn.certificates import LEAF_RULES, RuleId, Status
 from brieskorn.errors import InputError
+
+
+def forged(record, change):
+    """``record`` with ``change`` to its fields, built past its validation."""
+    return tuple.__new__(type(record), (record._asdict() | change).values())
 
 
 def census_result():
@@ -84,8 +90,6 @@ RECORDS = {
 
 #: Records whose fields hold functions, which pickle cannot send.
 UNPICKLABLE = {"LeafRule"}
-#: Records that validate their fields: slotted classes, not tuples.
-SLOTTED = {"Budget", "CensusSpec"}
 
 
 @pytest.fixture(params=sorted(RECORDS))
@@ -114,21 +118,13 @@ def test_equal_fields_give_equal_records_and_hashes(record_case):
     assert [getattr(first, field) for field in fields] == [getattr(second, field) for field in fields]
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - SLOTTED))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_named_tuples_replace_and_compare_as_tuples(name):
     build, fields = RECORDS[name]
     record = build()
     assert record._replace() == record
     assert record._replace(**{fields[0]: getattr(build(), fields[0])}) == record
     assert record == tuple(getattr(record, field) for field in fields)
-
-
-@pytest.mark.parametrize("name", sorted(SLOTTED))
-def test_slotted_records_are_not_tuples(name):
-    build, fields = RECORDS[name]
-    record = build()
-    assert not isinstance(record, tuple)
-    assert record != tuple(getattr(record, field) for field in fields)
 
 
 def test_repr_names_the_class_and_its_fields(record_case):
@@ -284,6 +280,56 @@ class TestValidation:
                 bk.write_census_files(result, out)
             assert str(excinfo.value) == f"result must be a CensusResult, got {result!r}"
         assert not out.exists()
+
+    # The records that validate their fields: a valid record, and changes
+    # to its fields with the message each raises; a wrong type is named
+    # before a value out of range.
+    INVALID = {
+        "Budget": (
+            bk.Budget(max_depth=1),
+            [
+                (dict(max_depth=-1), "invalid budget Budget(max_depth=-1, max_divisor_witnesses=32)"),
+                (
+                    dict(max_depth=-1, max_divisor_witnesses=2.0),
+                    "Budget.max_divisor_witnesses must be an integer, got 2.0",
+                ),
+            ],
+        ),
+        "CensusSpec": (
+            bk.CensusSpec(length=3, max_exponent=4),
+            [
+                (dict(min_exponent=5), "empty exponent range [5, 4]"),
+                (dict(length=2, min_exponent=0.5), "CensusSpec.min_exponent must be an integer, got 0.5"),
+                (dict(length=2, budget=(6, 32)), "CensusSpec.budget must be a Budget, got (6, 32)"),
+            ],
+        ),
+    }
+
+    # Every way to build a record from field values.  copy and pickle start
+    # from a record forged past the constructor.
+    BUILDS = {
+        "constructor": lambda record, change: type(record)(**(record._asdict() | change)),
+        "_make": lambda record, change: type(record)._make((record._asdict() | change).values()),
+        "_replace": lambda record, change: record._replace(**change),
+        "copy": lambda record, change: copy.copy(forged(record, change)),
+        **{
+            f"pickle-{protocol}": (
+                lambda record, change, protocol=protocol: pickle.loads(pickle.dumps(forged(record, change), protocol))
+            )
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        },
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_every_way_to_build_validates(self, name, build):
+        record, cases = self.INVALID[name]
+        made = self.BUILDS[build](record, {})
+        assert made == record and type(made) is type(record)
+        for change, message in cases:
+            with pytest.raises(InputError) as excinfo:
+                self.BUILDS[build](record, change)
+            assert str(excinfo.value) == message
 
     def test_unpickling_goes_through_the_constructor(self):
         for record in (bk.Budget(max_depth=1), bk.CensusSpec(length=3, max_exponent=4)):

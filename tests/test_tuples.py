@@ -210,6 +210,11 @@ class TestValidation:
         with pytest.raises(InputError):
             tp.as_exponents((2, 3), minimum_length=3)
 
+    def test_rejects_a_non_sequence(self):
+        with pytest.raises(InputError) as excinfo:
+            tp.as_exponents(5)
+        assert str(excinfo.value) == "exponents must be a sequence of integers, got 5"
+
     def test_rejects_nonpositive_and_nonint(self):
         for bad in ((2, 0, 3), (2, -1, 3), (2, 3.5, 4), (2, "3", 4), (True, 2, 3)):
             with pytest.raises(InputError):
@@ -235,6 +240,7 @@ class TestReport:
         payload = report.to_dict()
         assert payload["reciprocal_sum"] == "61/60"
         assert payload["lcm_critical"] == [1, 4]
+        assert report.length == 4
 
     def test_report_matches_naive_sets(self):
         for entries in ((2, 3, 3, 4), (10, 3, 3, 4), (7, 5, 6, 8), (6, 10, 15), (2, 2, 2)):
@@ -252,6 +258,12 @@ class TestDivisors:
         assert tp._SMALL_PRIMES == tuple(
             p for p in range(2, 1 << 10) if all(p % q for q in range(2, isqrt(p) + 1))
         )
+
+    def test_rho_redoes_a_batch_that_overshot(self):
+        # 1031 * 1039: the gcd of one of Brent's batches is the whole number,
+        # so rho takes the batch again one step at a time
+        assert tp._rho(1071209) in (1031, 1039)
+        assert tp.divisors(1071209) == (1, 1031, 1039, 1071209)
 
     def test_smallest_divisors(self):
         assert tp.divisors(12, 4) == (1, 2, 3, 4)
