@@ -35,9 +35,11 @@ File outputs::
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import signal
+import stat
 from itertools import combinations_with_replacement
 from math import gcd
 from pathlib import Path
@@ -383,7 +385,12 @@ def _summarize(spec: CensusSpec, rows) -> CensusSummary:
 
 
 def write_census_files(result: CensusResult, out_dir) -> dict[str, Path]:
-    """Write census.csv, summary.txt and certificates.json under ``out_dir``."""
+    """Write census.csv, summary.txt and certificates.json under ``out_dir``,
+    all three or none.  The texts are rendered first, written to temporary
+    files in ``out_dir`` and moved into place with ``os.replace``.  A target
+    that exists and is not a regular file (a directory, or a symbolic link)
+    is refused before anything is written.  On a failure the temporary
+    files are removed, and every old file is left as it was."""
     _require_type("result", result, CensusResult)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -392,7 +399,31 @@ def write_census_files(result: CensusResult, out_dir) -> dict[str, Path]:
         "summary": directory / "summary.txt",
         "certificates": directory / "certificates.json",
     }
-    paths["csv"].write_text(result.csv_text(), encoding="utf-8")
-    paths["summary"].write_text(result.summary.render(), encoding="utf-8")
-    paths["certificates"].write_text(result.certificates_json(), encoding="utf-8")
+    texts = (result.csv_text(), result.summary.render(), result.certificates_json())
+    for path in paths.values():
+        _require_regular(path)
+    staged: list[Path] = []
+    try:
+        for path, text in zip(paths.values(), texts):
+            temporary = directory / f".{path.name}.{os.urandom(6).hex()}.tmp"
+            handle = open(temporary, "x", encoding="utf-8")
+            staged.append(temporary)
+            with handle:
+                handle.write(text)
+        for temporary, path in zip(staged, paths.values()):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        raise
     return paths
+
+
+def _require_regular(path: Path) -> None:
+    """OSError unless ``path`` is missing or a regular file."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))

@@ -5,10 +5,12 @@ The cheap purely-arithmetic rules run first: the cascade walks the
 leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
-One function, :func:`_decide`, runs each search node: the memo lookup,
-the leaf cascade, both recursive rules, the soundness check and the
-store, so each level of recursion takes two stack frames, it and the
-recursive rule that reached the node.
+One function, :func:`_decide`, runs each search node: the memo lookup
+(:func:`_recall`), the leaf cascade, both recursive rules, and the
+soundness checks and the store (:func:`_settle`), so each level of
+recursion takes two stack frames, it and the recursive rule that reached
+the node.  A length-4 DESCEND witness is the one node it does not run
+(the leaf-witness lemma below).
 Each search node reads one :class:`~brieskorn.tuples.Facts` record that
 the leaf rules, the soundness check and both recursive rules share.  A
 node is handed its record or builds it from the tuple: a census row hands
@@ -112,6 +114,26 @@ on C's own witness children.  :func:`rule_descend` never ran its tuple's
 cascade, so its witness children walk every leaf rule, and take only the
 kernel result.  Replay checks every node in full.
 
+A witness child C of a length-4 node P whose cascade failed is a leaf of
+the search (the *leaf-witness lemma*).  P is in T_n, and its cotype is at
+most 1, since COTYPE_GE_2_N4 failed.  The recursive rules run only on a
+node with a critical index, so P has exactly one, i, and only DESCEND
+acts on it, as RECURSIVE_SUBTUPLES needs two.  By the witness-record
+rule C's critical indices are (i) when k > 1 and none when k = 1.  So C
+has no recursive subsets, and its DESCEND tries only i, which the
+sibling rule answers from P's fold.  C's answer is then its pruned cascade, and its height has a
+closed form: 0 when a leaf rule decides it or k = 1; otherwise, with s
+the folded sibling height (s >= 0, as the fold holds the witness at
+k = 1) and D - 1 the depth of C, s + 1 when s < D - 1, and cut when not.
+So P decides each witness in its own loop (:func:`_leaf_witness`), on a
+light record (entries, n, T_n membership and P's kernel result; no L,
+sigma or kernel pass) and through the same memo protocol as a search
+node, so the memo, its soundness table and their insertion order are
+those of the full search.  Leaf rules run before the depth test, so a
+length-4 answer is the same at every depth of 1 or more; only the
+heights depend on it.  :func:`rule_descend` keeps the general path, as
+its tuple's cascade never ran.
+
 The recursion is bounded by the tuple itself.  Each recursive step either
 shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
 keeps at least three) or replaces an entry by a proper divisor (DESCEND).
@@ -157,6 +179,20 @@ _WITNESS_LEAF_RULES = tuple(
     for leaf in LEAF_RULES
     if leaf.rule in (RuleId.NOT_IN_TN, RuleId.EQUAL_EXPONENTS)
 )
+
+
+class _WitnessFacts(NamedTuple):
+    """The record of a length-4 witness child decided in its parent's loop
+    (the leaf-witness lemma in the module docstring): what its pruned
+    cascade and the soundness check read, and its parent's kernel result
+    (the witness-record rule), with no L, sigma or kernel pass."""
+
+    entries: Exponents
+    n: int
+    in_tn: bool
+    floors: Exponents
+    critical: tuple[int, ...]
+
 
 # What a search node that no DESCEND parent reached inherits (see _descend):
 # no index (indices start at 1), and every leaf rule.
@@ -307,7 +343,8 @@ def classify(exponents, kb: KnowledgeBase | None = None) -> Classification:
     budget.
     """
     entries = tp.as_exponents(exponents, minimum_length=3)
-    return _classify_valid(entries, _memo(kb))
+    kb = _memo(kb)
+    return _verdict(_decide(entries, kb.budget.max_depth, kb))
 
 
 def _classify_valid(entries: Exponents, kb: KnowledgeBase, facts: Facts | None = None) -> Classification:
@@ -315,7 +352,14 @@ def _classify_valid(entries: Exponents, kb: KnowledgeBase, facts: Facts | None =
     (by the census spec, ``proj_classes`` or the CLI).  ``facts``, when
     given, is the record of ``entries`` that the root search node reads
     (a census row, or the CLI's CSV row, reads it too)."""
-    certificate, height = _decide(entries, kb.budget.max_depth, kb, facts)
+    return _verdict(_decide(entries, kb.budget.max_depth, kb, facts))
+
+
+def _verdict(entry: Entry) -> Classification:
+    """The classification of a root search node's (certificate, height)
+    entry, built after the search returns, so that :func:`classify` stacks
+    no frame of its own between it and the root node."""
+    certificate, height = entry
     if certificate is None:
         return Classification(Status.UNKNOWN, None, height != 0)
     return Classification(certificate.status, certificate)
@@ -340,16 +384,9 @@ def _decide(
     facts: Facts | None = None,
     inherited: tuple = _NO_PARENT,
 ) -> Entry:
-    canonical = tuple(sorted(entries))
-    entry = kb.lookup(canonical, depth)
-    if entry is not None:
-        cached = entry[0]
-        if cached is None or cached.exponents == entries:
-            return entry
-    # A miss is searched.  So is a hit on the same canonical tuple in another
-    # coordinate order: its certificate is rebuilt for this order (children
-    # resolve via the memo), so that certificates always root at the tuple
-    # as classified.
+    canonical, entry, served = _recall(entries, depth, kb)
+    if served:
+        return entry
     facts = Facts(entries) if facts is None else facts
     certificate = _first_leaf(facts, inherited[2])
     height: int | None = 0
@@ -362,29 +399,49 @@ def _decide(
             )
             if None not in heights:
                 height = max(heights, default=-1) + 1
-    if certificate is not None:
-        _assert_sound(facts, certificate)
+    return _settle(facts, depth, kb, canonical, entry, (certificate, height))
+
+
+def _recall(entries: Exponents, depth: int, kb: KnowledgeBase) -> tuple[Exponents, Entry | None, bool]:
+    """A node's memo lookup: its sorted key, the memo's entry at ``depth``,
+    and whether that entry answers the node.  A miss is searched.  So is a
+    hit on the same sorted tuple in another coordinate order: its
+    certificate is rebuilt for this order (children resolve via the memo),
+    so that certificates always root at the tuple as classified."""
+    canonical = tuple(sorted(entries))
+    entry = kb.lookup(canonical, depth)
     if entry is None:
-        kb.store(canonical, depth, (certificate, height))
-    elif certificate is None or certificate.status is not cached.status:  # pragma: no cover - permutation invariance
-        raise SoundnessError(f"status for {entries} changed under reordering from {cached.status.value}")
-    return certificate, height
+        return canonical, None, False
+    cached = entry[0]
+    return canonical, entry, cached is None or cached.exponents == entries
 
 
-def _assert_sound(facts: Facts, certificate: Certificate) -> None:
-    # Mutual exclusion of the two status families: a non-rigid verdict can
-    # only come from the candidate-set test, and every rigid-family rule
-    # implies membership in the candidate set.
-    if certificate.status is Status.NON_RIGID:
-        if certificate.rule is not RuleId.NOT_IN_TN:
+def _settle(
+    facts: Facts | _WitnessFacts, depth: int, kb: KnowledgeBase, canonical: Exponents, entry: Entry | None, found: Entry
+) -> Entry:
+    """A node's soundness checks and memo store after its search: ``found``
+    is stored on a miss, and a hit searched again in another coordinate
+    order keeps its status."""
+    certificate = found[0]
+    if certificate is not None:
+        # Mutual exclusion of the two status families: a non-rigid verdict
+        # can only come from the candidate-set test, and every rigid-family
+        # rule implies membership in the candidate set.
+        if certificate.status is Status.NON_RIGID:
+            if certificate.rule is not RuleId.NOT_IN_TN:
+                raise SoundnessError(
+                    f"rule {certificate.rule.value} may not derive NON_RIGID for {facts.entries}"
+                )
+        elif not facts.in_tn:
             raise SoundnessError(
-                f"rule {certificate.rule.value} may not derive NON_RIGID for {facts.entries}"
+                f"rule {certificate.rule.value} derived a rigid status for {facts.entries}, "
+                "which fails the necessary candidate condition"
             )
-    elif not facts.in_tn:
-        raise SoundnessError(
-            f"rule {certificate.rule.value} derived a rigid status for {facts.entries}, "
-            "which fails the necessary candidate condition"
-        )
+    if entry is None:
+        kb.store(canonical, depth, found)
+    elif certificate is None or certificate.status is not entry[0].status:  # pragma: no cover - permutation invariance
+        raise SoundnessError(f"status for {facts.entries} changed under reordering from {entry[0].status.value}")
+    return found
 
 
 # --- non-recursive rules ----------------------------------------------------
@@ -457,10 +514,13 @@ def _descend(
     walks.  A node's own ``inherited`` index is not visited again; the
     folded height of its witnesses goes to ``heights`` instead.
     ``child_rules`` are the leaf rules this node's witness children walk:
-    all of them unless this node's own cascade failed."""
+    all of them unless this node's own cascade failed.  A length-4 node
+    whose cascade failed decides each witness here instead, through
+    :func:`_leaf_witness` (the leaf-witness lemma)."""
     entries, floors, critical = facts.entries, facts.floors, facts.critical
     kept = floors, critical
     cap = kb.budget.max_divisor_witnesses
+    flat = facts.n == 4 and child_rules is _WITNESS_LEAF_RULES
     for position, index in enumerate(critical):
         if inherited[0] == index:
             height = inherited[1]
@@ -489,8 +549,12 @@ def _descend(
                 below.append(folded[1])
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            record = Facts(witness_tuple, kept if k > 1 else dropped)
-            child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
+            kernel = kept if k > 1 else dropped
+            if flat:
+                child, height = _leaf_witness(witness_tuple, depth - 1, kb, kernel, siblings)
+            else:
+                record = Facts(witness_tuple, kernel)
+                child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
             heights.append(height)
             if child is not None and child.status.implies_rigid:
                 return Certificate(
@@ -503,6 +567,25 @@ def _descend(
                 )
             folded[k] = max(siblings, depth - 1 if height is None else height)
     return None
+
+
+def _leaf_witness(
+    entries: Exponents, depth: int, kb: KnowledgeBase, kernel: tuple[Exponents, tuple[int, ...]], siblings: int
+) -> Entry:
+    """A length-4 witness child at ``depth`` of a node whose cascade failed,
+    decided in its parent's loop (the leaf-witness lemma in the module
+    docstring): its pruned cascade on a :class:`_WitnessFacts` record, and
+    its height in closed form from ``siblings``, through the same memo
+    protocol as :func:`_decide`."""
+    canonical, entry, served = _recall(entries, depth, kb)
+    if served:
+        return entry
+    record = _WitnessFacts(entries, 4, tp.in_tn(entries), *kernel)
+    certificate = _first_leaf(record, _WITNESS_LEAF_RULES)
+    height: int | None = 0
+    if certificate is None and record.critical:
+        height = siblings + 1 if siblings < depth else None
+    return _settle(record, depth, kb, canonical, entry, (certificate, height))
 
 
 # --- public standalone rule entry points ------------------------------------

@@ -199,6 +199,33 @@ class TestCensus:
         assert err.startswith(f"error: cannot write census files under {str(tmp_path)!r}: ")
         assert err.count("\n") == 1
 
+    def test_a_refused_census_file_leaves_every_old_file(self, capsys, tmp_path):
+        # summary.txt is a directory and certificates.json is old: no new
+        # census.csv appears beside it, and no temporary file is left
+        (tmp_path / "summary.txt").mkdir()
+        (tmp_path / "certificates.json").write_text("old\n", encoding="utf-8")
+        code, out, err = run(capsys, "census", "--n", "3", "--max", "3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write census files under {str(tmp_path)!r}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["certificates.json", "summary.txt"]
+        assert (tmp_path / "certificates.json").read_text(encoding="utf-8") == "old\n"
+
+    def test_a_failed_replace_removes_the_temporary_files(self, capsys, tmp_path, monkeypatch):
+        import os
+
+        old = {name: f"old {name}\n" for name in ("census.csv", "summary.txt", "certificates.json")}
+        for name, text in old.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+
+        def failing(source, target):
+            raise OSError(28, "No space left on device", str(target))
+
+        monkeypatch.setattr(os, "replace", failing)
+        code, out, err = run(capsys, "census", "--n", "3", "--max", "3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write census files under {str(tmp_path)!r}: ")
+        assert {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()} == old
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exits_two_without_classifying(
         self, capsys, tmp_path, monkeypatch, workers

@@ -2,6 +2,8 @@
 
 import gc
 import inspect
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
@@ -623,15 +625,15 @@ def test_sibling_rule_matches_the_search_that_asks_the_memo(search):
         assert memo_tables(kb) == memo_tables(reference_kb), tuple_
 
 
-def count_decides(monkeypatch):
+def count_lookups(monkeypatch):
     calls = []
-    decide = engine._decide
+    lookup = bk.KnowledgeBase.lookup
 
-    def counting(*args):
-        calls.append(args[0])
-        return decide(*args)
+    def counting(kb, canonical, depth):
+        calls.append(canonical)
+        return lookup(kb, canonical, depth)
 
-    monkeypatch.setattr(engine, "_decide", counting)
+    monkeypatch.setattr(bk.KnowledgeBase, "lookup", counting)
     return calls
 
 
@@ -647,10 +649,10 @@ BIG_SMOOTH = 2**20 * 3**12 * 5**8 * 7**6 * 11**4 * 13**3
     ],
 )
 def test_descend_asks_the_memo_once_per_witness(monkeypatch, entries, cap, calls):
-    decided = count_decides(monkeypatch)
+    asked = count_lookups(monkeypatch)
     outcome = bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_divisor_witnesses=cap)))
     assert outcome.status is Status.UNKNOWN and outcome.budget_hit
-    assert len(decided) == calls
+    assert len(asked) == calls
 
 
 # --- the witness-record rule ---------------------------------------------------
@@ -721,6 +723,96 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
     assert len(searched) == 14 and passes == [(6, 3, 10, 7647185)]
     for facts in searched:
         assert (facts.floors, facts.critical) == kernel(facts.entries), facts.entries
+
+
+# --- the leaf-witness lemma ----------------------------------------------------
+#
+# A length-4 witness child of a node whose cascade failed is a leaf of the
+# search, so its parent decides it in its own loop (module docstring of
+# engine), and a length-4 verdict is the same at every depth of 1 or more.
+
+
+def smooth_up_to(cap, primes=(2, 3, 5, 7, 11, 13)):
+    values = [1]
+    for p in primes:
+        values = [value * p**e for value in values for e in range(cap.bit_length()) if value * p**e <= cap]
+    return sorted(values)
+
+
+def pool_like_tuples(seed, count):
+    """Length-4 tuples with entries 2..16, about 30% of them with one entry
+    replaced by a 13-smooth number above 16 and up to 10**8."""
+    rng = random.Random(seed)
+    large = [value for value in smooth_up_to(10**8) if value > 16]
+    drawn = []
+    for _ in range(count):
+        entries = [rng.randint(2, 16) for _ in range(4)]
+        if rng.random() < 0.3:
+            entries[rng.randrange(4)] = rng.choice(large)
+        drawn.append(tuple(entries))
+    return drawn
+
+
+def test_a_length_4_verdict_is_the_same_at_every_depth_from_one():
+    # status, budget_hit and certificate id
+    seen = set()
+    for entries in pool_like_tuples(2026, 300):
+        verdicts = {cold(entries, depth) for depth in (1, 2, 6, 12)}
+        assert len(verdicts) == 1, (entries, verdicts)
+        seen.add(verdicts.pop()[0])
+    assert {Status.UNKNOWN, Status.RIGID, Status.NON_RIGID} <= seen
+
+
+def test_length_4_witnesses_are_decided_in_the_parents_loop(monkeypatch):
+    # the 32 witnesses of (7, 11468800, 2, 8) are asked of the memo but
+    # searched by no _decide call of their own
+    decided = []
+    decide = engine._decide
+
+    def counting(*args):
+        decided.append(args[0])
+        return decide(*args)
+
+    monkeypatch.setattr(engine, "_decide", counting)
+    asked = count_lookups(monkeypatch)
+    assert bk.classify((7, 11468800, 2, 8)).status is Status.UNKNOWN
+    assert decided == [(7, 11468800, 2, 8)] and len(asked) == 33
+
+
+@pytest.mark.parametrize("entries", [(2, 3, 4, 8), (2, 3, 5, 8)])
+def test_rule_descend_walks_every_leaf_rule_on_its_witnesses(entries):
+    # its tuple's cascade never ran, so its witnesses take the general
+    # path; N4_COPRIME, which the pruned cascade leaves out, decides them
+    certificate = bk.rule_descend(entries)
+    assert certificate.rule is RuleId.DESCEND
+    assert [child.rule for child in certificate.children] == [RuleId.N4_COPRIME]
+    assert certificate.children[0].exponents == entries[:3] + (4,)
+
+
+def test_an_unbounded_search_stacks_at_most_18_engine_frames():
+    # two frames per level of recursion (_decide, and the rule that reached
+    # the node), classify at the top, and _recall and the memo's lookup at
+    # the bottom
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code.co_filename == engine.__file__:
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+    kb = bk.KnowledgeBase(bk.Budget(max_depth=10**6))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outcome = bk.classify((191102976000, 127545840, 6, 8, 824633720832, 4), kb)
+    finally:
+        sys.setprofile(previous)
+    assert outcome.status is Status.UNKNOWN and outcome.budget_hit
+    assert 0 < deepest <= 18
 
 
 # --- one Facts record per search node ------------------------------------------
