@@ -385,12 +385,15 @@ def _summarize(spec: CensusSpec, rows) -> CensusSummary:
 
 
 def write_census_files(result: CensusResult, out_dir) -> dict[str, Path]:
-    """Write census.csv, summary.txt and certificates.json under ``out_dir``,
-    all three or none.  The texts are rendered first, written to temporary
-    files in ``out_dir`` and moved into place with ``os.replace``.  A target
-    that exists and is not a regular file (a directory, or a symbolic link)
-    is refused before anything is written.  On a failure the temporary
-    files are removed, and every old file is left as it was."""
+    """Write census.csv, summary.txt and certificates.json under ``out_dir``.
+    The texts are rendered first, written to temporary files in ``out_dir``
+    and moved into place one after another with ``os.replace``, so each
+    file is replaced whole.  A target that exists and is not a regular file
+    (a directory, or a symbolic link) is refused before anything is
+    written.  On a failure the temporary files are removed.  A refused
+    target, or a failure before the first move, leaves every old file as it
+    was; a failure of a later move leaves the files already moved new
+    beside old ones."""
     _require_type("result", result, CensusResult)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)

@@ -5,17 +5,15 @@ The cheap purely-arithmetic rules run first: the cascade walks the
 leaf-rule table :data:`~brieskorn.certificates.LEAF_RULES`, whose
 predicates replay also evaluates.  Then come the recursive search rules
 (subtuple recursion and descending along the coordinate divisor order).
-One function, :func:`_decide`, runs each search node: the memo lookup
-(:func:`_recall`), the leaf cascade, both recursive rules, and the
-soundness checks and the store (:func:`_settle`), so each level of
-recursion takes two stack frames, it and the recursive rule that reached
-the node.  A length-4 DESCEND witness is the one node it does not run
-(the leaf-witness lemma below).
-Each search node reads one :class:`~brieskorn.tuples.Facts` record that
-the leaf rules, the soundness check and both recursive rules share.  A
-node is handed its record or builds it from the tuple: a census row hands
-its record to the root node, so the row and its search read the same
-record, and DESCEND hands each witness child a record built with the
+One function, :func:`_decide`, runs every search node: the memo lookup,
+the leaf cascade, both recursive rules, the soundness checks and the
+store, so each level of recursion takes two stack frames, it and the
+recursive rule that reached the node.
+Each search node reads one record that the leaf rules, the soundness
+check and both recursive rules share.  A node is handed its record or
+builds a :class:`~brieskorn.tuples.Facts` record from the tuple: a census
+row hands its record to the root node, so the row and its search read the
+same record, and DESCEND hands each witness child a record built with the
 parent's kernel result (below).
 The search is budgeted (recursion depth and divisor witnesses per
 coordinate) and every answer is a pure function of the tuple and the
@@ -110,29 +108,33 @@ n >= 4.  The other nine rules cannot newly hold on C:
   share.
 
 A pruned cascade that fails is a full one that fails, so the rule holds
-on C's own witness children.  :func:`rule_descend` never ran its tuple's
-cascade, so its witness children walk every leaf rule, and take only the
-kernel result.  Replay checks every node in full.
+on C's own witness children.  Only those nine rules read L or sigma, so
+C reads a light :class:`_WitnessFacts` record: its entries, n, T_n
+membership and P's kernel result.  :func:`rule_descend` never ran its
+tuple's cascade, so its witness children walk every leaf rule, and take
+a full record built with the kernel result.  Replay checks every node in
+full.
 
-A witness child C of a length-4 node P whose cascade failed is a leaf of
-the search (the *leaf-witness lemma*).  P is in T_n, and its cotype is at
-most 1, since COTYPE_GE_2_N4 failed.  The recursive rules run only on a
-node with a critical index, so P has exactly one, i, and only DESCEND
-acts on it, as RECURSIVE_SUBTUPLES needs two.  By the witness-record
-rule C's critical indices are (i) when k > 1 and none when k = 1.  So C
-has no recursive subsets, and its DESCEND tries only i, which the
-sibling rule answers from P's fold.  C's answer is then its pruned cascade, and its height has a
-closed form: 0 when a leaf rule decides it or k = 1; otherwise, with s
+A witness child C of a node P, reached at index i, whose own cascade
+fails and whose lcm-critical indices are exactly (i), is a leaf of the
+search (the *leaf-witness lemma*).  RECURSIVE_SUBTUPLES removes subsets
+of size min(#critical - 1, n - 3) of the critical indices, so it needs
+two, and C's DESCEND tries only i, which the sibling rule answers from
+P's fold.  So C is UNKNOWN, and its height has a closed form: with s
 the folded sibling height (s >= 0, as the fold holds the witness at
-k = 1) and D - 1 the depth of C, s + 1 when s < D - 1, and cut when not.
-So P decides each witness in its own loop (:func:`_leaf_witness`), on a
-light record (entries, n, T_n membership and P's kernel result; no L,
-sigma or kernel pass) and through the same memo protocol as a search
-node, so the memo, its soundness table and their insertion order are
-those of the full search.  Leaf rules run before the depth test, so a
-length-4 answer is the same at every depth of 1 or more; only the
-heights depend on it.  :func:`rule_descend` keeps the general path, as
-its tuple's cascade never ran.
+k = 1) and D - 1 the depth of C, s + 1 when s < D - 1, and cut when not.  :func:`_decide` gives it that height with no call to either
+recursive rule; the memo lookup, the soundness checks and the store are
+those of any node.  By the witness-record rule C's critical indices are
+P's when k > 1, so the lemma holds at every length on the witnesses of
+a P with one critical index.  A length-4 P whose cascade failed always
+has exactly one: it is in T_n, its cotype is at most 1 since
+COTYPE_GE_2_N4 failed, and the recursive rules run only on a node with a
+critical index.  So every length-4 witness child is a leaf (the one at
+k = 1 has no critical index), and as leaf rules run before the depth
+test, a length-4 answer is the same at every depth of 1 or more; only
+the heights depend on it.  On perfbench's seed-7 classify-cold stream
+(3,000 length-4 tuples, a cold memo each) 3,790 of the 7,036 search
+nodes take the closed form and 246 enter a recursive rule.
 
 The recursion is bounded by the tuple itself.  Each recursive step either
 shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
@@ -182,10 +184,10 @@ _WITNESS_LEAF_RULES = tuple(
 
 
 class _WitnessFacts(NamedTuple):
-    """The record of a length-4 witness child decided in its parent's loop
-    (the leaf-witness lemma in the module docstring): what its pruned
-    cascade and the soundness check read, and its parent's kernel result
-    (the witness-record rule), with no L, sigma or kernel pass."""
+    """The record of a DESCEND witness child of a node whose cascade failed,
+    at any length: what its pruned cascade, both recursive rules and the
+    soundness check read, with its parent's kernel result (the
+    witness-record rule) and no L, sigma or kernel pass."""
 
     entries: Exponents
     n: int
@@ -381,66 +383,54 @@ def _decide(
     entries: Exponents,
     depth: int,
     kb: KnowledgeBase,
-    facts: Facts | None = None,
+    facts: Facts | _WitnessFacts | None = None,
     inherited: tuple = _NO_PARENT,
 ) -> Entry:
-    canonical, entry, served = _recall(entries, depth, kb)
-    if served:
-        return entry
-    facts = Facts(entries) if facts is None else facts
-    certificate = _first_leaf(facts, inherited[2])
-    height: int | None = 0
-    if certificate is None and facts.critical:  # the recursive rules act on lcm-critical indices
-        height = None  # cut here by the depth limit, or below by a cut child
-        if depth > 0:
-            heights: list[int | None] = []
-            certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
-                facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
-            )
-            if None not in heights:
-                height = max(heights, default=-1) + 1
-    return _settle(facts, depth, kb, canonical, entry, (certificate, height))
-
-
-def _recall(entries: Exponents, depth: int, kb: KnowledgeBase) -> tuple[Exponents, Entry | None, bool]:
-    """A node's memo lookup: its sorted key, the memo's entry at ``depth``,
-    and whether that entry answers the node.  A miss is searched.  So is a
-    hit on the same sorted tuple in another coordinate order: its
-    certificate is rebuilt for this order (children resolve via the memo),
-    so that certificates always root at the tuple as classified."""
     canonical = tuple(sorted(entries))
     entry = kb.lookup(canonical, depth)
-    if entry is None:
-        return canonical, None, False
-    cached = entry[0]
-    return canonical, entry, cached is None or cached.exponents == entries
-
-
-def _settle(
-    facts: Facts | _WitnessFacts, depth: int, kb: KnowledgeBase, canonical: Exponents, entry: Entry | None, found: Entry
-) -> Entry:
-    """A node's soundness checks and memo store after its search: ``found``
-    is stored on a miss, and a hit searched again in another coordinate
-    order keeps its status."""
-    certificate = found[0]
+    if entry is not None:
+        # A hit on the same sorted tuple in another coordinate order is
+        # searched again: its certificate is rebuilt for this order (children
+        # resolve via the memo), so that certificates always root at the
+        # tuple as classified.
+        cached = entry[0]
+        if cached is None or cached.exponents == entries:
+            return entry
+    facts = Facts(entries) if facts is None else facts
+    index, siblings, rules = inherited
+    certificate = _first_leaf(facts, rules)
+    height: int | None = 0
+    if certificate is None and (critical := facts.critical):  # the recursive rules act on lcm-critical indices
+        if critical == (index,):
+            # the leaf-witness lemma: neither recursive rule can act, and the
+            # fold of this node's siblings answers its one critical index
+            height = siblings + 1 if siblings < depth else None
+        else:
+            height = None  # cut here by the depth limit, or below by a cut child
+            if depth > 0:
+                heights: list[int | None] = []
+                certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
+                    facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
+                )
+                if None not in heights:
+                    height = max(heights, default=-1) + 1
     if certificate is not None:
         # Mutual exclusion of the two status families: a non-rigid verdict
         # can only come from the candidate-set test, and every rigid-family
         # rule implies membership in the candidate set.
         if certificate.status is Status.NON_RIGID:
             if certificate.rule is not RuleId.NOT_IN_TN:
-                raise SoundnessError(
-                    f"rule {certificate.rule.value} may not derive NON_RIGID for {facts.entries}"
-                )
+                raise SoundnessError(f"rule {certificate.rule.value} may not derive NON_RIGID for {entries}")
         elif not facts.in_tn:
             raise SoundnessError(
-                f"rule {certificate.rule.value} derived a rigid status for {facts.entries}, "
+                f"rule {certificate.rule.value} derived a rigid status for {entries}, "
                 "which fails the necessary candidate condition"
             )
+    found = certificate, height
     if entry is None:
         kb.store(canonical, depth, found)
     elif certificate is None or certificate.status is not entry[0].status:  # pragma: no cover - permutation invariance
-        raise SoundnessError(f"status for {facts.entries} changed under reordering from {entry[0].status.value}")
+        raise SoundnessError(f"status for {entries} changed under reordering from {entry[0].status.value}")
     return found
 
 
@@ -470,7 +460,7 @@ def _first_leaf(facts: Facts, rules: tuple[LeafRule, ...]) -> Certificate | None
 
 
 def _recursive_subtuples(
-    facts: Facts, depth: int, kb: KnowledgeBase, heights: list[int | None]
+    facts: Facts | _WitnessFacts, depth: int, kb: KnowledgeBase, heights: list[int | None]
 ) -> Certificate | None:
     """Fires when every removal in :func:`recursive_subsets` leaves a rigid
     subtuple.  The search height of each child visited goes to ``heights``."""
@@ -496,7 +486,7 @@ def _recursive_subtuples(
 
 
 def _descend(
-    facts: Facts,
+    facts: Facts | _WitnessFacts,
     depth: int,
     kb: KnowledgeBase,
     heights: list[int | None],
@@ -514,13 +504,12 @@ def _descend(
     walks.  A node's own ``inherited`` index is not visited again; the
     folded height of its witnesses goes to ``heights`` instead.
     ``child_rules`` are the leaf rules this node's witness children walk:
-    all of them unless this node's own cascade failed.  A length-4 node
-    whose cascade failed decides each witness here instead, through
-    :func:`_leaf_witness` (the leaf-witness lemma)."""
+    all of them, on a full record, unless this node's own cascade failed;
+    then the pruned cascade, on a :class:`_WitnessFacts` record."""
     entries, floors, critical = facts.entries, facts.floors, facts.critical
     kept = floors, critical
     cap = kb.budget.max_divisor_witnesses
-    flat = facts.n == 4 and child_rules is _WITNESS_LEAF_RULES
+    light = child_rules is _WITNESS_LEAF_RULES
     for position, index in enumerate(critical):
         if inherited[0] == index:
             height = inherited[1]
@@ -550,11 +539,11 @@ def _descend(
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
             kernel = kept if k > 1 else dropped
-            if flat:
-                child, height = _leaf_witness(witness_tuple, depth - 1, kb, kernel, siblings)
+            if light:
+                record = _WitnessFacts(witness_tuple, facts.n, tp.in_tn(witness_tuple), *kernel)
             else:
                 record = Facts(witness_tuple, kernel)
-                child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
+            child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
             heights.append(height)
             if child is not None and child.status.implies_rigid:
                 return Certificate(
@@ -567,25 +556,6 @@ def _descend(
                 )
             folded[k] = max(siblings, depth - 1 if height is None else height)
     return None
-
-
-def _leaf_witness(
-    entries: Exponents, depth: int, kb: KnowledgeBase, kernel: tuple[Exponents, tuple[int, ...]], siblings: int
-) -> Entry:
-    """A length-4 witness child at ``depth`` of a node whose cascade failed,
-    decided in its parent's loop (the leaf-witness lemma in the module
-    docstring): its pruned cascade on a :class:`_WitnessFacts` record, and
-    its height in closed form from ``siblings``, through the same memo
-    protocol as :func:`_decide`."""
-    canonical, entry, served = _recall(entries, depth, kb)
-    if served:
-        return entry
-    record = _WitnessFacts(entries, 4, tp.in_tn(entries), *kernel)
-    certificate = _first_leaf(record, _WITNESS_LEAF_RULES)
-    height: int | None = 0
-    if certificate is None and record.critical:
-        height = siblings + 1 if siblings < depth else None
-    return _settle(record, depth, kb, canonical, entry, (certificate, height))
 
 
 # --- public standalone rule entry points ------------------------------------

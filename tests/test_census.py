@@ -330,16 +330,45 @@ CUT_DEPTH_DIGESTS = {
 }
 
 
+#: sha256 of the census files of n=5 over 1..10 and n=6 over 1..6 at the
+#: default depth, where DESCEND witness children of length 5 and 6 read the
+#: light witness record.
+DEFAULT_DEPTH_DIGESTS = {
+    (5, 10): {
+        "csv": "546565141193d9d0c518644ede120b99ed54c8cc57fe467de40325e47c37ee8c",
+        "summary": "f87e5126a6e0171fb246b4ec3974abd4697395a67103219e3214ac2a148273f7",
+        "certificates": "10f6d99222ec49b515db5595fb9b3b96adc6123016c9c3d32f78c436febf4007",
+    },
+    (6, 6): {
+        "csv": "f18b45013b8f3d4d8a1e4f70ccbe39b46306dc61035bd46b7a943c625fd8e60b",
+        "summary": "cd4cbfcb073fdf05e81252032d67a1ee44c012c6736da002ca87ef696f5e80ff",
+        "certificates": "d91c83d84208a0a1a072323927dda429a98c99818fb28bf405fbd050ddee0572",
+    },
+}
+
+
+def assert_census_digests(monkeypatch, tmp_path, spec, workers, digests):
+    # the universes fall under the floor of rows per process: lower it so
+    # that children fork
+    monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
+    paths = bk.write_census_files(bk.run_census(spec, workers=workers), tmp_path)
+    for key, expected in digests.items():
+        assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == expected, key
+
+
 class TestCutDepthDigests:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("depth", sorted(CUT_DEPTH_DIGESTS))
     def test_census_files_match(self, monkeypatch, tmp_path, depth, workers):
-        # 2,002 rows fall under the floor: lower it so that children fork
-        monkeypatch.setattr(census, "MIN_ROWS_PER_PROCESS", 1)
         spec = CensusSpec(length=5, max_exponent=10, budget=bk.Budget(max_depth=depth))
-        paths = bk.write_census_files(bk.run_census(spec, workers=workers), tmp_path)
-        for key, expected in CUT_DEPTH_DIGESTS[depth].items():
-            assert hashlib.sha256(paths[key].read_bytes()).hexdigest() == expected, key
+        assert_census_digests(monkeypatch, tmp_path, spec, workers, CUT_DEPTH_DIGESTS[depth])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("universe", sorted(DEFAULT_DEPTH_DIGESTS), ids=lambda u: "n%d-max%d" % u)
+    def test_default_depth_census_files_match(self, monkeypatch, tmp_path, universe, workers):
+        length, max_exponent = universe
+        spec = CensusSpec(length=length, max_exponent=max_exponent)
+        assert_census_digests(monkeypatch, tmp_path, spec, workers, DEFAULT_DEPTH_DIGESTS[universe])
 
 
 class TestRenderOnce:

@@ -226,6 +226,35 @@ class TestCensus:
         assert err.startswith(f"error: cannot write census files under {str(tmp_path)!r}: ")
         assert {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()} == old
 
+    def test_a_later_failed_replace_leaves_every_file_whole(self, capsys, tmp_path, monkeypatch):
+        # only the second move fails, after census.csv was moved: each file
+        # still there is whole, old or new, though the set may be mixed
+        import os
+
+        names = ("census.csv", "summary.txt", "certificates.json")
+        fresh, out_dir = tmp_path / "fresh", tmp_path / "out"
+        assert run(capsys, "census", "--n", "3", "--max", "3", "--out", str(fresh))[0] == 0
+        new = {name: (fresh / name).read_text(encoding="utf-8") for name in names}
+        out_dir.mkdir()
+        old = {name: f"old {name}\n" for name in names}
+        for name, text in old.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+        replace, moves = os.replace, []
+
+        def failing_second(source, target):
+            moves.append(target)
+            if len(moves) == 2:
+                raise OSError(28, "No space left on device", str(target))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_second)
+        code, out, err = run(capsys, "census", "--n", "3", "--max", "3", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write census files under {str(out_dir)!r}: ")
+        left = {path.name: path.read_text(encoding="utf-8") for path in out_dir.iterdir()}
+        assert sorted(left) == sorted(names)  # no temporary file is left
+        assert all(text in (old[name], new[name]) for name, text in left.items())
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exits_two_without_classifying(
         self, capsys, tmp_path, monkeypatch, workers

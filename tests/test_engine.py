@@ -625,16 +625,21 @@ def test_sibling_rule_matches_the_search_that_asks_the_memo(search):
         assert memo_tables(kb) == memo_tables(reference_kb), tuple_
 
 
-def count_lookups(monkeypatch):
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.name`` from now on."""
     calls = []
-    lookup = bk.KnowledgeBase.lookup
+    function = getattr(owner, name)
 
-    def counting(kb, canonical, depth):
-        calls.append(canonical)
-        return lookup(kb, canonical, depth)
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(bk.KnowledgeBase, "lookup", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_lookups(monkeypatch):
+    return count_calls(monkeypatch, bk.KnowledgeBase, "lookup")
 
 
 BIG_SMOOTH = 2**20 * 3**12 * 5**8 * 7**6 * 11**4 * 13**3
@@ -727,9 +732,12 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
 
 # --- the leaf-witness lemma ----------------------------------------------------
 #
-# A length-4 witness child of a node whose cascade failed is a leaf of the
-# search, so its parent decides it in its own loop (module docstring of
-# engine), and a length-4 verdict is the same at every depth of 1 or more.
+# A witness child of a node whose cascade failed is a leaf of the search
+# when its one critical index is the one it was reached at: neither
+# recursive rule can act on it, and its height has a closed form (module
+# docstring of engine).  Every length-4 witness child of a failed cascade
+# is such a leaf, so a length-4 verdict is the same at every depth of 1 or
+# more.
 
 
 def smooth_up_to(cap, primes=(2, 3, 5, 7, 11, 13)):
@@ -763,20 +771,47 @@ def test_a_length_4_verdict_is_the_same_at_every_depth_from_one():
     assert {Status.UNKNOWN, Status.RIGID, Status.NON_RIGID} <= seen
 
 
-def test_length_4_witnesses_are_decided_in_the_parents_loop(monkeypatch):
-    # the 32 witnesses of (7, 11468800, 2, 8) are asked of the memo but
-    # searched by no _decide call of their own
-    decided = []
-    decide = engine._decide
-
-    def counting(*args):
-        decided.append(args[0])
-        return decide(*args)
-
-    monkeypatch.setattr(engine, "_decide", counting)
+def test_a_witness_whose_one_critical_index_is_inherited_enters_no_recursive_rule(monkeypatch):
+    # the root and its 32 witnesses are search nodes, and only the root
+    # runs a recursive rule or builds a Facts record
+    decided = count_calls(monkeypatch, engine, "_decide")
+    descended = count_calls(monkeypatch, engine, "_descend")
+    recursed = count_calls(monkeypatch, engine, "_recursive_subtuples")
+    built = count_calls(monkeypatch, tp.Facts, "__init__")
     asked = count_lookups(monkeypatch)
     assert bk.classify((7, 11468800, 2, 8)).status is Status.UNKNOWN
-    assert decided == [(7, 11468800, 2, 8)] and len(asked) == 33
+    assert (len(decided), len(descended), len(recursed), len(built), len(asked)) == (33, 1, 1, 1, 33)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_searches())
+@example(((7, 11468800, 2, 8), 6, 32))
+@example(((3, 4, 4, 4, 8), 6, 32))
+def test_no_node_whose_critical_indices_are_inherited_enters_a_recursive_rule(search):
+    entries, depth, cap = search
+    inherited = []  # the inherited tuple of each open _decide call
+    decide, descend, subtuples = engine._decide, engine._descend, engine._recursive_subtuples
+
+    def deciding(entries, depth, kb, facts=None, parent=engine._NO_PARENT):
+        if parent[2] is engine._WITNESS_LEAF_RULES:  # a witness child of a failed cascade
+            assert type(facts) is engine._WitnessFacts, entries
+        inherited.append(parent)
+        try:
+            return decide(entries, depth, kb, facts, parent)
+        finally:
+            inherited.pop()
+
+    def entering(rule):
+        def recursive_rule(facts, *args):
+            assert facts.critical != (inherited[-1][0],), facts.entries
+            return rule(facts, *args)
+        return recursive_rule
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_decide", deciding)
+        patch.setattr(engine, "_descend", entering(descend))
+        patch.setattr(engine, "_recursive_subtuples", entering(subtuples))
+        bk.classify(entries, bk.KnowledgeBase(bk.Budget(max_depth=depth, max_divisor_witnesses=cap)))
 
 
 @pytest.mark.parametrize("entries", [(2, 3, 4, 8), (2, 3, 5, 8)])
@@ -789,10 +824,9 @@ def test_rule_descend_walks_every_leaf_rule_on_its_witnesses(entries):
     assert certificate.children[0].exponents == entries[:3] + (4,)
 
 
-def test_an_unbounded_search_stacks_at_most_18_engine_frames():
+def test_an_unbounded_search_stacks_at_most_17_engine_frames():
     # two frames per level of recursion (_decide, and the rule that reached
-    # the node), classify at the top, and _recall and the memo's lookup at
-    # the bottom
+    # the node), classify at the top, and the memo's lookup at the bottom
     depth = deepest = 0
 
     def profile(frame, event, arg):
@@ -812,7 +846,7 @@ def test_an_unbounded_search_stacks_at_most_18_engine_frames():
     finally:
         sys.setprofile(previous)
     assert outcome.status is Status.UNKNOWN and outcome.budget_hit
-    assert 0 < deepest <= 18
+    assert 0 < deepest <= 17
 
 
 # --- one Facts record per search node ------------------------------------------
