@@ -122,19 +122,31 @@ of size min(#critical - 1, n - 3) of the critical indices, so it needs
 two, and C's DESCEND tries only i, which the sibling rule answers from
 P's fold.  So C is UNKNOWN, and its height has a closed form: with s
 the folded sibling height (s >= 0, as the fold holds the witness at
-k = 1) and D - 1 the depth of C, s + 1 when s < D - 1, and cut when not.  :func:`_decide` gives it that height with no call to either
-recursive rule; the memo lookup, the soundness checks and the store are
-those of any node.  By the witness-record rule C's critical indices are
-P's when k > 1, so the lemma holds at every length on the witnesses of
-a P with one critical index.  A length-4 P whose cascade failed always
-has exactly one: it is in T_n, its cotype is at most 1 since
-COTYPE_GE_2_N4 failed, and the recursive rules run only on a node with a
-critical index.  So every length-4 witness child is a leaf (the one at
-k = 1 has no critical index), and as leaf rules run before the depth
-test, a length-4 answer is the same at every depth of 1 or more; only
-the heights depend on it.  On perfbench's seed-7 classify-cold stream
-(3,000 length-4 tuples, a cold memo each) 3,790 of the 7,036 search
-nodes take the closed form and 246 enter a recursive rule.
+k = 1) and D - 1 the depth of C, s + 1 when s < D - 1, and cut when not.
+By the witness-record rule C's critical indices are P's when k > 1, so
+the lemma holds at every length on the witnesses of a P with one
+critical index, when P's cascade failed.  No such witness at k > 1 is
+rigid (the *k = 1 lemma*): the pruned cascade makes C rigid only through
+EQUAL_EXPONENTS, so every other entry equals w, O_i = w, and f =
+gcd(a_i, w) = w, as w divides a_i; so k = 1.  Both lemmas live in
+:func:`_descend`, which scores each such witness at k > 1 in its own
+loop, with no record, cascade or :func:`_decide` call: NON_RIGID
+(NOT_IN_TN) outside T_n, else UNKNOWN at the closed-form height.  It asks
+the memo and stores the entry as a search node would, and a hit that
+disagrees raises SoundnessError, so the memo is the same.  Only the
+witness at k = 1, which has no critical index left, is searched.  A
+witness of :func:`rule_descend` that meets the leaf-witness lemma takes
+the general path, whose DESCEND reads the fold at i: the same height.
+A length-4 P whose cascade failed always has exactly one critical index:
+it is in T_n, its cotype is at most 1 since COTYPE_GE_2_N4 failed, and
+the recursive rules run only on a node with a critical index.  So a
+length-4 DESCEND searches one witness per index, and as leaf rules run
+before the depth test, a length-4 answer is the same at every depth of 1
+or more; only the heights depend on it.  On perfbench's seed-7
+classify-cold stream (3,000 length-4 tuples, a cold memo each) the
+search makes 7,036 memo lookups and 7,036 stores; 3,790 of them are
+witnesses scored in the loop, so :func:`_decide` runs 3,246 times, and
+246 nodes enter a recursive rule.
 
 The recursion is bounded by the tuple itself.  Each recursive step either
 shortens the tuple (RECURSIVE_SUBTUPLES removes at least one entry and
@@ -397,23 +409,17 @@ def _decide(
         if cached is None or cached.exponents == entries:
             return entry
     facts = Facts(entries) if facts is None else facts
-    index, siblings, rules = inherited
-    certificate = _first_leaf(facts, rules)
+    certificate = _first_leaf(facts, inherited[2])
     height: int | None = 0
-    if certificate is None and (critical := facts.critical):  # the recursive rules act on lcm-critical indices
-        if critical == (index,):
-            # the leaf-witness lemma: neither recursive rule can act, and the
-            # fold of this node's siblings answers its one critical index
-            height = siblings + 1 if siblings < depth else None
-        else:
-            height = None  # cut here by the depth limit, or below by a cut child
-            if depth > 0:
-                heights: list[int | None] = []
-                certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
-                    facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
-                )
-                if None not in heights:
-                    height = max(heights, default=-1) + 1
+    if certificate is None and facts.critical:  # the recursive rules act on lcm-critical indices
+        height = None  # cut here by the depth limit, or below by a cut child
+        if depth > 0:
+            heights: list[int | None] = []
+            certificate = _recursive_subtuples(facts, depth, kb, heights) or _descend(
+                facts, depth, kb, heights, inherited, _WITNESS_LEAF_RULES
+            )
+            if None not in heights:
+                height = max(heights, default=-1) + 1
     if certificate is not None:
         # Mutual exclusion of the two status families: a non-rigid verdict
         # can only come from the candidate-set test, and every rigid-family
@@ -505,11 +511,14 @@ def _descend(
     folded height of its witnesses goes to ``heights`` instead.
     ``child_rules`` are the leaf rules this node's witness children walk:
     all of them, on a full record, unless this node's own cascade failed;
-    then the pruned cascade, on a :class:`_WitnessFacts` record."""
+    then the pruned cascade, on a :class:`_WitnessFacts` record, and with
+    one critical index only the witness at k = 1 is searched: the others
+    are scored here (the k = 1 lemma)."""
     entries, floors, critical = facts.entries, facts.floors, facts.critical
     kept = floors, critical
     cap = kb.budget.max_divisor_witnesses
     light = child_rules is _WITNESS_LEAF_RULES
+    leaves = light and len(critical) == 1  # every witness but k = 1 is a leaf
     for position, index in enumerate(critical):
         if inherited[0] == index:
             height = inherited[1]
@@ -538,12 +547,28 @@ def _descend(
                 below.append(folded[1])
             siblings = max(below, default=-1)
             witness_tuple = entries[: index - 1] + (floor * k,) + entries[index:]
-            kernel = kept if k > 1 else dropped
-            if light:
-                record = _WitnessFacts(witness_tuple, facts.n, tp.in_tn(witness_tuple), *kernel)
+            if leaves and k > 1:
+                # the k = 1 lemma: a leaf, scored here with a search node's memo traffic
+                canonical = tuple(sorted(witness_tuple))
+                in_tn = tp.in_tn(witness_tuple)
+                entry = kb.lookup(canonical, depth - 1)
+                if entry is None:
+                    if in_tn:
+                        entry = None, siblings + 1 if siblings < depth - 1 else None
+                    else:
+                        permutation = tp.identity_permutation(facts.n)
+                        entry = Certificate(RuleId.NOT_IN_TN, witness_tuple, Status.NON_RIGID, permutation), 0
+                    kb.store(canonical, depth - 1, entry)
+                elif (entry[0] is None) is not in_tn or not in_tn and entry[0].status.implies_rigid:
+                    raise SoundnessError(f"memo entry {entry} for {witness_tuple} contradicts the k = 1 lemma")
+                child, height = entry
             else:
-                record = Facts(witness_tuple, kernel)
-            child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
+                kernel = kept if k > 1 else dropped
+                if light:
+                    record = _WitnessFacts(witness_tuple, facts.n, tp.in_tn(witness_tuple), *kernel)
+                else:
+                    record = Facts(witness_tuple, kernel)
+                child, height = _decide(witness_tuple, depth - 1, kb, record, (index, siblings, child_rules))
             heights.append(height)
             if child is not None and child.status.implies_rigid:
                 return Certificate(

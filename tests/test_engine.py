@@ -468,12 +468,14 @@ def test_budget_hit_is_having_a_critical_index(depth):
 # The two of length 5 pin the memo's lower-depth rule (the cut UNKNOWN
 # table, and a lower depth answered from an uncut UNKNOWN entry), which no
 # benchmark workload reaches: without it they took 489,892 and 402,992
-# searches.
+# searches.  A witness at k > 1 of a node with one critical index is
+# scored in its parent's loop (the k = 1 lemma), not searched: the two of
+# length 4 searched 33 before, and the two of length 5 693 and 627.
 SEARCHED_ONCE = {
-    (3, 12, 44957696, 2): 33,
-    (7, 11468800, 2, 8): 33,
-    (428750, 82368, 4, 12, 2): 693,
-    (5, 147875, 577368, 10, 5): 627,
+    (3, 12, 44957696, 2): 2,
+    (7, 11468800, 2, 8): 2,
+    (428750, 82368, 4, 12, 2): 662,
+    (5, 147875, 577368, 10, 5): 565,
 }
 
 
@@ -710,7 +712,9 @@ def test_a_witness_child_of_a_failed_cascade_walks_only_the_witness_rules(search
 def test_witness_children_run_no_kernel_pass(monkeypatch):
     # 13 witness children, every one a memo miss, and no kernel pass but
     # the root's (14 before witness children took their parent's result);
-    # each record still holds its own tuple's kernel result
+    # only the root and the witness at k = 1 are searched (the other 12
+    # are scored in the root's loop, by the k = 1 lemma), and each record
+    # still holds its own tuple's kernel result
     passes, searched = [], []
     kernel, first_leaf = tp.invariant_core, engine._first_leaf
 
@@ -725,7 +729,7 @@ def test_witness_children_run_no_kernel_pass(monkeypatch):
     monkeypatch.setattr(tp, "invariant_core", counted_kernel)
     monkeypatch.setattr(engine, "_first_leaf", counted_leaf)
     assert bk.classify((6, 3, 10, 7647185)).status is Status.UNKNOWN
-    assert len(searched) == 14 and passes == [(6, 3, 10, 7647185)]
+    assert len(searched) == 2 and passes == [(6, 3, 10, 7647185)]
     for facts in searched:
         assert (facts.floors, facts.critical) == kernel(facts.entries), facts.entries
 
@@ -772,7 +776,9 @@ def test_a_length_4_verdict_is_the_same_at_every_depth_from_one():
 
 
 def test_a_witness_whose_one_critical_index_is_inherited_enters_no_recursive_rule(monkeypatch):
-    # the root and its 32 witnesses are search nodes, and only the root
+    # the root and its 32 witnesses are asked of the memo, but only the
+    # root and the witness at k = 1 are search nodes (the other 31 are
+    # scored in the root's loop, by the k = 1 lemma), and only the root
     # runs a recursive rule or builds a Facts record
     decided = count_calls(monkeypatch, engine, "_decide")
     descended = count_calls(monkeypatch, engine, "_descend")
@@ -780,7 +786,70 @@ def test_a_witness_whose_one_critical_index_is_inherited_enters_no_recursive_rul
     built = count_calls(monkeypatch, tp.Facts, "__init__")
     asked = count_lookups(monkeypatch)
     assert bk.classify((7, 11468800, 2, 8)).status is Status.UNKNOWN
-    assert (len(decided), len(descended), len(recursed), len(built), len(asked)) == (33, 1, 1, 1, 33)
+    assert (len(decided), len(descended), len(recursed), len(built), len(asked)) == (2, 1, 1, 1, 33)
+
+
+# --- the k = 1 lemma -------------------------------------------------------------
+#
+# When a node's full cascade fails and it has one critical index, DESCEND
+# can fire only at its witness at k = 1, so the engine scores the others
+# in the node's own loop (module docstring of engine).
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_searches())
+# the witness 4 of the parent's 12 satisfies EQUAL_EXPONENTS
+@example(((4, 4, 4, 12), 6, 32))
+# 31 witnesses at k > 1, every one UNKNOWN
+@example(((7, 11468800, 2, 8), 6, 32))
+# critical indices 4 and 5: the witnesses at k > 1 keep both and are
+# searched; scored in the loop, they would make the search's height 2,
+# not 3
+@example(((2, 3, 3, 4, 121), 6, 32))
+def test_descend_on_a_node_with_one_critical_index_fires_only_at_k_1(search):
+    entries, depth, cap = search
+    budget = bk.Budget(max_depth=depth, max_divisor_witnesses=cap)
+    kb, reference_kb = bk.KnowledgeBase(budget), bk.KnowledgeBase(budget)
+    # the engine, which scores the witnesses at k > 1, answers as the
+    # search that searches every witness
+    assert _decide(entries, depth, kb) == reference_decide(entries, depth, reference_kb)
+    assert memo_tables(kb) == memo_tables(reference_kb)
+    # every node that search met, its witnesses walked in DESCEND's order
+    for node in [*reference_kb._saturated, *reference_kb._unknown]:
+        facts = tp.Facts(node)
+        if len(facts.critical) != 1 or engine._first_leaf(facts, LEAF_RULES) is not None:
+            continue
+        for _, k, witness_tuple in witness_children(node, facts.floors, facts.critical):
+            child = reference_decide(witness_tuple, depth, reference_kb)[0]
+            if child is not None and child.status.implies_rigid:
+                assert k == 1, (node, witness_tuple)
+                break
+
+
+@pytest.mark.parametrize("length,top", [(4, 24), (5, 10)])
+def test_every_length_4_descend_certificate_fires_at_the_floor(length, top):
+    fired = 0
+    nodes = [row.certificate for row in bk.run_census(bk.CensusSpec(length=length, max_exponent=top)).rows]
+    while nodes:
+        node = nodes.pop()
+        if node is None:
+            continue
+        nodes.extend(node.children)
+        if node.rule is RuleId.DESCEND and len(node.exponents) == 4:
+            index = node.witness.index
+            assert node.witness.exponents[index - 1] == tp.invariant_core(node.exponents)[0][index - 1]
+            fired += 1
+    assert fired
+
+
+def test_a_rigid_memo_entry_for_a_scored_witness_is_a_soundness_error():
+    # (7, 112, 2, 8) is the witness at k = 2 of the 11468800 = 56 * 204800
+    # in (7, 11468800, 2, 8), whose one critical index is 2
+    kb = bk.KnowledgeBase()
+    forged = bk.Certificate(RuleId.EQUAL_EXPONENTS, (7, 112, 2, 8), Status.RIGID, (1, 2, 3, 4))
+    kb.store((2, 7, 8, 112), 5, (forged, 0))
+    with pytest.raises(SoundnessError, match="k = 1 lemma"):
+        bk.classify((7, 11468800, 2, 8), kb)
 
 
 @settings(max_examples=200, deadline=None)
